@@ -60,6 +60,7 @@ from .solitons import (
     contact_report,
     contact_top_form,
     decompose,
+    det_bareiss,
     det_cofactor,
     det_via_pf,
     generator,

@@ -7,8 +7,9 @@ is passed.  Exit codes: 0 all checks pass, 1 some check failed, 2 a
 trajectory escaped at runtime, 64 usage or parse error.
 
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
-never pass through floats.  RBKIT_THREADS caps the worker threads used for
-independent check instances; output order never depends on scheduling.
+never pass through floats.  Checks run serially in one thread: the
+environment variable RBKIT_THREADS, which once capped a thread pool, is
+ignored.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import BoundaryEscape, NonFinite, ParseError, RBKitError
@@ -58,24 +57,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("RBKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def pmap(fn, items):
-    """Order-preserving map, threaded when RBKIT_THREADS allows."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def load_params(path: str) -> SolitonParams:
@@ -118,38 +99,37 @@ def load_params(path: str) -> SolitonParams:
 # -- verify ------------------------------------------------------------------
 
 
-def _check_killing(params: SolitonParams):
-    residual = lie_derivative_metric(build_field(params))
+def _check_killing(params: SolitonParams, field):
+    residual = lie_derivative_metric(field)
     if residual.is_zero():
         return "pass", "L_X g = 0"
     return "fail", f"L_X g = {residual.text()}"
 
 
-def _check_rb(params: SolitonParams):
+def _check_rb(params: SolitonParams, field):
     lam = params.soliton_constant()
-    residual = rb_residual(build_field(params), params)
+    residual = rb_residual(field, params)
     if residual.is_zero():
         return "pass", f"residual = 0 at lambda = {lam} (rho = {params.rho})"
     return "fail", f"residual = {residual.text()} at lambda = {lam}"
 
 
-def _check_not_closed(params: SolitonParams):
-    domega = ext_d(flat(build_field(params)))
+def _check_not_closed(params: SolitonParams, field):
+    domega = ext_d(flat(field))
     if domega.is_zero():
         status = "degenerate" if params.degenerate else "fail"
         return status, "dw = 0 (constant field)" if params.degenerate else "dw = 0"
     return "pass", f"dw = {domega.text()}"
 
 
-def _check_preserved(params: SolitonParams):
-    field = build_field(params)
+def _check_preserved(params: SolitonParams, field):
     result = lie_derivative_form(field, flat(field))
     if result.is_zero():
         return "pass", "L_X w = 0 (homotopy identity and direct formula agree)"
     return "fail", f"L_X w = {result.text()}"
 
 
-def _check_contact(params: SolitonParams):
+def _check_contact(params: SolitonParams, field):
     report = contact_report(params)
     witness = (
         f"Pf = {report.pf}; det = {report.det}; "
@@ -183,13 +163,14 @@ def _aggregate(results, labels):
 def cmd_verify(params: SolitonParams, trials: int, seed: int, timings: bool):
     rng = random.Random(seed)
     instances = [params] + [random_params(rng, params.n) for _ in range(trials)]
+    fields = [build_field(p) for p in instances]
     labels = ["params"] + [f"trial {i}" for i in range(1, trials + 1)]
     records = []
     for name, check in _VERIFY_CHECKS:
         if name == "contact_consistency" and params.n % 2 == 0:
             continue
         start = time.perf_counter()
-        results = pmap(check, instances)
+        results = [check(p, f) for p, f in zip(instances, fields)]
         elapsed = (time.perf_counter() - start) * 1000.0
         status, witness = _aggregate(results, labels)
         records.append(
@@ -399,6 +380,12 @@ def main(argv=None) -> int:
                 point = [float(x) for x in args.point.split(",")]
             except ValueError as exc:
                 raise _UsageError(f"--point: {exc}") from exc
+            if not all(map(math.isfinite, point)):
+                raise _UsageError("--point: coordinates must be finite")
+            if not math.isfinite(args.dt):
+                raise _UsageError("--dt must be finite")
+            if not math.isfinite(args.t_max):
+                raise _UsageError("--t-max must be finite")
             if args.dt <= 0:
                 raise _UsageError("--dt must be positive")
             if args.t_max < 0:

@@ -4,6 +4,9 @@ The metric is g_ij = delta_ij / xn^2.  Everything curved is *computed*, not
 hard-coded: Christoffel symbols come with a cross-check against the standard
 metric formula, and the Ricci tensor is contracted from them, so the facts
 Ric = -(n-1) g and r = -n(n-1) are theorems of the code rather than inputs.
+None of them depends on the field parameters, so each is computed, and the
+cross-check run, once per dimension n and process; only results that passed
+the cross-check are cached.
 
 Also hosts the parameter record for the soliton field family, the flat
 (index-lowering) map, the Lie derivative of the metric, the soliton residual,
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -196,18 +200,24 @@ def _christoffel_from_metric(n: int) -> dict:
     return out
 
 
-def christoffel(n: int) -> dict:
-    """Levi-Civita symbols as a sparse map (k, i, j) -> Gamma^k_ij.
-
-    The closed form (delta_ij delta_kn - delta_ik delta_jn - delta_jk
-    delta_in)/xn is validated against the standard metric formula
-    (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) on every call.
-    """
+@lru_cache(maxsize=None)
+def _christoffel_checked(n: int) -> dict:
     closed = _christoffel_closed(n)
     derived = _christoffel_from_metric(n)
     if closed != derived:
         raise AssertionError("closed-form Christoffel symbols disagree with the metric formula")
     return closed
+
+
+def christoffel(n: int) -> dict:
+    """Levi-Civita symbols as a sparse map (k, i, j) -> Gamma^k_ij.
+
+    The closed form (delta_ij delta_kn - delta_ik delta_jn - delta_jk
+    delta_in)/xn is validated against the standard metric formula
+    (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) on the first call for each
+    n.  Every call returns a fresh dict, so callers cannot alter the cache.
+    """
+    return dict(_christoffel_checked(n))
 
 
 def flat(field: VectorField) -> KForm:
@@ -235,7 +245,12 @@ def lie_derivative_metric(field: VectorField) -> SymTensor2:
 
 
 def ricci(n: int) -> SymTensor2:
-    """Ricci tensor contracted from the Christoffel symbols."""
+    """Ricci tensor contracted from the Christoffel symbols, cached per n."""
+    return _ricci(n)
+
+
+@lru_cache(maxsize=None)
+def _ricci(n: int) -> SymTensor2:
     gam = christoffel(n)
     zero = LaurentPoly.zero(n)
 
@@ -256,7 +271,12 @@ def ricci(n: int) -> SymTensor2:
 
 
 def scalar_curvature(n: int) -> LaurentPoly:
-    """r = g^ij R_ij; equals the constant -n(n-1) for the half-space."""
+    """r = g^ij R_ij; equals the constant -n(n-1) for the half-space; cached per n."""
+    return _scalar_curvature(n)
+
+
+@lru_cache(maxsize=None)
+def _scalar_curvature(n: int) -> LaurentPoly:
     ginv = inverse_metric(n)
     ric = ricci(n)
     total = LaurentPoly.zero(n)

@@ -16,11 +16,23 @@ Monomials are totally ordered graded-lexicographically (total degree first,
 then the exponent tuple).  The order fixes printing and serialization, so a
 polynomial's text form is reproducible byte for byte.  Coordinate indices in
 the public API are 1-based, matching the x1..xn naming.
+
+Trusted construction.  The public constructor ``LaurentPoly(n, terms)``
+validates and normalises whatever it is given.  The ring operations and
+``deriv`` instead build their results with ``LaurentPoly._trusted``, which
+wraps a term map as is.  That map must already be clean: every key is a
+tuple of n ints, only the last entry may be negative, every value is a
+nonzero ``Fraction``, and nothing else holds a reference to the dict.  The
+operations keep this invariant by construction (sums and products of valid
+exponents stay valid, ``deriv`` lowers only nonzero exponents) and by
+dropping the zero coefficients that cancellation leaves, so trusted and
+validated results are interchangeable: ``p == LaurentPoly(p.n, p.terms)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BoundaryPoint
@@ -58,6 +70,14 @@ class LaurentPoly:
                     del clean[exps]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "LaurentPoly":
+        """Wrap a clean term map without checks or copies (module docstring)."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly._terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -123,13 +143,21 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return LaurentPoly(self.n, out)
+            prev = out.get(exps)
+            if prev is None:
+                out[exps] = coeff
+            else:
+                total = prev + coeff
+                if total:
+                    out[exps] = total
+                else:
+                    del out[exps]
+        return LaurentPoly._trusted(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._trusted(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -145,17 +173,21 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return LaurentPoly._trusted(self.n, {})
             scale = Fraction(other)
-            return LaurentPoly(self.n, {e: c * scale for e, c in self._terms.items()})
+            return LaurentPoly._trusted(self.n, {e: c * scale for e, c in self._terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out: dict[Exponents, Fraction] = {}
+        get = out.get
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                out[exps] = out.get(exps, Fraction(0)) + ca * cb
-        return LaurentPoly(self.n, out)
+                exps = tuple(map(add, ea, eb))
+                prev = get(exps)
+                out[exps] = ca * cb if prev is None else prev + ca * cb
+        return LaurentPoly._trusted(self.n, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -177,14 +209,13 @@ class LaurentPoly:
         """
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate index {i} outside 1..{self.n}")
+        # exps -> dexps is injective on terms with e != 0, so no two terms merge
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
             e = exps[i - 1]
-            if e == 0:
-                continue
-            dexps = exps[: i - 1] + (e - 1,) + exps[i:]
-            out[dexps] = out.get(dexps, Fraction(0)) + coeff * e
-        return LaurentPoly(self.n, out)
+            if e:
+                out[exps[: i - 1] + (e - 1,) + exps[i:]] = coeff * e
+        return LaurentPoly._trusted(self.n, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact substitution at a rational point with point[n] != 0."""

@@ -201,6 +201,13 @@ def test_flow_usage_errors(tmp_path, capsys):
         ["flow", "--gen", "G9", "--n", "3", "--point", "0,0,1", "--out", out_path],
         ["flow", "--gen", "T1", "--n", "2", "--point", "zero,1", "--out", out_path],
     ]
+    for bad in ("nan", "inf", "-inf"):
+        cases += [
+            ["flow", "--gen", "G1", "--n", "2", f"--point={bad},1", "--out", out_path],
+            ["flow", "--gen", "G1", "--n", "2", f"--point=0,{bad}", "--out", out_path],
+            ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", f"--t-max={bad}", "--out", out_path],
+            ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", f"--dt={bad}", "--out", out_path],
+        ]
     for argv in cases:
         code, _, err = run(capsys, argv)
         assert code == EXIT_USAGE, argv

@@ -24,6 +24,7 @@ from rbkit import (
     scalar_curvature,
     soliton_lambda,
 )
+from rbkit import halfspace
 from rbkit.halfspace import SymTensor2
 
 
@@ -74,6 +75,57 @@ def test_christoffel_symmetric_in_lower_indices():
     gam = christoffel(4)
     for (k, i, j), poly in gam.items():
         assert gam.get((k, j, i)) == poly
+
+
+def _clear_curvature_caches():
+    for cache in (halfspace._christoffel_checked, halfspace._ricci, halfspace._scalar_curvature):
+        cache.cache_clear()
+
+
+def test_curvature_cross_check_runs_once_per_dimension(monkeypatch):
+    calls = []
+    from_metric = halfspace._christoffel_from_metric
+
+    def counted(n):
+        calls.append(n)
+        return from_metric(n)
+
+    monkeypatch.setattr(halfspace, "_christoffel_from_metric", counted)
+    _clear_curvature_caches()
+    for _ in range(3):
+        christoffel(3)
+        ricci(3)
+        scalar_curvature(3)
+        rb_residual(build_field(random_params(random.Random(5), 3)), random_params(random.Random(5), 3))
+    christoffel(4)
+    assert calls == [3, 4]
+
+
+def test_christoffel_hands_out_copies():
+    gam = christoffel(3)
+    gam[(1, 1, 1)] = LaurentPoly.const(3, 7)
+    del gam[(3, 1, 1)]
+    assert christoffel(3) == halfspace._christoffel_closed(3)
+
+
+def test_failed_christoffel_cross_check_is_not_cached(monkeypatch):
+    calls = []
+
+    def broken(n):
+        calls.append(n)
+        return {}
+
+    monkeypatch.setattr(halfspace, "_christoffel_from_metric", broken)
+    _clear_curvature_caches()
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            christoffel(3)
+        with pytest.raises(AssertionError):
+            ricci(3)
+    assert calls == [3, 3, 3, 3]
+    monkeypatch.undo()
+    assert christoffel(3) == halfspace._christoffel_closed(3)
+    assert ricci(3) == -2 * metric(3)
 
 
 def test_ricci_proportional_to_metric():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rand_poly
 from rbkit import BoundaryPoint, LaurentPoly
@@ -164,3 +166,46 @@ def test_parse_rational():
     for bad in ("1.5", "1/0", "1/-2", "", "x", "1/02"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _polys(draw, n):
+    exps = st.tuples(*[st.integers(0, 3)] * (n - 1), st.integers(-3, 3))
+    return LaurentPoly(n, draw(st.dictionaries(exps, _coeffs, max_size=4)))
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.integers(1, 3))
+    return draw(_polys(n)), draw(_polys(n)), draw(_coeffs | st.integers(-3, 3)), draw(st.integers(1, n))
+
+
+def _assert_clean(p):
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert p == LaurentPoly(p.n, p.terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_operands())
+def test_operation_results_are_clean(operands):
+    p, q, scale, i = operands
+    n = p.n
+    results = [p + q, p - q, q - q, -p, p * scale, scale * p, p * 0, p * q, p ** 3, p.deriv(i), (p - p).deriv(i)]
+    for result in results:
+        _assert_clean(result)
+    # the same results through the validating constructor alone
+    sums = {}
+    for poly, sign in ((p, 1), (q, -1)):
+        for exps, coeff in poly.terms.items():
+            sums[exps] = sums.get(exps, 0) + sign * coeff
+    assert p - q == LaurentPoly(n, sums)
+    prods = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            prods[exps] = prods.get(exps, 0) + ca * cb
+    assert p * q == LaurentPoly(n, prods)
+    assert (q - q).is_zero() and (p * 0).is_zero() and (p - p).deriv(i).is_zero()

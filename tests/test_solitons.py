@@ -22,6 +22,7 @@ from rbkit import (
     contact_report,
     contact_top_form,
     decompose,
+    det_bareiss,
     det_cofactor,
     det_via_pf,
     ext_d,
@@ -305,6 +306,29 @@ def test_pfaffian_squares_to_determinant():
             M = rand_antisymmetric(rng, size)
             assert pfaffian(M) ** 2 == det_cofactor(M)
             assert det_via_pf(M) == det_cofactor(M)
+
+
+def test_bareiss_matches_cofactor_expansion():
+    rng = random.Random(68)
+    for size in range(7):
+        for trial in range(12):
+            M = [[rand_fraction(rng) for _ in range(size)] for _ in range(size)]
+            if size >= 2 and trial % 3 == 1:
+                M[-1] = [rand_fraction(rng, 1, 3) * x for x in M[0]]  # singular
+            if size >= 2 and trial % 3 == 2:
+                M[0][0] = Fraction(0)  # zero leading pivot
+                if trial % 2:
+                    for row in M[1:-1]:
+                        row[0] = Fraction(0)  # first nonzero pivot candidate is the last row
+            assert det_bareiss(M) == det_cofactor(M), M
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    assert det_bareiss([[0, 1], [0, 1]]) == 0
+
+
+def test_bareiss_rejects_non_square():
+    with pytest.raises(ValueError):
+        det_bareiss([[1, 2], [3]])
 
 
 def test_pfaffian_plucker_identity_for_rank_two_matrices():
