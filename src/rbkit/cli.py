@@ -6,6 +6,12 @@ byte-identical output: the ``timing`` field stays null unless ``--timings``
 is passed.  Exit codes: 0 all checks pass, 1 some check failed, 2 a
 trajectory escaped at runtime, 64 usage or parse error.
 
+``flow`` streams its trajectory CSV row by row, comparing each state with the
+closed form in the same pass; the largest gap is the printed deviation.  A
+step count ``t_max / dt`` above ``flows.MAX_STEPS`` exits 64 with the limit
+in the message, before any step runs.  A start at the origin, a zero of
+every boost and of the plane rotation, stays fixed.
+
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
 never pass through floats.  Checks run serially in one thread: the
 environment variable RBKIT_THREADS, which once capped a thread pool, is
@@ -24,7 +30,7 @@ from fractions import Fraction
 
 from .errors import BoundaryEscape, NonFinite, ParseError, RBKitError
 from .exterior import ext_d, lie_derivative_form
-from .flows import FlowSpec, FlowState, closed_flow, integrate, write_trajectory_csv
+from .flows import FlowSpec, FlowState, integrate, write_trajectory_csv
 from .halfspace import (
     SolitonParams,
     flat,
@@ -224,23 +230,20 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
         raise _UsageError(f"point has {len(point)} coordinates, expected {n}")
     if point[-1] < 0:
         raise _UsageError("point must have nonnegative last coordinate")
-    spec = FlowSpec(kind=gen, n=n, t_max=t_max, dt=dt)
-    p0 = FlowState(tuple(point))
-    print(f"convention: {spec.convention()}")
+    spec = FlowSpec(kind=gen, n=n)
     try:
-        states = integrate(field, p0, t_max, dt)
+        states, escape = integrate(field, FlowState(tuple(point)), t_max, dt), None
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     except (BoundaryEscape, NonFinite) as exc:
-        partial = getattr(exc, "trajectory", [])
-        if partial:
-            write_trajectory_csv(out_path, partial, spec)
-        print(f"escape: {exc}")
+        states, escape = getattr(exc, "trajectory", []), exc
+    print(f"convention: {spec.convention()}")
+    if escape is not None:
+        if states:
+            write_trajectory_csv(out_path, states, spec)
+        print(f"escape: {escape}")
         return EXIT_ESCAPE
-    write_trajectory_csv(out_path, states, spec)
-    worst = 0.0
-    for state in states:
-        reference = closed_flow(spec, p0, state.t - p0.t)
-        gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
-        worst = max(worst, gap)
+    worst = write_trajectory_csv(out_path, states, spec)
     print(f"max_deviation_vs_closed_form: {worst!r}")
     return EXIT_PASS
 

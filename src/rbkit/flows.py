@@ -29,6 +29,7 @@ from .solitons import build_field, generator
 
 BOUNDARY_EPS = 1e-9  # stop before xn^-2 evaluations overflow
 COORD_LIMIT = 1e9  # rotation flows blow up in finite time near the pole
+MAX_STEPS = 10**6  # integrate keeps every state; this bounds that list
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,8 @@ class FlowSpec:
     kind: str
     n: int
     params: SolitonParams | None = None
-    t_max: float = 1.0
-    dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
         if self.kind == "general" and self.params is None:
             raise ValueError("a general flow needs parameters")
 
@@ -115,10 +110,17 @@ def _compile(field: VectorField):
 def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
     """Fixed-step RK4 trajectory from p0; raises BoundaryEscape/NonFinite.
 
-    The escape exception carries the valid prefix of the trajectory.
+    The escape exception carries the valid prefix of the trajectory.  A
+    nonpositive dt, a negative t_max, or a step count t_max / dt that is not
+    finite or exceeds MAX_STEPS raises ValueError before any step runs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    ratio = t_max / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"t_max / dt = {ratio!r} exceeds the limit of {MAX_STEPS} steps")
     if field.n != p0.n:
         raise ValueError(f"field dimension {field.n} differs from state arity {p0.n}")
     rhs = _compile(field)
@@ -127,13 +129,13 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     # a start on the boundary plane stays there exactly; only interior
     # trajectories can "escape" through the xn threshold
     watch_boundary = p0.coords[-1] > BOUNDARY_EPS
-    nsteps = int(round(t_max / dt))
+    nsteps = int(round(ratio))
     if abs(nsteps * dt - t_max) > 1e-12 * max(1.0, t_max):
-        nsteps = int(t_max / dt)
+        nsteps = int(ratio)
     leftover = t_max - nsteps * dt
-    steps = [dt] * nsteps + ([leftover] if leftover > 1e-15 else [])
     t = p0.t
-    for h in steps:
+    for step in range(nsteps + 1 if leftover > 1e-15 else nsteps):
+        h = dt if step < nsteps else leftover
         k1 = rhs(y)
         k2 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k1)])
         k3 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
@@ -169,6 +171,9 @@ def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
         if n != 2:
             raise ValueError("the plane rotation flow lives in dimension 2")
         z0 = complex(coords[0], coords[1])
+        if z0 == 0:
+            # the origin is a zero of the field: the flow stays there
+            return FlowState(p0.coords, p0.t + t)
         z = -1.0 / (t + (-1.0 / z0))
         return FlowState((z.real, z.imag), p0.t + t)
     if spec.kind.startswith("G"):
@@ -177,6 +182,9 @@ def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
         if r0 == 0.0:
             # axis-bound Riccati solution; unreachable from the open
             # half-space, where r0 >= xn > 0
+            if coords[k - 1] == 0.0:
+                # the origin is a zero of the field: the flow stays there
+                return FlowState(p0.coords, p0.t + t)
             xk = -2.0 / (t - 2.0 / coords[k - 1])
             out = [0.0] * n
             out[k - 1] = xk
@@ -189,17 +197,18 @@ def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
     raise ValueError(f"no closed form for flow kind {spec.kind!r}")
 
 
+def _closed_form_gaps(spec: FlowSpec, states: Sequence[FlowState]):
+    """Yield (state, closed-form reference, Euclidean gap) along a trajectory from states[0]."""
+    for state in states:
+        reference = closed_flow(spec, states[0], state.t - states[0].t)
+        gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
+        yield state, reference, gap
+
+
 def flow_compare(spec: FlowSpec, p0: FlowState, t_max: float, dt: float) -> float:
     """Max Euclidean gap between the RK4 trajectory and the closed form."""
     trajectory = integrate(spec.field(), p0, t_max, dt)
-    worst = 0.0
-    for state in trajectory:
-        reference = closed_flow(spec, p0, state.t - p0.t)
-        gap = math.sqrt(
-            sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords))
-        )
-        worst = max(worst, gap)
-    return worst
+    return max((gap for _, _, gap in _closed_form_gaps(spec, trajectory)), default=0.0)
 
 
 def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float, dt: float) -> float:
@@ -214,25 +223,25 @@ def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float,
 
 
 def write_trajectory_csv(path, states: Sequence[FlowState], spec: FlowSpec | None = None):
-    """Write `t,x1..xn,cx1..cxn,err` rows; closed-form columns may be empty."""
+    """Write `t,x1..xn,cx1..cxn,err` rows one by one; closed-form columns may be empty.
+
+    Returns the largest err, or None when spec has no closed form.
+    """
     n = states[0].n if states else 0
-    closed = spec is not None and spec.has_closed_form()
     header = (
         ["t"]
         + [f"x{i}" for i in range(1, n + 1)]
         + [f"cx{i}" for i in range(1, n + 1)]
         + ["err"]
     )
-    lines = [",".join(header)]
-    p0 = states[0] if states else None
-    for state in states:
-        row = [repr(state.t)] + [repr(x) for x in state.coords]
-        if closed:
-            reference = closed_flow(spec, p0, state.t - p0.t)
-            err = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
-            row += [repr(x) for x in reference.coords] + [repr(err)]
-        else:
-            row += [""] * n + [""]
-        lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(header) + "\n")
+        if spec is None or not spec.has_closed_form():
+            for state in states:
+                handle.write(",".join(map(repr, (state.t, *state.coords))) + "," * (n + 1) + "\n")
+            return None
+        worst = 0.0
+        for state, reference, gap in _closed_form_gaps(spec, states):
+            handle.write(",".join(map(repr, (state.t, *state.coords, *reference.coords, gap))) + "\n")
+            worst = max(worst, gap)
+        return worst

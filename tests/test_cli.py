@@ -189,7 +189,34 @@ def test_flow_escape_exit_code_and_partial_file(tmp_path, capsys):
     assert code == EXIT_ESCAPE
     assert "escape" in out
     assert out_path.exists()
-    assert len(out_path.read_text().strip().split("\n")) > 100
+    lines = out_path.read_text().strip().split("\n")
+    assert len(lines) > 100
+    # the partial trajectory still carries the closed-form columns
+    assert lines[0] == "t,x1,x2,cx1,cx2,err"
+    assert all(cell for line in lines[1:] for cell in line.split(","))
+
+
+def test_flow_printed_deviation_is_max_csv_err(tmp_path, capsys):
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(
+        capsys,
+        ["flow", "--gen", "G2", "--n", "3", "--point", "1,0.5,1",
+         "--t-max", "1", "--dt", "0.02", "--out", str(out_path)],
+    )
+    assert code == EXIT_PASS
+    printed = out.split("max_deviation_vs_closed_form: ")[1].strip()
+    errs = [line.split(",")[-1] for line in out_path.read_text().splitlines()[1:]]
+    assert float(printed) > 0.0
+    assert printed == max(errs, key=float)
+
+
+def test_flow_from_origin_stays_fixed(tmp_path, capsys):
+    out_path = str(tmp_path / "traj.csv")
+    for gen, point in (("G1", "0,0"), ("G", "0,0"), ("G1", "0,0,0")):
+        n = str(len(point.split(",")))
+        code, out, err = run(capsys, ["flow", "--gen", gen, "--n", n, "--point", point, "--out", out_path])
+        assert code == EXIT_PASS, (gen, point, err)
+        assert out.endswith("max_deviation_vs_closed_form: 0.0\n")
 
 
 def test_flow_usage_errors(tmp_path, capsys):
@@ -211,6 +238,12 @@ def test_flow_usage_errors(tmp_path, capsys):
     for argv in cases:
         code, _, err = run(capsys, argv)
         assert code == EXIT_USAGE, argv
+    # step counts above the cap are rejected before any step runs
+    for t_max, dt in (("1e300", "1e-300"), ("1e3", "1e-9")):
+        argv = ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--t-max", t_max, "--dt", dt, "--out", out_path]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert "limit of 1000000 steps" in err
 
 
 def test_algebra_plane(capsys):

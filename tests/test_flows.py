@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from rbkit import flows
 from rbkit import (
     BoundaryEscape,
     BoundaryPoint,
@@ -33,11 +34,23 @@ def test_flow_state_validation():
 
 def test_flow_spec_validation():
     with pytest.raises(ValueError):
-        FlowSpec(kind="D", n=2, dt=0.0)
+        integrate(generator("D", 2), FlowState((0.0, 1.0)), 1.0, 0.0)
     with pytest.raises(ValueError):
-        FlowSpec(kind="D", n=2, t_max=-1.0)
+        integrate(generator("D", 2), FlowState((0.0, 1.0)), -1.0, 1e-3)
     with pytest.raises(ValueError):
         FlowSpec(kind="general", n=2)
+
+
+def test_integrate_step_cap(monkeypatch):
+    field, p0 = generator("T1", 2), FlowState((0.0, 1.0))
+    # rejected before any step runs or any state list is built
+    for t_max, dt in ((1e300, 1e-300), (1e3, 1e-9), (float("nan"), 1e-3), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match=f"limit of {flows.MAX_STEPS} steps"):
+            integrate(field, p0, t_max, dt)
+    monkeypatch.setattr(flows, "MAX_STEPS", 10)
+    assert len(integrate(field, p0, 1.0, 0.1)) == 11
+    with pytest.raises(ValueError, match="limit of 10 steps"):
+        integrate(field, p0, 1.0, 0.09)
 
 
 def test_translation_flow_exact():
@@ -157,6 +170,14 @@ def test_closed_flow_time_derivative_matches_field():
             assert abs(numeric - exact) < 1e-6
 
 
+def test_closed_flow_fixed_at_origin():
+    # the origin is a zero of every boost G_k and of the plane rotation G
+    for kind, n in (("G1", 2), ("G", 2), ("G1", 3)):
+        spec, p0 = FlowSpec(kind=kind, n=n), FlowState((0.0,) * n, 0.5)
+        for t in (-1.0, 0.0, 2.0):
+            assert closed_flow(spec, p0, t) == FlowState((0.0,) * n, 0.5 + t)
+
+
 def test_boost_radius_stays_positive():
     spec = FlowSpec(kind="G1", n=3)
     p0 = FlowState((1.0, 0.5, 0.5))
@@ -203,10 +224,24 @@ def test_trajectory_csv_format(tmp_path):
     assert float(first[0]) == 0.0 and float(first[-1]) == 0.0
 
 
+def test_trajectory_csv_returns_worst_gap(tmp_path):
+    for spec, p0 in (
+        (FlowSpec(kind="G1", n=3), FlowState((0.5, 1.0, 2.0))),
+        (FlowSpec(kind="G", n=2), FlowState((0.3, 1.0))),
+    ):
+        states = integrate(spec.field(), p0, 1.0, 1 / 64)
+        out = tmp_path / "traj.csv"
+        worst = write_trajectory_csv(out, states, spec)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert worst > 0.0
+        assert worst == max(float(row[-1]) for row in rows)
+        assert worst == flow_compare(spec, p0, 1.0, 1 / 64)
+
+
 def test_trajectory_csv_without_closed_form(tmp_path):
     field = VectorField.zero(2)
     states = integrate(field, FlowState((1.0, 1.0)), 0.01, 1e-2)
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(out, states)
+    assert write_trajectory_csv(out, states) is None
     lines = out.read_text().strip().split("\n")
     assert lines[1].endswith(",,,")  # empty closed-form and err columns
