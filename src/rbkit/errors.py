@@ -9,8 +9,8 @@ class BoundaryPoint(RBKitError):
     """A point has last coordinate <= 0, where the half-space metric is singular."""
 
 
-class DimensionMismatch(RBKitError):
-    """Operands live in different ambient dimensions."""
+class DimensionMismatch(RBKitError, ValueError):
+    """Operands live in different ambient dimensions, or differ in grade."""
 
 
 class GradeOverflow(RBKitError):

@@ -15,11 +15,10 @@ coordinate formula.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, GradeOverflow
-from .ratlaurent import LaurentPoly
+from .ratlaurent import LaurentPoly, SparseMap, _accumulate
 
 IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
 
@@ -81,30 +80,36 @@ class VectorField:
         return f"VectorField{self.text()}"
 
 
-class KForm:
+class KForm(SparseMap):
     """Grade-k differential form in dimension n, sparsely stored."""
 
-    __slots__ = ("n", "grade", "_terms")
+    __slots__ = ("grade",)
 
     def __init__(self, n: int, grade: int, terms=None):
         if grade < 0:
             raise ValueError(f"negative grade {grade}")
-        clean: dict[IndexTuple, LaurentPoly] = {}
-        for idx, poly in (terms or {}).items():
-            idx = tuple(idx)
-            if len(idx) != grade:
-                raise ValueError(f"index tuple {idx} has length {len(idx)}, expected grade {grade}")
-            if any(not 1 <= i <= n for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx} not strictly increasing inside 1..{n}")
-            if poly.n != n:
-                raise ValueError("coefficient arity differs from form dimension")
-            if poly:
-                clean[idx] = clean[idx] + poly if idx in clean else poly
-                if not clean[idx]:
-                    del clean[idx]
         self.n = n
         self.grade = grade
-        self._terms = clean
+        self._terms = self._validated(terms)
+
+    def _check(self, idx, poly) -> tuple:
+        idx = tuple(idx)
+        if len(idx) != self.grade:
+            raise ValueError(f"index tuple {idx} has length {len(idx)}, expected grade {self.grade}")
+        if any(not 1 <= i <= self.n for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"index tuple {idx} not strictly increasing inside 1..{self.n}")
+        if poly.n != self.n:
+            raise ValueError("coefficient arity differs from form dimension")
+        return idx, poly
+
+    def _like(self, terms: dict, grade: int | None = None) -> "KForm":
+        """A form of this dimension and of this grade (or ``grade``) wrapping clean terms."""
+        form = SparseMap._like(self, terms)
+        form.grade = self.grade if grade is None else grade
+        return form
+
+    def _shape(self):
+        return (self.n, self.grade)
 
     @classmethod
     def zero(cls, n: int, grade: int) -> "KForm":
@@ -122,58 +127,11 @@ class KForm:
     def coeff(self, idx: Iterable[int]) -> LaurentPoly:
         return self._terms.get(tuple(idx), LaurentPoly.zero(self.n))
 
-    def items(self):
-        """Terms as (index tuple, coefficient), in index order."""
-        return iter(sorted(self._terms.items()))
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (self.n, self.grade, self._terms) == (other.n, other.grade, other._terms)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.grade, frozenset(self._terms.items())))
-
-    def _check_same(self, other: "KForm"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"forms in dimensions {self.n} and {other.n}")
-        if self.grade != other.grade:
-            raise ValueError(f"mixed grades {self.grade} and {other.grade}")
-
-    def __add__(self, other: "KForm") -> "KForm":
-        self._check_same(other)
-        out = dict(self._terms)
-        for idx, poly in other._terms.items():
-            out[idx] = out[idx] + poly if idx in out else poly
-        return KForm(self.n, self.grade, out)
-
-    def __neg__(self) -> "KForm":
-        return KForm(self.n, self.grade, {i: -p for i, p in self._terms.items()})
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
-
-    def __mul__(self, scale) -> "KForm":
-        """Multiply every coefficient by a polynomial or rational scalar."""
-        return KForm(self.n, self.grade, {i: p * scale for i, p in self._terms.items()})
-
-    __rmul__ = __mul__
-
     def text(self) -> str:
         if not self._terms:
             return "0"
         pieces = []
-        for idx, poly in sorted(self._terms.items()):
+        for idx, poly in self.items():
             key = "^".join(f"dx{i}" for i in idx)
             pieces.append(f"({poly.text()})" + (f"*{key}" if key else ""))
         return " + ".join(pieces)
@@ -195,20 +153,15 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
     """Exterior product; grades add, overlapping indices annihilate."""
     if alpha.n != beta.n:
         raise DimensionMismatch(f"forms in dimensions {alpha.n} and {beta.n}")
-    n = alpha.n
     out: dict[IndexTuple, LaurentPoly] = {}
     for ia, pa in alpha._terms.items():
         seen = set(ia)
         for ib, pb in beta._terms.items():
             if seen.intersection(ib):
                 continue
-            sign = _merge_sign(ia, ib)
-            idx = tuple(sorted(ia + ib))
             term = pa * pb
-            if sign < 0:
-                term = -term
-            out[idx] = out[idx] + term if idx in out else term
-    return KForm(n, alpha.grade + beta.grade, out)
+            _accumulate(out, tuple(sorted(ia + ib)), term if _merge_sign(ia, ib) > 0 else -term)
+    return alpha._like(out, alpha.grade + beta.grade)
 
 
 def ext_d(alpha: KForm) -> KForm:
@@ -229,9 +182,8 @@ def ext_d(alpha: KForm) -> KForm:
             pos = bisect_left(idx, i)
             if pos % 2:
                 dpoly = -dpoly
-            new_idx = idx[:pos] + (i,) + idx[pos:]
-            out[new_idx] = out[new_idx] + dpoly if new_idx in out else dpoly
-    return KForm(n, alpha.grade + 1, out)
+            _accumulate(out, idx[:pos] + (i,) + idx[pos:], dpoly)
+    return alpha._like(out, alpha.grade + 1)
 
 
 def interior(field: VectorField, alpha: KForm) -> KForm:
@@ -248,9 +200,8 @@ def interior(field: VectorField, alpha: KForm) -> KForm:
                 continue
             if pos % 2:
                 term = -term
-            new_idx = idx[:pos] + idx[pos + 1 :]
-            out[new_idx] = out[new_idx] + term if new_idx in out else term
-    return KForm(alpha.n, alpha.grade - 1, out)
+            _accumulate(out, idx[:pos] + idx[pos + 1 :], term)
+    return alpha._like(out, alpha.grade - 1)
 
 
 def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
@@ -264,7 +215,7 @@ def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
             total = total + omega.coeff((j,)) * field.component(j).deriv(i)
         if total:
             out[(i,)] = total
-    return KForm(n, 1, out)
+    return omega._like(out)
 
 
 def lie_derivative_form(field: VectorField, alpha: KForm) -> KForm:
@@ -289,7 +240,7 @@ def _split_last(alpha: KForm) -> tuple[KForm, KForm]:
     without, with_n = {}, {}
     for idx, poly in alpha._terms.items():
         (with_n if alpha.n in idx else without)[idx] = poly
-    return KForm(alpha.n, alpha.grade, without), KForm(alpha.n, alpha.grade, with_n)
+    return alpha._like(without), alpha._like(with_n)
 
 
 def power_wedge(alpha: KForm, m: int) -> KForm:

@@ -110,9 +110,10 @@ def _compile(field: VectorField):
 def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
     """Fixed-step RK4 trajectory from p0; raises BoundaryEscape/NonFinite.
 
-    The escape exception carries the valid prefix of the trajectory.  A
-    nonpositive dt, a negative t_max, or a step count t_max / dt that is not
-    finite or exceeds MAX_STEPS raises ValueError before any step runs.
+    The escape exception carries the valid prefix of the trajectory; a float
+    overflow inside a step is reported as NonFinite.  A nonpositive dt, a
+    negative t_max, or a step count t_max / dt that is not finite or exceeds
+    MAX_STEPS raises ValueError before any step runs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -136,10 +137,14 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     t = p0.t
     for step in range(nsteps + 1 if leftover > 1e-15 else nsteps):
         h = dt if step < nsteps else leftover
-        k1 = rhs(y)
-        k2 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k1)])
-        k3 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
-        k4 = rhs([yi + h * ki for yi, ki in zip(y, k3)])
+        try:
+            k1 = rhs(y)
+            k2 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k1)])
+            k3 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
+            k4 = rhs([yi + h * ki for yi, ki in zip(y, k3)])
+        except OverflowError as exc:
+            # float ** raises where * would give inf
+            raise NonFinite(f"float overflow in the RK4 step from t={t}") from exc
         y = [
             yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)

@@ -23,70 +23,31 @@ from typing import Sequence
 
 from .errors import BoundaryPoint
 from .exterior import KForm, VectorField
-from .ratlaurent import LaurentPoly
+from .ratlaurent import LaurentPoly, SparseMap
 
 
-class SymTensor2:
+class SymTensor2(SparseMap):
     """Symmetric (0,2)-tensor; only keys (i, j) with i <= j are stored."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        clean: dict[tuple[int, int], LaurentPoly] = {}
-        for (i, j), poly in (terms or {}).items():
-            if not (1 <= i <= j <= n):
-                raise ValueError(f"key ({i}, {j}) not ordered inside 1..{n}")
-            if poly.n != n:
-                raise ValueError("coefficient arity differs from tensor dimension")
-            if poly:
-                clean[(i, j)] = clean[(i, j)] + poly if (i, j) in clean else poly
-                if not clean[(i, j)]:
-                    del clean[(i, j)]
-        self.n = n
-        self._terms = clean
+    def _check(self, key, poly) -> tuple:
+        i, j = key
+        if not (1 <= i <= j <= self.n):
+            raise ValueError(f"key ({i}, {j}) not ordered inside 1..{self.n}")
+        if poly.n != self.n:
+            raise ValueError("coefficient arity differs from tensor dimension")
+        return (i, j), poly
 
     def get(self, i: int, j: int) -> LaurentPoly:
         if i > j:
             i, j = j, i
         return self._terms.get((i, j), LaurentPoly.zero(self.n))
 
-    def items(self):
-        return iter(sorted(self._terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymTensor2):
-            return NotImplemented
-        return (self.n, self._terms) == (other.n, other._terms)
-
-    def __add__(self, other: "SymTensor2") -> "SymTensor2":
-        if self.n != other.n:
-            raise ValueError("mixed dimensions")
-        out = dict(self._terms)
-        for key, poly in other._terms.items():
-            out[key] = out[key] + poly if key in out else poly
-        return SymTensor2(self.n, out)
-
-    def __neg__(self) -> "SymTensor2":
-        return SymTensor2(self.n, {k: -p for k, p in self._terms.items()})
-
-    def __sub__(self, other: "SymTensor2") -> "SymTensor2":
-        return self + (-other)
-
-    def __mul__(self, scale) -> "SymTensor2":
-        return SymTensor2(self.n, {k: p * scale for k, p in self._terms.items()})
-
-    __rmul__ = __mul__
-
     def text(self) -> str:
         if not self._terms:
             return "0"
-        return "; ".join(f"[{i},{j}] {p.text()}" for (i, j), p in sorted(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"SymTensor2({self.n}, {self.text()!r})"
+        return "; ".join(f"[{i},{j}] {p.text()}" for (i, j), p in self.items())
 
 
 @dataclass(frozen=True)
@@ -228,20 +189,35 @@ def flat(field: VectorField) -> KForm:
 
 
 def lie_derivative_metric(field: VectorField) -> SymTensor2:
-    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
+    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k.
+
+    Each d_i X^k and each derivative of a stored metric entry is taken once,
+    and products with a zero factor are skipped.
+    """
     n = field.n
     g = metric(n)
+    coords = range(1, n + 1)
+    zeros = [LaurentPoly.zero(n)] * n
+    g_dense = [[g.get(i, j) for j in coords] for i in coords]
+    dg = {key: [p.deriv(k) for k in coords] for key, p in g.items()}  # dg[(i, j)][k-1] = d_k g_ij
+    dX = [[X.deriv(i) for i in coords] for X in field.components]  # dX[k-1][i-1] = d_i X^k
     out = {}
-    for i in range(1, n + 1):
+    for i in coords:
         for j in range(i, n + 1):
             total = LaurentPoly.zero(n)
-            for k in range(1, n + 1):
-                total = total + field.component(k) * g.get(i, j).deriv(k)
-                total = total + g.get(k, j) * field.component(k).deriv(i)
-                total = total + g.get(i, k) * field.component(k).deriv(j)
+            dg_ij = dg.get((i, j), zeros)
+            for k in coords:
+                products = (
+                    (field.component(k), dg_ij[k - 1]),
+                    (g_dense[k - 1][j - 1], dX[k - 1][i - 1]),
+                    (g_dense[i - 1][k - 1], dX[k - 1][j - 1]),
+                )
+                for left, right in products:
+                    if left and right:
+                        total = total + left * right
             if total:
                 out[(i, j)] = total
-    return SymTensor2(n, out)
+    return g._like(out)
 
 
 def ricci(n: int) -> SymTensor2:

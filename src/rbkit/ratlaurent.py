@@ -17,16 +17,24 @@ then the exponent tuple).  The order fixes printing and serialization, so a
 polynomial's text form is reproducible byte for byte.  Coordinate indices in
 the public API are 1-based, matching the x1..xn naming.
 
-Trusted construction.  The public constructor ``LaurentPoly(n, terms)``
-validates and normalises whatever it is given.  The ring operations and
-``deriv`` instead build their results with ``LaurentPoly._trusted``, which
-wraps a term map as is.  That map must already be clean: every key is a
-tuple of n ints, only the last entry may be negative, every value is a
-nonzero ``Fraction``, and nothing else holds a reference to the dict.  The
+Shared kernel.  ``LaurentPoly``, ``exterior.KForm`` and
+``halfspace.SymTensor2`` are sparse maps over a shape (n, and for forms the
+grade) and inherit from ``SparseMap`` the validating merge of their public
+constructors, ``+``, ``-``, negation, coefficient scaling, ``==``, hashing
+and the zero test.  Adding maps of different shapes raises
+``DimensionMismatch``.
+
+Trusted construction.  Internal results of all three types are built with
+``SparseMap._like``, which wraps a term map as is in the shape of an
+existing map.  That map must already be clean: every key passes the type's
+key check, every value is nonzero (a ``Fraction``, or a ``LaurentPoly`` of
+the same n), and nothing else holds a reference to the dict.  The
 operations keep this invariant by construction (sums and products of valid
-exponents stay valid, ``deriv`` lowers only nonzero exponents) and by
-dropping the zero coefficients that cancellation leaves, so trusted and
-validated results are interchangeable: ``p == LaurentPoly(p.n, p.terms)``.
+exponents stay valid, ``deriv`` lowers only nonzero exponents, wedge
+products sort their index tuples) and by dropping the zero coefficients
+that cancellation leaves, so trusted and validated results are
+interchangeable: ``p == LaurentPoly(p.n, p.terms)`` and
+``f == KForm(f.n, f.grade, f.terms)``.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from .errors import BoundaryPoint
+from .errors import BoundaryPoint, DimensionMismatch
 
 # Arbitrary-precision p/q with gcd(p, q) = 1, q > 0, zero canonically 0/1.
 Rational = Fraction
@@ -48,36 +56,153 @@ def grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
-class LaurentPoly:
-    """Multivariate polynomial, Laurent in the last coordinate."""
+def _accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum cancels."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = value
+    else:
+        total = prev + value
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+
+
+class SparseMap:
+    """Sparse map from keys to nonzero coefficients, in a fixed shape.
+
+    Subclasses supply ``_check(key, value)``, which validates one term and
+    returns it normalised, and ``text``; a subclass with more shape than n
+    also overrides ``__init__``, ``_like`` and ``_shape``.
+    """
 
     __slots__ = ("n", "_terms")
+
+    def __init__(self, n: int, terms=None):
+        self.n = n
+        self._terms = self._validated(terms)
+
+    def _validated(self, terms) -> dict:
+        """Check and merge a term mapping into a clean dict."""
+        clean: dict = {}
+        for key, value in (terms or {}).items():
+            key, value = self._check(key, value)
+            if value:
+                _accumulate(clean, key, value)
+        return clean
+
+    def _like(self, terms: dict):
+        """A map of this shape wrapping a clean term map (module docstring)."""
+        out = object.__new__(type(self))
+        out.n = self.n
+        out._terms = terms
+        return out
+
+    def _shape(self):
+        """What two maps must share to be added or compared."""
+        return self.n
+
+    def _promote(self, other):
+        """A non-map operand as a map of this shape, or None."""
+        return None
+
+    def _coerce(self, other):
+        if type(other) is not type(self):
+            other = self._promote(other)
+            if other is None:
+                return None
+        if other._shape() != self._shape():
+            raise DimensionMismatch(
+                f"{type(self).__name__} operands of shapes {self._shape()} and {other._shape()}"
+            )
+        return other
+
+    def items(self) -> Iterator:
+        """Terms in ascending key order."""
+        return iter(sorted(self._terms.items()))
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._shape(), frozenset(self._terms.items())))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, value in other._terms.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = value
+            else:
+                total = prev + value
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -value for key, value in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def _scale(self, scale):
+        """Every coefficient times a scalar; without zero divisors, no new zero appears."""
+        if not scale:
+            return self._like({})
+        return self._like({key: value * scale for key, value in self._terms.items()})
+
+    __mul__ = __rmul__ = _scale
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {self.text()!r})"
+
+
+class LaurentPoly(SparseMap):
+    """Multivariate polynomial, Laurent in the last coordinate."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Exponents, object] | None = None):
         if n < 1:
             raise ValueError(f"need at least one coordinate, got n={n}")
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != n:
-                raise ValueError(f"exponent tuple {exps} has arity {len(exps)}, expected {n}")
-            if any(e < 0 for e in exps[:-1]):
-                raise ValueError(f"negative exponent outside the last coordinate: {exps}")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if not clean[exps]:
-                    del clean[exps]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+        super().__init__(n, terms)
 
-    @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "LaurentPoly":
-        """Wrap a clean term map without checks or copies (module docstring)."""
-        poly = object.__new__(cls)
-        poly.n = n
-        poly._terms = terms
-        return poly
+    def _check(self, exps, coeff) -> tuple:
+        exps = tuple(exps)
+        if len(exps) != self.n:
+            raise ValueError(f"exponent tuple {exps} has arity {len(exps)}, expected {self.n}")
+        if any(e < 0 for e in exps[:-1]):
+            raise ValueError(f"negative exponent outside the last coordinate: {exps}")
+        return exps, Fraction(coeff)
 
     # -- constructors ------------------------------------------------------
 
@@ -108,75 +233,16 @@ class LaurentPoly:
         """Terms in ascending graded-lex order."""
         return iter(sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0])))
 
-    @property
-    def terms(self) -> dict[Exponents, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
-
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            if other.n != self.n:
-                raise ValueError(f"mixed arities {self.n} and {other.n}")
-            return other
+    def _promote(self, other) -> "LaurentPoly | None":
         if isinstance(other, (int, Fraction)):
             return LaurentPoly.const(self.n, other)
         return None
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            prev = out.get(exps)
-            if prev is None:
-                out[exps] = coeff
-            else:
-                total = prev + coeff
-                if total:
-                    out[exps] = total
-                else:
-                    del out[exps]
-        return LaurentPoly._trusted(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self.n, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly._trusted(self.n, {})
-            scale = Fraction(other)
-            return LaurentPoly._trusted(self.n, {e: c * scale for e, c in self._terms.items()})
+            return self._scale(Fraction(other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -187,7 +253,7 @@ class LaurentPoly:
                 exps = tuple(map(add, ea, eb))
                 prev = get(exps)
                 out[exps] = ca * cb if prev is None else prev + ca * cb
-        return LaurentPoly._trusted(self.n, {e: c for e, c in out.items() if c})
+        return self._like({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -215,7 +281,7 @@ class LaurentPoly:
             e = exps[i - 1]
             if e:
                 out[exps[: i - 1] + (e - 1,) + exps[i:]] = coeff * e
-        return LaurentPoly._trusted(self.n, out)
+        return self._like(out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact substitution at a rational point with point[n] != 0."""
@@ -273,9 +339,6 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         return self.text()
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.n}, {self.text()!r})"
 
 
 def parse_rational(s: str) -> Fraction:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exterior import KForm, VectorField, ext_d, interior, power_wedge, wedge
 from .halfspace import SolitonParams, flat
-from .ratlaurent import LaurentPoly, grlex_key
+from .ratlaurent import LaurentPoly, _accumulate, grlex_key
 
 # Convention note emitted with every contact report: the antisymmetric
 # parameter matrix uses entries a_i*c_j - a_j*c_i.
@@ -147,28 +147,24 @@ def _slot_key(slot) -> tuple:
     return (comp, grlex_key(exps))
 
 
-def _union_frame(fields: Sequence[VectorField]) -> list:
-    keys = set()
-    for f in fields:
-        for comp in range(1, f.n + 1):
-            for exps in f.component(comp).terms:
-                keys.add((comp, exps))
-    return sorted(keys, key=_slot_key)
-
-
-def _field_vector(field: VectorField, frame: Sequence) -> list:
-    out = []
-    for comp, exps in frame:
-        out.append(field.component(comp).terms.get(exps, Fraction(0)))
-    return out
-
-
 def _sparse_vector(field: VectorField) -> dict:
     out = {}
     for comp in range(1, field.n + 1):
         for exps, coeff in field.component(comp).terms.items():
             out[(comp, exps)] = coeff
     return out
+
+
+def _union_frame(fields: Sequence[VectorField]) -> list:
+    keys = set()
+    for f in fields:
+        keys.update(_sparse_vector(f))
+    return sorted(keys, key=_slot_key)
+
+
+def _field_vector(field: VectorField, frame: Sequence) -> list:
+    vec = _sparse_vector(field)
+    return [vec.get(slot, Fraction(0)) for slot in frame]
 
 
 class _SpanTracker:
@@ -185,13 +181,9 @@ class _SpanTracker:
             if not factor:
                 continue
             for slot, value in row.items():
-                left = vec.get(slot, Fraction(0)) - factor * value
-                if left:
-                    vec[slot] = left
-                else:
-                    vec.pop(slot, None)
+                _accumulate(vec, slot, -factor * value)
             for idx, value in rcomb.items():
-                comb[idx] = comb.get(idx, Fraction(0)) + factor * value
+                _accumulate(comb, idx, factor * value)
         return vec, comb
 
     def coefficients(self, field: VectorField):
@@ -483,9 +475,12 @@ def det_bareiss(M) -> Fraction:
 
 def det_via_pf(M) -> Fraction:
     """Determinant as Pf(M)^2, cross-checked against Bareiss elimination."""
-    square = pfaffian(M) ** 2
-    direct = det_bareiss(M)
-    if square != direct:
+    return _det_from_pf(M, pfaffian(M))
+
+
+def _det_from_pf(M, pf: Fraction) -> Fraction:
+    square = pf**2
+    if square != det_bareiss(M):
         raise AssertionError("Pf(M)^2 disagrees with the Bareiss determinant")
     return square
 
@@ -523,7 +518,7 @@ def contact_report(params: SolitonParams) -> ContactReport:
     m = (n - 1) // 2
     M = contact_matrix(params)
     pf = pfaffian(M)
-    det = det_via_pf(M)
+    det = _det_from_pf(M, pf)
     top = contact_top_form(params)
     cleared = top * LaurentPoly.monomial(n, (0,) * (n - 1) + (n,))
     const_key = (0,) * n

@@ -196,6 +196,19 @@ def test_flow_escape_exit_code_and_partial_file(tmp_path, capsys):
     assert all(cell for line in lines[1:] for cell in line.split(","))
 
 
+def test_flow_overflow_in_a_step_is_an_escape(tmp_path, capsys):
+    # one step whose RK4 stage overflows float x**e
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(
+        capsys,
+        ["flow", "--gen", "G1", "--n", "2", "--point", "1e8,1",
+         "--t-max", "1e150", "--dt", "1e150", "--out", str(out_path)],
+    )
+    assert code == EXIT_ESCAPE
+    assert "escape: float overflow" in out
+    assert not out_path.exists()
+
+
 def test_flow_printed_deviation_is_max_csv_err(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     code, out, err = run(

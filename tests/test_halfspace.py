@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import rand_field
 from rbkit import (
     BoundaryPoint,
     LaurentPoly,
@@ -157,6 +158,25 @@ def test_vertical_scaling_field_is_not_killing():
     )
     assert result == expected
     assert not result.is_zero()
+
+
+def test_lie_derivative_metric_matches_generic_formula():
+    # the plain triple sum over every (i, j, k), on fields that are not Killing
+    rng = random.Random(37)
+    for n in range(2, 5):
+        g = metric(n)
+        for _ in range(4):
+            X = rand_field(rng, n, laurent=True)
+            out = {}
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    total = LaurentPoly.zero(n)
+                    for k in range(1, n + 1):
+                        total = total + X.component(k) * g.get(i, j).deriv(k)
+                        total = total + g.get(k, j) * X.component(k).deriv(i)
+                        total = total + g.get(i, k) * X.component(k).deriv(j)
+                    out[(i, j)] = total
+            assert lie_derivative_metric(X) == SymTensor2(n, out)
 
 
 def test_zero_field_is_killing():

@@ -8,7 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_poly
-from rbkit import BoundaryPoint, LaurentPoly
+from rbkit import (
+    BoundaryPoint,
+    DimensionMismatch,
+    KForm,
+    LaurentPoly,
+    SymTensor2,
+    VectorField,
+    ext_d,
+    interior,
+    lie_derivative_metric,
+    wedge,
+)
+from rbkit.exterior import _lie_derivative_direct, _split_last
 from rbkit.ratlaurent import parse_rational
 
 
@@ -209,3 +221,96 @@ def test_operation_results_are_clean(operands):
             prods[exps] = prods.get(exps, 0) + ca * cb
     assert p * q == LaurentPoly(n, prods)
     assert (q - q).is_zero() and (p * 0).is_zero() and (p - p).deriv(i).is_zero()
+
+
+# -- the sparse-map kernel shared by LaurentPoly, KForm and SymTensor2 -------
+
+
+@st.composite
+def _forms(draw, n, grade):
+    slots = st.lists(st.integers(1, n), min_size=grade, max_size=grade, unique=True).map(sorted).map(tuple)
+    return KForm(n, grade, draw(st.dictionaries(slots, _polys(n), max_size=3)))
+
+
+@st.composite
+def _tensors(draw, n):
+    keys = st.tuples(st.integers(1, n), st.integers(1, n)).map(sorted).map(tuple)
+    return SymTensor2(n, draw(st.dictionaries(keys, _polys(n), max_size=3)))
+
+
+@st.composite
+def _form_operands(draw):
+    n = draw(st.integers(1, 3))
+    k, l = draw(st.integers(0, n)), draw(st.integers(0, n))
+    field = VectorField([draw(_polys(n)) for _ in range(n)])
+    scale = draw(_coeffs | st.integers(-3, 3) | _polys(n))
+    return draw(_forms(n, k)), draw(_forms(n, k)), draw(_forms(n, l)), field, scale
+
+
+@st.composite
+def _tensor_operands(draw):
+    n = draw(st.integers(2, 3))
+    field = VectorField([draw(_polys(n)) for _ in range(n)])
+    scale = draw(_coeffs | st.integers(-3, 3) | _polys(n))
+    return draw(_tensors(n)), draw(_tensors(n)), field, scale
+
+
+def _assert_clean_map(f, rebuild):
+    for c in f.terms.values():
+        assert type(c) is LaurentPoly and c
+        _assert_clean(c)
+    assert f == rebuild(f.terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_form_operands())
+def test_form_results_are_clean(operands):
+    alpha, beta, gamma, field, scale = operands
+    results = [alpha + beta, alpha - beta, beta - beta, -alpha, alpha * scale, scale * alpha, alpha * 0]
+    results += [wedge(alpha, gamma), wedge(alpha, alpha), ext_d(alpha), ext_d(ext_d(alpha)), *_split_last(alpha)]
+    if alpha.grade >= 1:
+        results.append(interior(field, alpha))
+    if alpha.grade >= 2:
+        results.append(interior(field, interior(field, alpha)))
+    if alpha.grade == 1:
+        results.append(_lie_derivative_direct(field, alpha))
+    for f in results:
+        _assert_clean_map(f, lambda terms, f=f: KForm(f.n, f.grade, terms))
+    assert (beta - beta).is_zero() and (alpha * 0).is_zero() and ext_d(ext_d(alpha)).is_zero()
+    # odd forms square to zero, so their cross terms cancel pairwise
+    assert wedge(alpha, alpha).is_zero() or alpha.grade % 2 == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tensor_operands())
+def test_tensor_results_are_clean(operands):
+    s, t, field, scale = operands
+    results = [s + t, s - t, t - t, -s, s * scale, scale * s, s * 0, lie_derivative_metric(field)]
+    for f in results:
+        _assert_clean_map(f, lambda terms, f=f: SymTensor2(f.n, terms))
+    assert (t - t).is_zero() and (s * 0).is_zero()
+
+
+def test_zero_maps_are_falsy_and_hashable():
+    zeros = [LaurentPoly.zero(3), KForm.zero(3, 2), SymTensor2(3)]
+    for zero in zeros:
+        assert zero.is_zero() and not zero
+        assert hash(zero) == hash(zero + zero)
+    x = LaurentPoly.var(3, 1)
+    assert SymTensor2(3, {(1, 2): x})
+    assert len({SymTensor2(3, {(1, 2): x}), SymTensor2(3, {(1, 2): x * 1})}) == 1
+
+
+def test_mixed_shape_addition_is_a_dimension_mismatch():
+    pairs = [
+        (LaurentPoly.var(2, 1), LaurentPoly.var(3, 1)),
+        (KForm.dx(2, 1), KForm.dx(3, 1)),
+        (KForm.dx(3, 1), wedge(KForm.dx(3, 1), KForm.dx(3, 2))),
+        (SymTensor2(2), SymTensor2(3)),
+    ]
+    for left, right in pairs:
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(DimensionMismatch):
+                op(left, right)
+            with pytest.raises(ValueError):
+                op(left, right)

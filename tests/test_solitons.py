@@ -38,6 +38,7 @@ from rbkit import (
     span_coefficients,
     structure_constants,
 )
+from rbkit import solitons
 
 
 def V(*texts_n):
@@ -354,6 +355,28 @@ def test_contact_report_three_dim_contact_case():
     assert report.pf == 1
     assert report.consistent
     assert report.is_contact
+
+
+def test_contact_report_computes_the_pfaffian_once(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return pfaffian(M)
+
+    monkeypatch.setattr(solitons, "pfaffian", counted)
+    for params in (
+        SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1)),
+        SolitonParams(n=5, a=(1, 2, 0, -1), b=1, c=(0, 1, 3, 1)),
+    ):
+        calls.clear()
+        report = contact_report(params)
+        assert len(calls) == 1
+        assert report.det == report.pf**2
+    # the Pf^2 = det cross-check still runs on every report
+    monkeypatch.setattr(solitons, "pfaffian", lambda M: Fraction(7))
+    with pytest.raises(AssertionError, match="Bareiss"):
+        contact_report(SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1)))
 
 
 def test_contact_report_three_dim_noncontact_case():
