@@ -1,0 +1,102 @@
+"""Output pin: SHA-256 digests of stdout, exit codes and flow CSVs.
+
+Byte-identical outputs are the contract of the command line, so a change
+that is meant to keep them must keep these digests.  Each case runs
+``rbkit.cli.main`` in process on a fixed parameter file; the flows use the
+translation ``T1`` and the plane rotation ``G``, whose RK4 steps and closed
+forms need only float arithmetic and no transcendental functions.
+
+To re-record after an intended output change, run this file as a script
+(``PYTHONPATH=src python tests/test_golden.py``) and paste the printed
+table over ``GOLDEN``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from rbkit.cli import main
+
+PARAMS = {
+    "n3": {"n": 3, "a": ["1", "-2"], "b": "1/2", "c": ["3", "1"], "rho": "1"},
+    "n5": {"n": 5, "a": ["1", "2", "0", "-1"], "b": "1", "c": ["0", "1", "3", "1"], "rho": "1/3"},
+    "n7": {
+        "n": 7,
+        "a": ["1", "0", "-1/2", "2", "1", "0"],
+        "b": "0",
+        "c": ["0", "1", "1", "0", "-3", "1/3"],
+        "rho": "2",
+    },
+}
+
+# argv with {params} and {csv} placeholders
+CASES = {
+    "algebra_n2": ["algebra", "--n", "2"],
+    "algebra_n3": ["algebra", "--n", "3"],
+    "algebra_n4": ["algebra", "--n", "4"],
+    "algebra_n5": ["algebra", "--n", "5"],
+    "contact_n3": ["contact", "--params", "{n3}"],
+    "contact_n5": ["contact", "--params", "{n5}"],
+    "contact_n7": ["contact", "--params", "{n7}"],
+    "verify_n3": ["verify", "--params", "{n3}", "--trials", "3"],
+    "verify_n5": ["verify", "--params", "{n5}", "--trials", "3"],
+    "flow_T1": ["flow", "--gen", "T1", "--n", "3", "--point", "0.5,-0.25,1.5",
+                "--t-max", "2", "--dt", "0.01", "--out", "{csv}"],
+    "flow_G": ["flow", "--gen", "G", "--n", "2", "--point", "0.3,1.2",
+               "--t-max", "1", "--dt", "0.01", "--out", "{csv}"],
+}
+
+# name: (exit code, sha256 of stdout, sha256 of the CSV or None)
+GOLDEN = {
+    "algebra_n2": (0, "a3c1d9e0e42324f05d154ab838c9eb2e331509ae109d022d3339c063da45698f", None),
+    "algebra_n3": (0, "98577703707f03ada46153930bed2b317d03af09755508b733b1cf971c51b67f", None),
+    "algebra_n4": (0, "f538d147193080e9842a7605f2d25d7e4a16c8c759d25bc822c39890d44b8934", None),
+    "algebra_n5": (0, "b3def20f07ebf64cb4147b218abd98993a7ab087eafe320528a611f361c686f6", None),
+    "contact_n3": (0, "cf52211240f55bfe1306b1bcb0d8a5ee3ef342cb8d56ca1e63fec82d60a619df", None),
+    "contact_n5": (0, "9dfbe8cbfd9f2fbc6d483635f17186cdb92127c451998ec73062dd20fd3439e5", None),
+    "contact_n7": (0, "0dccbdca01a5924b9568de8fd4b415231aae42e1904d6c2d902969344ad51c0f", None),
+    "flow_G": (0, "622dad5ac15a8a0495d81b4486ee3106179d3c61fdfc6830563e3eb3b9bafebb", "ca1fb9904f4b061650032a14f86331d54aa296f2d15d3c9154982fee7017718c"),
+    "flow_T1": (0, "08dbee142f9469cfd2dd24381727f94a1c8c845c4c43f2b5580334f6298661a0", "a9566ded2e028e678b1d5045bc8abee6f4f5f084066edd21cd256cd76260b260"),
+    "verify_n3": (0, "e1d088de068941895c87d4f39646dc7779b0dc01ccf18c407b3055e2138d8a7f", None),
+    "verify_n5": (0, "405075669fa1c1534ec8070aa65366219ce469e092cfb93aad49c4e863bb7203", None),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name: str, workdir) -> tuple:
+    paths = {}
+    for key, data in PARAMS.items():
+        path = workdir / f"{key}.json"
+        path.write_text(json.dumps(data))
+        paths[key] = str(path)
+    csv_path = workdir / f"{name}.csv"
+    argv = [arg.format(csv=csv_path, **paths) for arg in CASES[name]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    csv = _sha(csv_path.read_bytes()) if csv_path.exists() else None
+    return code, _sha(out.getvalue().encode()), csv
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for name in sorted(CASES):
+            code, out, csv = run_case(name, pathlib.Path(tmp))
+            csv = f'"{csv}"' if csv else None
+            print(f'    "{name}": ({code}, "{out}", {csv}),')
+        print("}")
