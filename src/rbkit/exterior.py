@@ -248,7 +248,8 @@ def power_wedge(alpha: KForm, m: int) -> KForm:
 
     For 2-forms the result is also computed through the split
     (O + L)^m = O^m + m O^(m-1) ^ L, where L collects the dxn terms and
-    L ^ L = 0; the two routes must agree exactly.
+    L ^ L = 0; the two routes must agree exactly.  The split builds
+    O^(m-1) once and takes O^m = O^(m-1) ^ O from it.
     """
     if m < 1:
         raise ValueError("wedge power needs m >= 1")
@@ -259,14 +260,10 @@ def power_wedge(alpha: KForm, m: int) -> KForm:
         out = wedge(out, alpha)
     if alpha.grade == 2 and m >= 2:
         omega_part, last_part = _split_last(alpha)
-        unit = KForm.scalar(alpha.n, LaurentPoly.const(alpha.n, 1))
-        pow_omega = unit
-        for _ in range(m):
-            pow_omega = wedge(pow_omega, omega_part)
-        pow_prev = unit
-        for _ in range(m - 1):
+        pow_prev = omega_part
+        for _ in range(m - 2):
             pow_prev = wedge(pow_prev, omega_part)
-        split = pow_omega + m * wedge(pow_prev, last_part)
+        split = wedge(pow_prev, omega_part) + m * wedge(pow_prev, last_part)
         if split != out:
             raise AssertionError("direct and split wedge powers disagree")
     return out

@@ -299,17 +299,6 @@ class LaurentPoly(SparseMap):
             total += value
         return total
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        """Floating-point substitution, used by the numeric flow integrator."""
-        total = 0.0
-        for exps, coeff in self._terms.items():
-            value = float(coeff)
-            for x, e in zip(point, exps):
-                if e:
-                    value *= x**e
-            total += value
-        return total
-
     # -- printing ----------------------------------------------------------
 
     def text(self) -> str:

@@ -9,7 +9,10 @@ w ^ (dw)^m, the Reeb-defect evaluation, and the kernel/span splitting of
 tangent vectors.
 
 Subalgebra sizes are *measured*, never asserted: ``algebra_closure`` adjoins
-escaping brackets until the span stabilizes and reports what it found.
+escaping brackets until the span stabilizes and reports what it found.  It
+is the one place where a span's brackets are computed: each basis pair is
+bracketed and reduced once, and the span records the bracket with its
+coordinates over the basis, so structure constants come from that pass.
 """
 
 from __future__ import annotations
@@ -155,18 +158,6 @@ def _sparse_vector(field: VectorField) -> dict:
     return out
 
 
-def _union_frame(fields: Sequence[VectorField]) -> list:
-    keys = set()
-    for f in fields:
-        keys.update(_sparse_vector(f))
-    return sorted(keys, key=_slot_key)
-
-
-def _field_vector(field: VectorField, frame: Sequence) -> list:
-    vec = _sparse_vector(field)
-    return [vec.get(slot, Fraction(0)) for slot in frame]
-
-
 class _SpanTracker:
     """Echelonized span with bookkeeping of combinations over inserted fields."""
 
@@ -201,6 +192,11 @@ class _SpanTracker:
         residue, comb = self._reduce(_sparse_vector(field))
         if not residue:
             return False
+        self._adjoin(residue, comb)
+        return True
+
+    def _adjoin(self, residue: dict, comb: dict) -> None:
+        """Store the nonzero residue that _reduce left of a new field."""
         pivot = min(residue, key=_slot_key)
         inv = 1 / residue[pivot]
         row = {slot: value * inv for slot, value in residue.items()}
@@ -209,7 +205,6 @@ class _SpanTracker:
         self.rows.append((pivot, row, rcomb))
         self.rows.sort(key=lambda r: _slot_key(r[0]))
         self.size += 1
-        return True
 
 
 def in_span(field: VectorField, basis: Sequence[VectorField]) -> bool:
@@ -237,15 +232,16 @@ def span_coefficients(field: VectorField, basis: Sequence[VectorField]):
 
 @dataclass(frozen=True)
 class AlgebraSpan:
-    """A rational span of vector fields with its coefficient matrix.
+    """A rational span of vector fields with the brackets of its basis.
 
-    ``coords`` holds each basis element's coefficients over the shared
-    monomial frame ``frame`` (pairs of component index and exponent tuple).
+    ``brackets`` holds one ``((i, j), field, coords)`` record per bracket
+    the closure computed, for 0-based basis indices i < j: ``coords`` is the
+    sparse tuple of ``(k, c)`` with ``field = sum c e_k``, or None for the
+    bracket that escaped when the closure stopped at its cap.
     """
 
     basis: tuple
-    frame: tuple
-    coords: tuple
+    brackets: tuple
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,9 @@ def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
 
     Brackets of basis pairs are adjoined whenever they escape the current
     span, until a pass adds nothing.  Hitting the cap stops adjoining and is
-    reported, not raised.
+    reported, not raised.  Each pair is bracketed once; the span records
+    every bracket with its coordinates (an adjoined one is the new unit
+    vector).
     """
     seeds = list(seeds)
     if not seeds:
@@ -284,27 +282,28 @@ def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
     seed_dim = len(basis)
 
     added = []
+    brackets = []
     cap_exceeded = False
     j = 1
     while j < len(basis) and not cap_exceeded:
         for i in range(j):
             br = lie_bracket(basis[i], basis[j])
-            if br.is_zero():
-                continue
-            residue, _ = tracker._reduce(_sparse_vector(br))
+            residue, comb = tracker._reduce(_sparse_vector(br))
             if not residue:
-                continue
-            if len(basis) + 1 > cap:
+                coords = tuple(sorted(comb.items()))
+            elif len(basis) + 1 > cap:
                 cap_exceeded = True
+                brackets.append(((i, j), br, None))
                 break
-            tracker.insert(br)
-            basis.append(br)
-            added.append(((i, j), br))
+            else:
+                tracker._adjoin(residue, comb)
+                coords = ((len(basis), Fraction(1)),)
+                basis.append(br)
+                added.append(((i, j), br))
+            brackets.append(((i, j), br, coords))
         j += 1
 
-    frame = tuple(_union_frame(basis))
-    coords = tuple(tuple(_field_vector(b, frame)) for b in basis)
-    span = AlgebraSpan(basis=tuple(basis), frame=frame, coords=coords)
+    span = AlgebraSpan(basis=tuple(basis), brackets=tuple(brackets))
     report = ClosureReport(
         dimension=len(basis),
         seed_dimension=seed_dim,
@@ -317,22 +316,18 @@ def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
 
 
 def structure_constants(span: AlgebraSpan) -> dict:
-    """Constants c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k (1-based, sparse)."""
-    basis = list(span.basis)
-    tracker = _SpanTracker()
-    for b in basis:
-        if not tracker.insert(b):
-            raise ValueError("basis fields are not linearly independent")
+    """Constants c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k (1-based, sparse).
+
+    A read of the brackets ``algebra_closure`` recorded; raises NotClosed
+    for a span whose closure stopped at its cap.
+    """
     out = {}
-    for j in range(len(basis)):
-        for i in range(j):
-            coeffs = tracker.coefficients(lie_bracket(basis[i], basis[j]))
-            if coeffs is None:
-                raise NotClosed(f"bracket of elements {i + 1} and {j + 1} leaves the span")
-            for k, value in enumerate(coeffs):
-                if value:
-                    out[(i + 1, j + 1, k + 1)] = value
-                    out[(j + 1, i + 1, k + 1)] = -value
+    for (i, j), _, coords in span.brackets:
+        if coords is None:
+            raise NotClosed(f"bracket of elements {i + 1} and {j + 1} leaves the span")
+        for k, value in coords:
+            out[(i + 1, j + 1, k + 1)] = value
+            out[(j + 1, i + 1, k + 1)] = -value
     return out
 
 
@@ -493,7 +488,7 @@ def contact_top_form(params: SolitonParams) -> LaurentPoly:
     m = (n - 1) // 2
     omega = flat(build_field(params))
     domega = ext_d(omega)
-    top = wedge(omega, power_wedge(domega, m)) if m >= 1 else omega
+    top = wedge(omega, power_wedge(domega, m))
     return top.coeff(tuple(range(1, n + 1)))
 
 

@@ -251,6 +251,12 @@ def test_flow_usage_errors(tmp_path, capsys):
     for argv in cases:
         code, _, err = run(capsys, argv)
         assert code == EXIT_USAGE, argv
+    # integrate rejects these before cmd_flow prints or writes anything
+    for arg in ("--dt=0", "--dt=-1e-3", "--t-max=-1"):
+        argv = ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", arg, "--out", out_path]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert not (tmp_path / "t.csv").exists()
     # step counts above the cap are rejected before any step runs
     for t_max, dt in (("1e300", "1e-300"), ("1e3", "1e-9")):
         argv = ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--t-max", t_max, "--dt", dt, "--out", out_path]
@@ -285,6 +291,26 @@ def test_algebra_four_dim_seed_count_and_cap(capsys):
     by_name = {r["name"]: r for r in records_of(out)}
     assert len(by_name["generators"]["witness"].split("; ")) == 7  # 2n-1 seeds
     assert "cap = 10" in by_name["closure"]["witness"]
+
+
+def test_algebra_brackets_each_basis_pair_once(monkeypatch):
+    from rbkit import solitons
+    from rbkit.cli import cmd_algebra
+
+    calls = []
+    bracket = solitons.lie_bracket
+
+    def counted(A, B):
+        calls.append((A, B))
+        return bracket(A, B)
+
+    monkeypatch.setattr(solitons, "lie_bracket", counted)
+    for n in range(2, 7):
+        calls.clear()
+        cmd_algebra(n, False)
+        dim = n * (n + 1) // 2  # dim so(n,1)
+        # the n=2 sl2 fingerprint brackets its own three pairs
+        assert len(calls) == math.comb(dim, 2) + (3 if n == 2 else 0)
 
 
 def test_algebra_range_checked(capsys):

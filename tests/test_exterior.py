@@ -245,6 +245,31 @@ def test_power_wedge_split_oracle_five_dim():
         assert power_wedge(domega, 2) == split
 
 
+def test_power_wedge_split_route_builds_each_power_once(monkeypatch):
+    from rbkit import exterior
+
+    x1 = LaurentPoly.var(6, 1)
+    alpha = dx(6, 1, 2) + dx(6, 3, 4) + 2 * dx(6, 5, 6) + KForm(6, 2, {(1, 6): x1})
+    calls = []
+    plain = exterior.wedge
+
+    def counted(a, b):
+        calls.append((a, b))
+        return plain(a, b)
+
+    monkeypatch.setattr(exterior, "wedge", counted)
+    for m in (1, 2, 3):
+        calls.clear()
+        power = power_wedge(alpha, m)
+        # m - 1 direct wedges; the split route adds O^(m-1) and two more
+        assert len(calls) == (2 * m - 1 if m >= 2 else 0)
+    assert power == 12 * dx(6, 1, 2, 3, 4, 5, 6)
+    # the split route still checks the direct one
+    monkeypatch.setattr(exterior, "_split_last", lambda a: (a, a))
+    with pytest.raises(AssertionError, match="split"):
+        power_wedge(alpha, 2)
+
+
 def test_kform_rejects_bad_index_tuples():
     with pytest.raises(ValueError):
         KForm(3, 2, {(2, 2): LaurentPoly.const(3, 1)})

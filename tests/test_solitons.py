@@ -226,16 +226,32 @@ def test_closure_respects_cap():
     assert report.dimension == 5
 
 
-def test_closure_span_coords_reproduce_basis():
-    span, _ = algebra_closure([generator(name, 3) for name in ("T1", "T2", "D")])
-    for field, row in zip(span.basis, span.coords):
-        rebuilt = {}
-        for (comp, exps), value in zip(span.frame, row):
-            if value:
-                rebuilt.setdefault(comp, {})[exps] = value
-        assert field == VectorField(
-            [LaurentPoly(3, rebuilt.get(i, {})) for i in range(1, 4)]
-        )
+def test_closure_records_each_bracket_with_its_coordinates():
+    # bracketing and solving over the final basis is the oracle
+    seed_sets = [
+        [generator(f"T{k}", n) for k in range(1, n)]
+        + [generator("D", n)]
+        + [generator(f"G{k}", n) for k in range(1, n)]
+        for n in range(2, 6)
+    ]
+    seed_sets.append([generator("T2", 3), generator("G1", 3)])
+    for seeds in seed_sets:
+        span, _ = algebra_closure(seeds)
+        basis = list(span.basis)
+        dim = len(basis)
+        assert [pair for pair, _, _ in span.brackets] == [
+            (i, j) for j in range(dim) for i in range(j)
+        ]
+        expected = {}
+        for (i, j), field, coords in span.brackets:
+            assert field == lie_bracket(basis[i], basis[j])
+            oracle = {k: c for k, c in enumerate(span_coefficients(field, basis)) if c}
+            assert dict(coords) == oracle
+            for k, c in oracle.items():
+                expected[(i + 1, j + 1, k + 1)] = c
+                expected[(j + 1, i + 1, k + 1)] = -c
+        assert structure_constants(span) == expected
+        hash(span)
 
 
 def test_structure_constants_plane_table():
@@ -256,16 +272,10 @@ def test_structure_constants_abelian_pair():
 
 
 def test_structure_constants_not_closed():
-    seeds = [generator("T2", 3), generator("G1", 3)]
-    from rbkit.solitons import AlgebraSpan, _field_vector, _union_frame
-
-    frame = tuple(_union_frame(seeds))
-    span = AlgebraSpan(
-        basis=tuple(seeds),
-        frame=frame,
-        coords=tuple(tuple(_field_vector(f, frame)) for f in seeds),
-    )
-    with pytest.raises(NotClosed):
+    # [T2, G1] escapes, so a cap of two stops the closure at the seeds
+    span, report = algebra_closure([generator("T2", 3), generator("G1", 3)], cap=2)
+    assert report.cap_exceeded
+    with pytest.raises(NotClosed, match="elements 1 and 2"):
         structure_constants(span)
 
 
