@@ -3,8 +3,10 @@
 Byte-identical outputs are the contract of the command line, so a change
 that is meant to keep them must keep these digests.  Each case runs
 ``rbkit.cli.main`` in process on a fixed parameter file; the flows use the
-translation ``T1`` and the plane rotation ``G``, whose RK4 steps and closed
-forms need only float arithmetic and no transcendental functions.
+translation ``T1``, the plane rotation ``G`` and the boost ``G1``, whose RK4
+steps and closed forms need only float arithmetic and no transcendental
+functions.  Escapes and usage errors are pinned too: exit 64 leaves stdout
+empty and writes no CSV.
 
 To re-record after an intended output change, run this file as a script
 (``PYTHONPATH=src python tests/test_golden.py``) and paste the printed
@@ -30,6 +32,7 @@ PARAMS = {
         "c": ["0", "1", "1", "0", "-3", "1/3"],
         "rho": "2",
     },
+    "n4": {"n": 4, "a": ["1", "0", "2"], "b": "1", "c": ["0", "1", "-1"], "rho": "1"},
 }
 
 # argv with {params} and {csv} placeholders
@@ -47,6 +50,21 @@ CASES = {
                 "--t-max", "2", "--dt", "0.01", "--out", "{csv}"],
     "flow_G": ["flow", "--gen", "G", "--n", "2", "--point", "0.3,1.2",
                "--t-max", "1", "--dt", "0.01", "--out", "{csv}"],
+    # exit 2: a partial CSV when the trajectory leaves the safe region,
+    # none when the first RK4 step overflows
+    "escape_boundary": ["flow", "--gen", "G", "--n", "2", "--point", "2,0.00001",
+                        "--t-max", "1", "--dt", "0.001", "--out", "{csv}"],
+    "escape_overflow": ["flow", "--gen", "G1", "--n", "2", "--point", "1e8,1",
+                        "--t-max", "1e150", "--dt", "1e150", "--out", "{csv}"],
+    # exit 64: empty stdout and no CSV
+    "usage_bad_gen": ["flow", "--gen", "Q7", "--n", "3", "--point", "0,0,1", "--out", "{csv}"],
+    "usage_arity": ["flow", "--gen", "T1", "--n", "3", "--point", "0,1", "--out", "{csv}"],
+    "usage_below_boundary": ["flow", "--gen", "T1", "--n", "2", "--point", "0,-1", "--out", "{csv}"],
+    "usage_nan_point": ["flow", "--gen", "G1", "--n", "2", "--point=nan,1", "--out", "{csv}"],
+    "usage_inf_dt": ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--dt=inf", "--out", "{csv}"],
+    "usage_step_cap": ["flow", "--gen", "T1", "--n", "2", "--point", "0,1",
+                       "--t-max", "1e300", "--dt", "1e-300", "--out", "{csv}"],
+    "usage_contact_even": ["contact", "--params", "{n4}"],
 }
 
 # name: (exit code, sha256 of stdout, sha256 of the CSV or None)
@@ -58,8 +76,17 @@ GOLDEN = {
     "contact_n3": (0, "cf52211240f55bfe1306b1bcb0d8a5ee3ef342cb8d56ca1e63fec82d60a619df", None),
     "contact_n5": (0, "9dfbe8cbfd9f2fbc6d483635f17186cdb92127c451998ec73062dd20fd3439e5", None),
     "contact_n7": (0, "0dccbdca01a5924b9568de8fd4b415231aae42e1904d6c2d902969344ad51c0f", None),
+    "escape_boundary": (2, "4e1f739e1c2ab044d40e1819ed99ebc3d9327d7073d306eb928245f64dab0747", "4b7403939e96b1672494cdb043b0b270c89fced5f0885211c6aecc4e39c83e7f"),
+    "escape_overflow": (2, "aff0fd95d1e6ef5ac6a24bcbae6859db5f741a8819045867513da3a168cce39b", None),
     "flow_G": (0, "622dad5ac15a8a0495d81b4486ee3106179d3c61fdfc6830563e3eb3b9bafebb", "ca1fb9904f4b061650032a14f86331d54aa296f2d15d3c9154982fee7017718c"),
     "flow_T1": (0, "08dbee142f9469cfd2dd24381727f94a1c8c845c4c43f2b5580334f6298661a0", "a9566ded2e028e678b1d5045bc8abee6f4f5f084066edd21cd256cd76260b260"),
+    "usage_arity": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage_bad_gen": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage_below_boundary": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage_contact_even": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage_inf_dt": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage_nan_point": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage_step_cap": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "verify_n3": (0, "e1d088de068941895c87d4f39646dc7779b0dc01ccf18c407b3055e2138d8a7f", None),
     "verify_n5": (0, "405075669fa1c1534ec8070aa65366219ce469e092cfb93aad49c4e863bb7203", None),
 }
