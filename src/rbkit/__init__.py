@@ -61,7 +61,6 @@ from .solitons import (
     contact_top_form,
     decompose,
     det_bareiss,
-    det_cofactor,
     det_via_pf,
     generator,
     in_span,

@@ -7,10 +7,17 @@ is passed.  Exit codes: 0 all checks pass, 1 some check failed, 2 a
 trajectory escaped at runtime, 64 usage or parse error.
 
 ``flow`` streams its trajectory CSV row by row, comparing each state with the
-closed form in the same pass; the largest gap is the printed deviation.  A
-step count ``t_max / dt`` above ``flows.MAX_STEPS`` exits 64 with the limit
-in the message, before any step runs.  A start at the origin, a zero of
-every boost and of the plane rotation, stays fixed.
+closed form in the same pass; the largest gap is the printed deviation, and
+the ``convention:`` line is printed once the CSV is written.  Each input is
+checked by the type that owns it, and this module only maps the error to
+exit 64: the generator name and n by ``FlowSpec``, the start point (finite,
+last coordinate nonnegative) by ``FlowState``, and ``dt``, ``t_max``, the
+step count (at most ``flows.MAX_STEPS``) and the arity by ``integrate``,
+before any step runs.  An unwritable ``--out`` also exits 64.  Values of
+``--point``, ``--dt`` and ``--t-max`` may start with "-".  A start at the
+origin, a zero of D, of every boost and of the plane rotation, stays
+fixed, at any horizon.  A state at which the closed form has no finite value
+(its pole) ends the CSV and exits 2, like an escape.
 
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
 never pass through floats.  Checks run serially in one thread: the
@@ -22,13 +29,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
 from fractions import Fraction
 
-from .errors import BoundaryEscape, NonFinite, ParseError, RBKitError
+from .errors import BoundaryEscape, NonFinite, OddSize, ParseError, RBKitError
 from .exterior import ext_d, lie_derivative_form
 from .flows import FlowSpec, FlowState, integrate, write_trajectory_csv
 from .halfspace import (
@@ -71,6 +77,8 @@ def load_params(path: str) -> SolitonParams:
             raw = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -194,7 +202,10 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int, timings: bool):
 
 def cmd_contact(params: SolitonParams, timings: bool):
     start = time.perf_counter()
-    report = contact_report(params)
+    try:
+        report = contact_report(params)
+    except OddSize as exc:
+        raise _UsageError(str(exc)) from exc
     elapsed = (time.perf_counter() - start) * 1000.0
     timing = round(elapsed, 3) if timings else None
 
@@ -221,28 +232,29 @@ def cmd_contact(params: SolitonParams, timings: bool):
 
 
 def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) -> int:
+    # the start is checked here, not in the try below: a non-finite start
+    # is a usage error, a non-finite step is an escape
     try:
-        field = generator(gen, n)
+        spec, p0 = FlowSpec(kind=gen, n=n), FlowState(tuple(point))
     except (ValueError, RBKitError) as exc:
         raise _UsageError(str(exc)) from exc
-    if len(point) != n:
-        raise _UsageError(f"point has {len(point)} coordinates, expected {n}")
-    if point[-1] < 0:
-        raise _UsageError("point must have nonnegative last coordinate")
-    spec = FlowSpec(kind=gen, n=n)
     try:
-        states, escape = integrate(field, FlowState(tuple(point)), t_max, dt), None
+        states, escape = integrate(spec.field(), p0, t_max, dt), None
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     except (BoundaryEscape, NonFinite) as exc:
         states, escape = getattr(exc, "trajectory", []), exc
+    if states:
+        try:
+            worst = write_trajectory_csv(out_path, states, spec)
+        except OSError as exc:
+            raise _UsageError(f"--out: {exc}") from exc
+        except NonFinite as exc:
+            escape = exc  # the closed form reached its pole; the CSV stops there
     print(f"convention: {spec.convention()}")
     if escape is not None:
-        if states:
-            write_trajectory_csv(out_path, states, spec)
         print(f"escape: {escape}")
         return EXIT_ESCAPE
-    worst = write_trajectory_csv(out_path, states, spec)
     print(f"max_deviation_vs_closed_form: {worst!r}")
     return EXIT_PASS
 
@@ -364,31 +376,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# options whose value may start with "-": argparse reads "-1,1" or "-1e-3"
+# as an unknown option unless it is joined to its option name
+_SIGNED_OPTIONS = ("--point", "--dt", "--t-max")
+
+
+def _join_signed_values(argv) -> list:
+    """Rewrite each "--opt value" of _SIGNED_OPTIONS as "--opt=value"."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _SIGNED_OPTIONS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
         if args.command == "verify":
             if args.trials < 0:
                 raise _UsageError("--trials must be nonnegative")
             params = load_params(args.params)
             return _emit(cmd_verify(params, args.trials, args.seed, args.timings))
         if args.command == "contact":
-            params = load_params(args.params)
-            if params.n % 2 == 0:
-                raise _UsageError(f"contact diagnostics need odd n, got n={params.n}")
-            return _emit(cmd_contact(params, args.timings))
+            return _emit(cmd_contact(load_params(args.params), args.timings))
         if args.command == "flow":
             try:
                 point = [float(x) for x in args.point.split(",")]
             except ValueError as exc:
                 raise _UsageError(f"--point: {exc}") from exc
-            if not all(map(math.isfinite, point)):
-                raise _UsageError("--point: coordinates must be finite")
-            if not math.isfinite(args.dt):
-                raise _UsageError("--dt must be finite")
-            if not math.isfinite(args.t_max):
-                raise _UsageError("--t-max must be finite")
             return cmd_flow(args.gen, args.n, point, args.t_max, args.dt, args.out)
         if args.command == "algebra":
             return _emit(cmd_algebra(args.n, args.timings))

@@ -51,7 +51,3 @@ class BoundaryEscape(RBKitError):
     def __init__(self, message, trajectory=()):
         super().__init__(message)
         self.trajectory = list(trajectory)
-
-    @property
-    def last_state(self):
-        return self.trajectory[-1] if self.trajectory else None

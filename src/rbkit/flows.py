@@ -14,6 +14,11 @@ Closed forms:
 The boost uses the half-coefficient convention (the field is G_k with the
 1/2 in front of the quadratic term); the plane rotation "G" omits it.  Which
 convention a run used is part of its report.
+
+Each input is checked once, by its owner: ``FlowSpec`` the generator name,
+``FlowState`` the start point, ``integrate`` the step, horizon, step count
+and arity.  A closed form with no finite value (the pole of a start on the
+boundary plane) raises NonFinite.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Sequence
 
 from .errors import BoundaryEscape, BoundaryPoint, NonFinite
 from .exterior import VectorField
-from .halfspace import SolitonParams, hyp_distance
-from .solitons import build_field, generator
+from .halfspace import hyp_distance
+from .solitons import generator
 
 BOUNDARY_EPS = 1e-9  # stop before xn^-2 evaluations overflow
 COORD_LIMIT = 1e9  # rotation flows blow up in finite time near the pole
@@ -62,23 +67,19 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """What to flow: a generator name ("D", "Tk", "Gk", "G") or a raw field."""
+    """What to flow: a generator name ("D", "Tk", "Gk", "G") in dimension n.
+
+    ``solitons.generator`` checks the name when the spec is made.
+    """
 
     kind: str
     n: int
-    params: SolitonParams | None = None
 
     def __post_init__(self):
-        if self.kind == "general" and self.params is None:
-            raise ValueError("a general flow needs parameters")
+        generator(self.kind, self.n)
 
     def field(self) -> VectorField:
-        if self.kind == "general":
-            return build_field(self.params)
         return generator(self.kind, self.n)
-
-    def has_closed_form(self) -> bool:
-        return self.kind != "general"
 
     def convention(self) -> str:
         if self.kind == "G":
@@ -111,15 +112,17 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     """Fixed-step RK4 trajectory from p0; raises BoundaryEscape/NonFinite.
 
     The escape exception carries the valid prefix of the trajectory; a float
-    overflow inside a step is reported as NonFinite.  A nonpositive dt, a
-    negative t_max, or a step count t_max / dt that is not finite or exceeds
-    MAX_STEPS raises ValueError before any step runs.
+    overflow inside a step is reported as NonFinite.  A dt that is not
+    positive and finite, a negative t_max, a step count t_max / dt that is
+    not finite or exceeds MAX_STEPS, or a field whose dimension differs from
+    the arity of p0 raises ValueError before any step runs.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if dt <= 0 or dt == math.inf:
+        raise ValueError("dt must be positive and finite")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     ratio = t_max / dt
+    # also catches a nan dt or t_max and an infinite t_max
     if not ratio <= MAX_STEPS:
         raise ValueError(f"t_max / dt = {ratio!r} exceeds the limit of {MAX_STEPS} steps")
     if field.n != p0.n:
@@ -166,47 +169,49 @@ def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
     if n != spec.n:
         raise ValueError(f"state arity {n} differs from spec dimension {spec.n}")
     if spec.kind == "D":
-        scale = math.exp(t)
+        # the origin is a zero of the field; e^t would overflow for t > 709
+        scale = math.exp(t) if any(coords) else 1.0
         return FlowState(tuple(scale * x for x in coords), p0.t + t)
     if spec.kind.startswith("T"):
         k = int(spec.kind[1:])
         coords[k - 1] += t
         return FlowState(tuple(coords), p0.t + t)
     if spec.kind == "G":
-        if n != 2:
-            raise ValueError("the plane rotation flow lives in dimension 2")
         z0 = complex(coords[0], coords[1])
         if z0 == 0:
             # the origin is a zero of the field: the flow stays there
             return FlowState(p0.coords, p0.t + t)
         z = -1.0 / (t + (-1.0 / z0))
         return FlowState((z.real, z.imag), p0.t + t)
-    if spec.kind.startswith("G"):
-        k = int(spec.kind[1:])
-        r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
-        if r0 == 0.0:
-            # axis-bound Riccati solution; unreachable from the open
-            # half-space, where r0 >= xn > 0
-            if coords[k - 1] == 0.0:
-                # the origin is a zero of the field: the flow stays there
-                return FlowState(p0.coords, p0.t + t)
-            xk = -2.0 / (t - 2.0 / coords[k - 1])
-            out = [0.0] * n
-            out[k - 1] = xk
-            return FlowState(tuple(out), p0.t + t)
-        z = -2.0 / (t + (-2.0 / complex(coords[k - 1], r0)))
-        scale = z.imag / r0
-        out = [x * scale for x in coords]
-        out[k - 1] = z.real
+    # boost Gk, the only kind left once FlowSpec has checked the name
+    k = int(spec.kind[1:])
+    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
+    if r0 == 0.0:
+        # axis-bound Riccati solution; unreachable from the open
+        # half-space, where r0 >= xn > 0
+        if coords[k - 1] == 0.0:
+            # the origin is a zero of the field: the flow stays there
+            return FlowState(p0.coords, p0.t + t)
+        xk = -2.0 / (t - 2.0 / coords[k - 1])
+        out = [0.0] * n
+        out[k - 1] = xk
         return FlowState(tuple(out), p0.t + t)
-    raise ValueError(f"no closed form for flow kind {spec.kind!r}")
+    z = -2.0 / (t + (-2.0 / complex(coords[k - 1], r0)))
+    scale = z.imag / r0
+    out = [x * scale for x in coords]
+    out[k - 1] = z.real
+    return FlowState(tuple(out), p0.t + t)
 
 
 def _closed_form_gaps(spec: FlowSpec, states: Sequence[FlowState]):
     """Yield (state, closed-form reference, Euclidean gap) along a trajectory from states[0]."""
     for state in states:
-        reference = closed_flow(spec, states[0], state.t - states[0].t)
-        gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
+        try:
+            reference = closed_flow(spec, states[0], state.t - states[0].t)
+            gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
+        except ArithmeticError as exc:
+            # a division by zero at the pole, or a float overflow
+            raise NonFinite(f"the closed form has no finite value at t={state.t}") from exc
         yield state, reference, gap
 
 
@@ -227,26 +232,19 @@ def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float,
     return worst
 
 
-def write_trajectory_csv(path, states: Sequence[FlowState], spec: FlowSpec | None = None):
-    """Write `t,x1..xn,cx1..cxn,err` rows one by one; closed-form columns may be empty.
+def write_trajectory_csv(path, states: Sequence[FlowState], spec: FlowSpec) -> float:
+    """Write `t,x1..xn,cx1..cxn,err` rows one by one; return the largest err.
 
-    Returns the largest err, or None when spec has no closed form.
+    A closed form with no finite value at some state (the pole of a
+    boundary-plane rotation or boost, or an overflow) raises NonFinite after
+    the rows before it are written.
     """
-    n = states[0].n if states else 0
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(1, n + 1)]
-        + [f"cx{i}" for i in range(1, n + 1)]
-        + ["err"]
-    )
+    n = spec.n
+    header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"cx{i}" for i in range(1, n + 1)] + ["err"]
+    worst = 0.0
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        if spec is None or not spec.has_closed_form():
-            for state in states:
-                handle.write(",".join(map(repr, (state.t, *state.coords))) + "," * (n + 1) + "\n")
-            return None
-        worst = 0.0
         for state, reference, gap in _closed_form_gaps(spec, states):
             handle.write(",".join(map(repr, (state.t, *state.coords, *reference.coords, gap))) + "\n")
             worst = max(worst, gap)
-        return worst
+    return worst

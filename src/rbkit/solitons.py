@@ -410,29 +410,6 @@ def pfaffian(M) -> Fraction:
     return rec(mat)
 
 
-def det_cofactor(M) -> Fraction:
-    """Exact determinant by Laplace expansion along the first row."""
-    mat = _as_matrix(M)
-
-    def rec(rows: list) -> Fraction:
-        k = len(rows)
-        if k == 0:
-            return Fraction(1)
-        if k == 1:
-            return rows[0][0]
-        total = Fraction(0)
-        for j in range(k):
-            coeff = rows[0][j]
-            if coeff == 0:
-                continue
-            minor = [[rows[r][c] for c in range(k) if c != j] for r in range(1, k)]
-            term = coeff * rec(minor)
-            total += -term if j % 2 else term
-        return total
-
-    return rec(mat)
-
-
 def det_bareiss(M) -> Fraction:
     """Exact determinant by fraction-free elimination (Bareiss 1968).
 

@@ -1,4 +1,6 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared random generators for the test suite (seeded, deterministic), and
+the Laplace-expansion determinant used as an oracle for the library's
+Bareiss determinant and Pfaffian."""
 
 from __future__ import annotations
 
@@ -50,3 +52,21 @@ def rand_antisymmetric(rng, size):
             rows[i][j] = value
             rows[j][i] = -value
     return [tuple(r) for r in rows]
+
+
+def det_cofactor(M) -> Fraction:
+    """Exact determinant by Laplace expansion along the first row (O(k!))."""
+
+    def rec(rows: list) -> Fraction:
+        k = len(rows)
+        if k == 0:
+            return Fraction(1)
+        total = Fraction(0)
+        for j in range(k):
+            if rows[0][j]:
+                minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
+                term = rows[0][j] * rec(minor)
+                total += -term if j % 2 else term
+        return total
+
+    return rec([list(map(Fraction, row)) for row in M])

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import rand_antisymmetric, rand_field
+from helpers import det_cofactor, rand_antisymmetric, rand_field
 from rbkit import (
     FlowSpec,
     FlowState,
@@ -20,7 +20,6 @@ from rbkit import (
     build_field,
     closed_flow,
     contact_report,
-    det_cofactor,
     ext_d,
     flat,
     flow_compare,

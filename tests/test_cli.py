@@ -122,6 +122,15 @@ def test_verify_json_syntax_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_param_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 3}'.encode("utf-16-le"))
+    for command in ("verify", "contact"):
+        code, out, err = run(capsys, [command, "--params", str(path)])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("parse error:") and "UTF-8" in err
+
+
 def test_contact_command(tmp_path, capsys):
     path = write_params(tmp_path)
     code, out, err = run(capsys, ["contact", "--params", path])
@@ -136,6 +145,7 @@ def test_contact_rejects_even_dimension(tmp_path, capsys):
     path = write_params(tmp_path, **{"n": 2, "a": ["1"], "c": ["1"]})
     code, out, err = run(capsys, ["contact", "--params", path])
     assert code == EXIT_USAGE
+    assert out == "" and "odd ambient dimension" in err
 
 
 def test_flow_command_writes_csv(tmp_path, capsys):
@@ -263,6 +273,46 @@ def test_flow_usage_errors(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == EXIT_USAGE and out == "", argv
         assert "limit of 1000000 steps" in err
+
+
+def test_flow_unwritable_out(tmp_path, capsys):
+    # a missing directory, and a directory in place of the file
+    for out_path in (tmp_path / "missing" / "t.csv", tmp_path):
+        for point in ("0,1", "1e9,1"):  # a full trajectory, and an escape after one state
+            argv = ["flow", "--gen", "T1", "--n", "2", "--point", point, "--out", str(out_path)]
+            code, out, err = run(capsys, argv)
+            assert code == EXIT_USAGE and out == "", argv
+            assert err.startswith("usage error: --out:"), err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_flow_negative_option_values(tmp_path, capsys):
+    out_path = tmp_path / "t.csv"
+    for argv in (["--point", "-1,1"], ["--point=-1,1"]):
+        code, out, err = run(capsys, ["flow", "--gen", "T1", "--n", "2", *argv, "--out", str(out_path)])
+        assert code == EXIT_PASS, err
+        assert out_path.read_text().splitlines()[1].startswith("0.0,-1.0,1.0,")
+    out_path.unlink()
+    for argv, message in (
+        (["--dt", "-1e-3"], "dt must be positive"),
+        (["--dt=-1e-3"], "dt must be positive"),
+        (["--t-max", "-1"], "t_max must be nonnegative"),
+    ):
+        code, out, err = run(capsys, ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", *argv, "--out", str(out_path)])
+        assert code == EXIT_USAGE and out == "", argv
+        assert message in err, err
+    assert not out_path.exists()
+
+
+def test_flow_closed_form_pole_is_an_escape(tmp_path, capsys):
+    # the boundary-plane rotation x' = x^2 from x = 2 has its pole at t = 1/2,
+    # which the step dt = 1/2 hits exactly
+    out_path = tmp_path / "t.csv"
+    argv = ["flow", "--gen", "G", "--n", "2", "--point", "2,0", "--t-max", "1", "--dt", "0.5", "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_ESCAPE
+    assert out.splitlines()[1] == "escape: the closed form has no finite value at t=0.5"
+    assert len(out_path.read_text().splitlines()) == 2  # header and the start row
 
 
 def test_algebra_plane(capsys):

@@ -11,6 +11,7 @@ from rbkit import (
     BoundaryPoint,
     FlowSpec,
     FlowState,
+    IndexOutOfRange,
     LaurentPoly,
     NonFinite,
     VectorField,
@@ -37,8 +38,18 @@ def test_flow_spec_validation():
         integrate(generator("D", 2), FlowState((0.0, 1.0)), 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(generator("D", 2), FlowState((0.0, 1.0)), -1.0, 1e-3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate(generator("D", 2), FlowState((0.0, 1.0)), 1.0, math.inf)
+    with pytest.raises(ValueError, match="differs from state arity"):
+        integrate(generator("D", 3), FlowState((0.0, 1.0)), 1.0, 1e-3)
+    # the name is checked when the spec is made, not when it is flowed
     with pytest.raises(ValueError):
-        FlowSpec(kind="general", n=2)
+        FlowSpec(kind="Q7", n=2)
+    for kind in ("T3", "G3", "T9"):
+        with pytest.raises(IndexOutOfRange):
+            FlowSpec(kind=kind, n=3)
+    with pytest.raises(ValueError):
+        FlowSpec(kind="G", n=3)
 
 
 def test_integrate_step_cap(monkeypatch):
@@ -171,10 +182,10 @@ def test_closed_flow_time_derivative_matches_field():
 
 
 def test_closed_flow_fixed_at_origin():
-    # the origin is a zero of every boost G_k and of the plane rotation G
-    for kind, n in (("G1", 2), ("G", 2), ("G1", 3)):
+    # the origin is a zero of D, of every boost G_k and of the plane rotation G
+    for kind, n in (("D", 2), ("G1", 2), ("G", 2), ("G1", 3)):
         spec, p0 = FlowSpec(kind=kind, n=n), FlowState((0.0,) * n, 0.5)
-        for t in (-1.0, 0.0, 2.0):
+        for t in (-1.0, 0.0, 2.0, 1e300):
             assert closed_flow(spec, p0, t) == FlowState((0.0,) * n, 0.5 + t)
 
 
@@ -201,7 +212,7 @@ def test_boundary_escape_detected():
         integrate(field, p0, 20.0, 1e-2)
     partial = exc.value.trajectory
     assert partial and partial[-1].coords[-1] > 1e-9
-    assert exc.value.last_state is partial[-1]
+    assert partial[-1].t < 20.0
 
 
 def test_coordinate_blowup_detected():
@@ -238,10 +249,12 @@ def test_trajectory_csv_returns_worst_gap(tmp_path):
         assert worst == flow_compare(spec, p0, 1.0, 1 / 64)
 
 
-def test_trajectory_csv_without_closed_form(tmp_path):
-    field = VectorField.zero(2)
-    states = integrate(field, FlowState((1.0, 1.0)), 0.01, 1e-2)
+def test_closed_form_pole_raises_non_finite(tmp_path):
+    spec, p0 = FlowSpec(kind="G", n=2), FlowState((2.0, 0.0))
+    states = integrate(spec.field(), p0, 0.5, 0.5)  # x' = x^2 has its pole at t = 1/2
     out = tmp_path / "traj.csv"
-    assert write_trajectory_csv(out, states) is None
-    lines = out.read_text().strip().split("\n")
-    assert lines[1].endswith(",,,")  # empty closed-form and err columns
+    with pytest.raises(NonFinite, match="t=0.5"):
+        write_trajectory_csv(out, states, spec)
+    assert len(out.read_text().splitlines()) == 2
+    with pytest.raises(NonFinite):
+        flow_compare(spec, p0, 0.5, 0.5)

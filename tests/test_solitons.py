@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_antisymmetric, rand_field, rand_fraction
+from helpers import det_cofactor, rand_antisymmetric, rand_field, rand_fraction
 from rbkit import (
     BoundaryPoint,
     DegeneratePoint,
@@ -23,7 +23,6 @@ from rbkit import (
     contact_top_form,
     decompose,
     det_bareiss,
-    det_cofactor,
     det_via_pf,
     ext_d,
     flat,
