@@ -3,9 +3,10 @@
 Byte-identical outputs are the contract of the command line, so a change
 that is meant to keep them must keep these digests.  Each case runs
 ``rbkit.cli.main`` in process on a fixed parameter file; the flows use the
-translation ``T1``, the plane rotation ``G`` and the boost ``G1``, whose RK4
-steps and closed forms need only float arithmetic and no transcendental
-functions.  Escapes and usage errors are pinned too: exit 64 leaves stdout
+translation ``T1``, the plane rotation ``G`` and the boosts ``G1`` (n=3) and
+``G2`` (n=5), whose RK4 steps and closed forms need only float arithmetic
+and no transcendental functions.  The boost components have several terms
+each, so their CSVs also pin the order in which an RK4 stage sums them.  Escapes and usage errors are pinned too: exit 64 leaves stdout
 empty and writes no CSV.
 
 To re-record after an intended output change, run this file as a script
@@ -50,6 +51,10 @@ CASES = {
                 "--t-max", "2", "--dt", "0.01", "--out", "{csv}"],
     "flow_G": ["flow", "--gen", "G", "--n", "2", "--point", "0.3,1.2",
                "--t-max", "1", "--dt", "0.01", "--out", "{csv}"],
+    "flow_G1": ["flow", "--gen", "G1", "--n", "3", "--point", "0.4,-0.3,1.1",
+                "--t-max", "3", "--dt", "0.01", "--out", "{csv}"],
+    "flow_G2": ["flow", "--gen", "G2", "--n", "5", "--point", "0.2,-0.5,0.7,-0.1,0.9",
+                "--t-max", "3", "--dt", "0.01", "--out", "{csv}"],
     # exit 2: a partial CSV when the trajectory leaves the safe region,
     # none when the first RK4 step overflows
     "escape_boundary": ["flow", "--gen", "G", "--n", "2", "--point", "2,0.00001",
@@ -79,6 +84,8 @@ GOLDEN = {
     "escape_boundary": (2, "4e1f739e1c2ab044d40e1819ed99ebc3d9327d7073d306eb928245f64dab0747", "4b7403939e96b1672494cdb043b0b270c89fced5f0885211c6aecc4e39c83e7f"),
     "escape_overflow": (2, "aff0fd95d1e6ef5ac6a24bcbae6859db5f741a8819045867513da3a168cce39b", None),
     "flow_G": (0, "622dad5ac15a8a0495d81b4486ee3106179d3c61fdfc6830563e3eb3b9bafebb", "ca1fb9904f4b061650032a14f86331d54aa296f2d15d3c9154982fee7017718c"),
+    "flow_G1": (0, "82a5b4df596a27ccd63607858b3427d0240301e5d4f7c7c5960a0ba896108fc9", "85abb8c246b1eb21079dc5ab656baa95fd3643a0d835aa8d6f835385f3827341"),
+    "flow_G2": (0, "07ad162d9fa8b6fa2aa1b9c788bdf7f106afe9366e3e1f7f605e0182c62e0201", "26b94527e6d02f811a3c279ffe5ba8a1b46714bf54e41455ab9179e362e4853d"),
     "flow_T1": (0, "08dbee142f9469cfd2dd24381727f94a1c8c845c4c43f2b5580334f6298661a0", "a9566ded2e028e678b1d5045bc8abee6f4f5f084066edd21cd256cd76260b260"),
     "usage_arity": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "usage_bad_gen": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
