@@ -19,6 +19,9 @@ origin, a zero of D, of every boost and of the plane rotation, stays
 fixed, at any horizon.  A state at which the closed form has no finite value
 (its pole) ends the CSV and exits 2, like an escape.
 
+``verify --trials`` is at most ``MAX_TRIALS``, checked before any
+parameter set is built; a larger count exits 64.
+
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
 never pass through floats.  Checks run serially in one thread: the
 environment variable RBKIT_THREADS, which once capped a thread pool, is
@@ -59,6 +62,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ESCAPE = 2
 EXIT_USAGE = 64
+MAX_TRIALS = 10**4  # verify builds every parameter set and field up front
 
 
 class _UsageError(Exception):
@@ -143,7 +147,7 @@ def _check_preserved(params: SolitonParams, field):
 
 
 def _check_contact(params: SolitonParams, field):
-    report = contact_report(params)
+    report = contact_report(params, field)
     witness = (
         f"Pf = {report.pf}; det = {report.det}; "
         f"top*xn^{report.n} = {report.cleared.text()}; "
@@ -397,6 +401,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if args.trials < 0:
                 raise _UsageError("--trials must be nonnegative")
+            if args.trials > MAX_TRIALS:
+                raise _UsageError(f"--trials {args.trials} exceeds the limit of {MAX_TRIALS}")
             params = load_params(args.params)
             return _emit(cmd_verify(params, args.trials, args.seed, args.timings))
         if args.command == "contact":

@@ -19,6 +19,17 @@ Each input is checked once, by its owner: ``FlowSpec`` the generator name,
 ``FlowState`` the start point, ``integrate`` the step, horizon, step count
 and arity.  A closed form with no finite value (the pole of a start on the
 boundary plane) raises NonFinite.
+
+Compiled step.  ``integrate`` compiles its field once per call into one
+straight-line Python function for a whole RK4 step (``_compile_step``,
+built as source text and run with ``exec``); the states it computes are
+already checked, so it stores them without validating them again.  The
+float operations of that step and their order are part of the byte
+contract of the trajectory CSV: a component is 0.0 plus its terms in
+``terms`` order, a term is its coefficient times ``x**e`` left to right,
+stage inputs are y + 0.5 * h * k (y + h * k for the last stage), and the
+update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The closed form's
+constants are likewise computed once per trajectory.
 """
 
 from __future__ import annotations
@@ -52,13 +63,27 @@ class FlowState:
     t: float = 0.0
 
     def __post_init__(self):
-        coords = tuple(float(x) for x in self.coords)
+        coords = tuple(map(float, self.coords))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "t", float(self.t))
-        if not all(math.isfinite(x) for x in coords) or not math.isfinite(self.t):
+        if not all(map(math.isfinite, coords)) or not math.isfinite(self.t):
             raise NonFinite(f"non-finite state {coords} at t={self.t}")
         if not coords or coords[-1] < 0:
             raise BoundaryPoint(f"last coordinate must be nonnegative, got {coords}")
+
+    @classmethod
+    def _trusted(cls, coords: tuple, t: float) -> "FlowState":
+        """A state from values the caller has already checked, stored as is.
+
+        Invariant: coords is a nonempty tuple of finite floats whose last
+        entry is nonnegative, and t is a finite float, so that the state
+        equals ``FlowState(coords, t)``.  ``integrate`` checks exactly this
+        on every state before it stores it.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "coords", coords)
+        object.__setattr__(state, "t", t)
+        return state
 
     @property
     def n(self) -> int:
@@ -89,23 +114,71 @@ class FlowSpec:
         return "affine flow (exact)"
 
 
+def _component_exprs(field: VectorField, names: Sequence[str], constants: dict) -> list:
+    """Each component of field as a Python expression over the variable names.
+
+    A component is ``0.0`` plus its terms in ``terms`` order (the ``0.0``
+    keeps the sign of a zero sum), and a term is its coefficient times
+    ``x**e`` for each nonzero exponent, left to right: the float operations
+    and their order are part of the byte contract of the trajectory CSV.
+    ``**`` stays, so that a float overflow raises OverflowError.  Each
+    coefficient is bound in constants under a generated name, so the text
+    holds only generated names and integer exponents.
+    """
+    exprs = []
+    for i in range(field.n):
+        expr = "0.0"
+        for j, (exps, coeff) in enumerate(field.component(i + 1).terms.items()):
+            name = f"K{i}_{j}"
+            constants[name] = float(coeff)
+            expr += f" + {name}"
+            for x, e in zip(names, exps):
+                if e:
+                    if e != int(e):
+                        raise ValueError(f"non-integer exponent {e!r} in component {i + 1}")
+                    expr += f" * {x}**{int(e)}"
+        exprs.append(expr)
+    return exprs
+
+
+def _build(source: str, constants: dict, name: str):
+    namespace = {"__builtins__": {}, **constants}
+    exec(source, namespace)
+    return namespace[name]
+
+
 def _compile(field: VectorField):
-    comps = []
-    for i in range(1, field.n + 1):
-        comps.append([(float(c), exps) for exps, c in field.component(i).terms.items()])
-    def rhs(y: Sequence[float]) -> list:
-        out = []
-        for terms in comps:
-            total = 0.0
-            for coeff, exps in terms:
-                value = coeff
-                for x, e in zip(y, exps):
-                    if e:
-                        value *= x**e
-                total += value
-            out.append(total)
-        return out
-    return rhs
+    """The right-hand side y -> [X_1(y), ..., X_n(y)] as a compiled function."""
+    names = [f"y{j}" for j in range(field.n)]
+    constants: dict = {}
+    exprs = _component_exprs(field, names, constants)
+    source = f"def rhs(y):\n    {', '.join(names)}, = y\n    return [{', '.join(exprs)}]\n"
+    return _build(source, constants, "rhs")
+
+
+def _compile_step(field: VectorField):
+    """One classical RK4 step ``step(y, h) -> tuple`` as straight-line code.
+
+    Stage inputs are y_j + 0.5 * h * k_j (y_j + h * k_j for the last stage)
+    and the update is y_j + (h / 6.0) * (a_j + 2.0 * b_j + 2.0 * c_j + d_j),
+    the same float operations in the same order as one loop over stages;
+    0.5 * h and h / 6.0 are computed once per step.
+    """
+    n = field.n
+    ys = [f"y{j}" for j in range(n)]
+    us = [f"u{j}" for j in range(n)]
+    constants: dict = {}
+    lines = ["def step(y, h):", f"    {', '.join(ys)}, = y", "    half = 0.5 * h", "    sixth = h / 6.0"]
+    inputs = ys
+    for stage, scale in (("a", "half"), ("b", "half"), ("c", "h"), ("d", None)):
+        for j, expr in enumerate(_component_exprs(field, inputs, constants)):
+            lines.append(f"    {stage}{j} = {expr}")
+        if scale is not None:
+            lines += [f"    u{j} = y{j} + {scale} * {stage}{j}" for j in range(n)]
+            inputs = us
+    update = (f"y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(n))
+    lines.append(f"    return ({', '.join(update)},)")
+    return _build("\n".join(lines) + "\n", constants, "step")
 
 
 def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
@@ -127,9 +200,9 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         raise ValueError(f"t_max / dt = {ratio!r} exceeds the limit of {MAX_STEPS} steps")
     if field.n != p0.n:
         raise ValueError(f"field dimension {field.n} differs from state arity {p0.n}")
-    rhs = _compile(field)
+    step = _compile_step(field)
     states = [p0]
-    y = list(p0.coords)
+    y = p0.coords
     # a start on the boundary plane stays there exactly; only interior
     # trajectories can "escape" through the xn threshold
     watch_boundary = p0.coords[-1] > BOUNDARY_EPS
@@ -138,76 +211,105 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         nsteps = int(ratio)
     leftover = t_max - nsteps * dt
     t = p0.t
-    for step in range(nsteps + 1 if leftover > 1e-15 else nsteps):
-        h = dt if step < nsteps else leftover
+    isfinite = math.isfinite
+    for i in range(nsteps + 1 if leftover > 1e-15 else nsteps):
+        h = dt if i < nsteps else leftover
         try:
-            k1 = rhs(y)
-            k2 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k1)])
-            k3 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
-            k4 = rhs([yi + h * ki for yi, ki in zip(y, k3)])
+            y = step(y, h)
         except OverflowError as exc:
             # float ** raises where * would give inf
             raise NonFinite(f"float overflow in the RK4 step from t={t}") from exc
-        y = [
-            yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
         t += h
-        if not all(math.isfinite(v) for v in y):
+        if not all(map(isfinite, y)):
             raise NonFinite(f"non-finite coordinates at t={t}")
         escaped = y[-1] <= BOUNDARY_EPS if watch_boundary else y[-1] < 0.0
-        if escaped or max(abs(v) for v in y) > COORD_LIMIT:
+        if escaped or max(map(abs, y)) > COORD_LIMIT:
             raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
-        states.append(FlowState(tuple(y), t))
+        if not isfinite(t):
+            # only from a start time near the float limit
+            raise NonFinite(f"non-finite state {y} at t={t}")
+        states.append(FlowState._trusted(y, t))
     return states
 
 
-def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
-    """Evaluate the closed-form flow of spec.kind at time t."""
-    coords = list(p0.coords)
+def _closed_map(spec: FlowSpec, p0: FlowState):
+    """The closed-form flow from p0 as a map t -> coordinates.
+
+    The constants of the trajectory (r0, -2/(x_k + i r0), -1/z0) are
+    computed here once; the map repeats only the time-dependent operations
+    of the formula.  Its coordinates are not validated: a pole raises
+    ZeroDivisionError, and an overflow may give inf or nan.
+    """
+    coords = p0.coords
     n = len(coords)
     if n != spec.n:
         raise ValueError(f"state arity {n} differs from spec dimension {spec.n}")
     if spec.kind == "D":
         # the origin is a zero of the field; e^t would overflow for t > 709
-        scale = math.exp(t) if any(coords) else 1.0
-        return FlowState(tuple(scale * x for x in coords), p0.t + t)
+        if not any(coords):
+            return lambda t: coords
+
+        def dilation(t):
+            scale = math.exp(t)
+            return tuple(scale * x for x in coords)
+
+        return dilation
     if spec.kind.startswith("T"):
-        k = int(spec.kind[1:])
-        coords[k - 1] += t
-        return FlowState(tuple(coords), p0.t + t)
+        k = int(spec.kind[1:]) - 1
+        return lambda t: coords[:k] + (coords[k] + t,) + coords[k + 1:]
     if spec.kind == "G":
         z0 = complex(coords[0], coords[1])
         if z0 == 0:
             # the origin is a zero of the field: the flow stays there
-            return FlowState(p0.coords, p0.t + t)
-        z = -1.0 / (t + (-1.0 / z0))
-        return FlowState((z.real, z.imag), p0.t + t)
+            return lambda t: coords
+        w0 = -1.0 / z0
+
+        def rotation(t):
+            z = -1.0 / (t + w0)
+            return (z.real, z.imag)
+
+        return rotation
     # boost Gk, the only kind left once FlowSpec has checked the name
-    k = int(spec.kind[1:])
-    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
+    k = int(spec.kind[1:]) - 1
+    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k))
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open
         # half-space, where r0 >= xn > 0
-        if coords[k - 1] == 0.0:
+        if coords[k] == 0.0:
             # the origin is a zero of the field: the flow stays there
-            return FlowState(p0.coords, p0.t + t)
-        xk = -2.0 / (t - 2.0 / coords[k - 1])
-        out = [0.0] * n
-        out[k - 1] = xk
-        return FlowState(tuple(out), p0.t + t)
-    z = -2.0 / (t + (-2.0 / complex(coords[k - 1], r0)))
-    scale = z.imag / r0
-    out = [x * scale for x in coords]
-    out[k - 1] = z.real
-    return FlowState(tuple(out), p0.t + t)
+            return lambda t: coords
+        pole = 2.0 / coords[k]
+        return lambda t: (0.0,) * k + (-2.0 / (t - pole),) + (0.0,) * (n - k - 1)
+    w0 = -2.0 / complex(coords[k], r0)
+
+    def boost(t):
+        z = -2.0 / (t + w0)
+        scale = z.imag / r0
+        out = [x * scale for x in coords]
+        out[k] = z.real
+        return tuple(out)
+
+    return boost
+
+
+def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
+    """Evaluate the closed-form flow of spec.kind at time t."""
+    return FlowState(_closed_map(spec, p0)(t), p0.t + t)
 
 
 def _closed_form_gaps(spec: FlowSpec, states: Sequence[FlowState]):
     """Yield (state, closed-form reference, Euclidean gap) along a trajectory from states[0]."""
+    if not states:
+        return
+    start = states[0]
+    try:
+        closed = _closed_map(spec, start)
+    except ArithmeticError as exc:
+        raise NonFinite(f"the closed form has no finite value at t={start.t}") from exc
     for state in states:
+        dt = state.t - start.t
         try:
-            reference = closed_flow(spec, states[0], state.t - states[0].t)
+            reference = FlowState(closed(dt), start.t + dt)
             gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
         except ArithmeticError as exc:
             # a division by zero at the pole, or a float overflow

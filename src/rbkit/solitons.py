@@ -457,13 +457,16 @@ def _det_from_pf(M, pf: Fraction) -> Fraction:
     return square
 
 
-def contact_top_form(params: SolitonParams) -> LaurentPoly:
-    """Coefficient of dx1^...^dxn in w ^ (dw)^m, ambient dimension n = 2m+1."""
+def contact_top_form(params: SolitonParams, field: VectorField | None = None) -> LaurentPoly:
+    """Coefficient of dx1^...^dxn in w ^ (dw)^m, ambient dimension n = 2m+1.
+
+    ``field`` is ``build_field(params)`` when the caller already has it.
+    """
     n = params.n
     if n % 2 == 0:
         raise OddSize(f"top form needs odd ambient dimension, got n={n}")
     m = (n - 1) // 2
-    omega = flat(build_field(params))
+    omega = flat(build_field(params) if field is None else field)
     domega = ext_d(omega)
     top = wedge(omega, power_wedge(domega, m))
     return top.coeff(tuple(range(1, n + 1)))
@@ -484,14 +487,17 @@ class ContactReport:
     convention: str = MATRIX_CONVENTION
 
 
-def contact_report(params: SolitonParams) -> ContactReport:
-    """Compute the top form and compare it against the Pfaffian route."""
+def contact_report(params: SolitonParams, field: VectorField | None = None) -> ContactReport:
+    """Compute the top form and compare it against the Pfaffian route.
+
+    ``field`` is ``build_field(params)`` when the caller already has it.
+    """
     n = params.n
     m = (n - 1) // 2
     M = contact_matrix(params)
     pf = pfaffian(M)
     det = _det_from_pf(M, pf)
-    top = contact_top_form(params)
+    top = contact_top_form(params, field)
     cleared = top * LaurentPoly.monomial(n, (0,) * (n - 1) + (n,))
     const_key = (0,) * n
     is_constant = set(cleared.terms) <= {const_key}

@@ -1,6 +1,7 @@
-"""Shared random generators for the test suite (seeded, deterministic), and
-the Laplace-expansion determinant used as an oracle for the library's
-Bareiss determinant and Pfaffian."""
+"""Shared random generators for the test suite (seeded, deterministic), the
+Laplace-expansion determinant used as an oracle for the library's Bareiss
+determinant and Pfaffian, and the term-by-term interpreter of a field and
+its RK4 step used as the oracle for the compiled flow step."""
 
 from __future__ import annotations
 
@@ -70,3 +71,40 @@ def det_cofactor(M) -> Fraction:
         return total
 
     return rec([list(map(Fraction, row)) for row in M])
+
+
+def rhs_oracle(field: VectorField):
+    """y -> [X_1(y), ..., X_n(y)], interpreting the terms one by one.
+
+    Each component is 0.0 plus its terms in ``terms`` order, and each term
+    is its float coefficient times x**e for every nonzero exponent, left to
+    right; the compiled right-hand side and RK4 step of ``rbkit.flows``
+    must give the same floats, bit for bit.
+    """
+    comps = []
+    for i in range(1, field.n + 1):
+        comps.append([(float(c), exps) for exps, c in field.component(i).terms.items()])
+
+    def rhs(y) -> list:
+        out = []
+        for terms in comps:
+            total = 0.0
+            for coeff, exps in terms:
+                value = coeff
+                for x, e in zip(y, exps):
+                    if e:
+                        value *= x**e
+                total += value
+            out.append(total)
+        return out
+
+    return rhs
+
+
+def rk4_step_oracle(rhs, y, h) -> list:
+    """One classical RK4 step of y' = rhs(y), stage by stage."""
+    k1 = rhs(y)
+    k2 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k1)])
+    k3 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
+    k4 = rhs([yi + h * ki for yi, ki in zip(y, k3)])
+    return [yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from rbkit.cli import EXIT_ESCAPE, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _emit, main
+from rbkit import cli, solitons
+from rbkit.cli import EXIT_ESCAPE, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, MAX_TRIALS, _emit, main
 
 
 def write_params(tmp_path, name="params.json", **overrides):
@@ -87,6 +88,41 @@ def test_verify_timings_flag(tmp_path, capsys):
     path = write_params(tmp_path)
     _, out, _ = run(capsys, ["verify", "--params", path, "--trials", "0", "--timings"])
     assert all(isinstance(r["timing"], float) for r in records_of(out))
+
+
+def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
+    # at odd n the contact check reuses the field cmd_verify built
+    calls, build = [], solitons.build_field
+
+    def counted(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setattr(cli, "build_field", counted)
+    monkeypatch.setattr(solitons, "build_field", counted)
+    for n, trials in ((3, 4), (5, 2), (4, 3)):
+        params = {"n": n, "a": ["1"] * (n - 1), "c": ["0"] * (n - 2) + ["1"]}
+        path = write_params(tmp_path, **params)
+        calls.clear()
+        code, _, _ = run(capsys, ["verify", "--params", path, "--trials", str(trials)])
+        assert code == EXIT_PASS
+        assert len(calls) == trials + 1
+
+
+def test_verify_trials_cap_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a parameter set was built")
+
+    monkeypatch.setattr(cli, "random_params", refuse)
+    monkeypatch.setattr(cli, "build_field", refuse)
+    path = write_params(tmp_path)
+    for trials in (MAX_TRIALS + 1, 10**12):
+        code, out, err = run(capsys, ["verify", "--params", path, "--trials", str(trials)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"exceeds the limit of {MAX_TRIALS}" in err
+    code, out, err = run(capsys, ["verify", "--params", path, "--trials", "-1"])
+    assert (code, out) == (EXIT_USAGE, "")
 
 
 @pytest.mark.parametrize(

@@ -258,3 +258,10 @@ def test_closed_form_pole_raises_non_finite(tmp_path):
     assert len(out.read_text().splitlines()) == 2
     with pytest.raises(NonFinite):
         flow_compare(spec, p0, 0.5, 0.5)
+
+
+def test_time_overflow_raises_non_finite():
+    # the origin is fixed by D, so only the time stamp can overflow
+    p0 = FlowState((0.0, 0.0), 1.7976931348623157e308)
+    with pytest.raises(NonFinite, match="at t=inf"):
+        integrate(generator("D", 2), p0, 3e295, 1e295)

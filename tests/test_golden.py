@@ -70,6 +70,7 @@ CASES = {
     "usage_step_cap": ["flow", "--gen", "T1", "--n", "2", "--point", "0,1",
                        "--t-max", "1e300", "--dt", "1e-300", "--out", "{csv}"],
     "usage_contact_even": ["contact", "--params", "{n4}"],
+    "usage_trials_cap": ["verify", "--params", "{n3}", "--trials", "10001"],
 }
 
 # name: (exit code, sha256 of stdout, sha256 of the CSV or None)
@@ -94,6 +95,7 @@ GOLDEN = {
     "usage_inf_dt": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "usage_nan_point": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "usage_step_cap": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage_trials_cap": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "verify_n3": (0, "e1d088de068941895c87d4f39646dc7779b0dc01ccf18c407b3055e2138d8a7f", None),
     "verify_n5": (0, "405075669fa1c1534ec8070aa65366219ce469e092cfb93aad49c4e863bb7203", None),
 }
