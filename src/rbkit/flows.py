@@ -28,8 +28,9 @@ float operations of that step and their order are part of the byte
 contract of the trajectory CSV: a component is 0.0 plus its terms in
 ``terms`` order, a term is its coefficient times ``x**e`` left to right,
 stage inputs are y + 0.5 * h * k (y + h * k for the last stage), and the
-update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The closed form's
-constants are likewise computed once per trajectory.
+update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  Each term is one
+statement, so a component with thousands of terms (the boost G1 in
+thousands of coordinates) still compiles.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ class FlowState:
     t: float = 0.0
 
     def __post_init__(self):
-        coords = tuple(map(float, self.coords))
+        coords = tuple(float(x) for x in self.coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "t", float(self.t))
-        if not all(map(math.isfinite, coords)) or not math.isfinite(self.t):
+        if not all(math.isfinite(x) for x in coords) or not math.isfinite(self.t):
             raise NonFinite(f"non-finite state {coords} at t={self.t}")
         if not coords or coords[-1] < 0:
             raise BoundaryPoint(f"last coordinate must be nonnegative, got {coords}")
@@ -114,46 +115,45 @@ class FlowSpec:
         return "affine flow (exact)"
 
 
-def _component_exprs(field: VectorField, names: Sequence[str], constants: dict) -> list:
-    """Each component of field as a Python expression over the variable names.
+def _terms(field: VectorField, constants: dict) -> list:
+    """Each component of field as a list of (coefficient name, [(j, e), ...]).
 
-    A component is ``0.0`` plus its terms in ``terms`` order (the ``0.0``
-    keeps the sign of a zero sum), and a term is its coefficient times
-    ``x**e`` for each nonzero exponent, left to right: the float operations
-    and their order are part of the byte contract of the trajectory CSV.
-    ``**`` stays, so that a float overflow raises OverflowError.  Each
-    coefficient is bound in constants under a generated name, so the text
-    holds only generated names and integer exponents.
+    The terms keep their ``terms`` order, and a term lists the coordinate
+    index j and exponent e of each nonzero exponent, left to right.  Each
+    coefficient is bound in constants as a float under its generated name,
+    so the source text built from this holds only generated names and
+    integer exponents.
     """
-    exprs = []
+    components = []
     for i in range(field.n):
-        expr = "0.0"
-        for j, (exps, coeff) in enumerate(field.component(i + 1).terms.items()):
-            name = f"K{i}_{j}"
+        terms = []
+        for t, (exps, coeff) in enumerate(field.component(i + 1).terms.items()):
+            name = f"K{i}_{t}"
             constants[name] = float(coeff)
-            expr += f" + {name}"
-            for x, e in zip(names, exps):
-                if e:
-                    if e != int(e):
-                        raise ValueError(f"non-integer exponent {e!r} in component {i + 1}")
-                    expr += f" * {x}**{int(e)}"
-        exprs.append(expr)
-    return exprs
+            factors = [(j, e) for j, e in enumerate(exps) if e]
+            if any(e != int(e) for _, e in factors):
+                raise ValueError(f"non-integer exponent in {exps} of component {i + 1}")
+            terms.append((name, [(j, int(e)) for j, e in factors]))
+        components.append(terms)
+    return components
 
 
-def _build(source: str, constants: dict, name: str):
-    namespace = {"__builtins__": {}, **constants}
-    exec(source, namespace)
-    return namespace[name]
+def _sum_lines(dest: str, terms: list, var: str) -> list:
+    """Statements that set dest to one component at the coordinates var0, var1, ...
 
-
-def _compile(field: VectorField):
-    """The right-hand side y -> [X_1(y), ..., X_n(y)] as a compiled function."""
-    names = [f"y{j}" for j in range(field.n)]
-    constants: dict = {}
-    exprs = _component_exprs(field, names, constants)
-    source = f"def rhs(y):\n    {', '.join(names)}, = y\n    return [{', '.join(exprs)}]\n"
-    return _build(source, constants, "rhs")
+    The component is 0.0 plus its terms in order (the 0.0 keeps the sign of
+    a zero sum), one statement per term, and a term is its coefficient times
+    var_j**e left to right: the float operations and their order are part
+    of the byte contract of the trajectory CSV.  ``**`` stays, so that a
+    float overflow raises OverflowError.  One statement per term keeps the
+    nesting of the source at the factor count of one term, whatever the
+    number of terms.
+    """
+    lines, total = [], "0.0"
+    for name, factors in terms:
+        lines.append(f"{dest} = {total} + {name}" + "".join(f" * {var}{j}**{e}" for j, e in factors))
+        total = dest
+    return lines or [f"{dest} = 0.0"]
 
 
 def _compile_step(field: VectorField):
@@ -165,20 +165,22 @@ def _compile_step(field: VectorField):
     0.5 * h and h / 6.0 are computed once per step.
     """
     n = field.n
-    ys = [f"y{j}" for j in range(n)]
-    us = [f"u{j}" for j in range(n)]
     constants: dict = {}
-    lines = ["def step(y, h):", f"    {', '.join(ys)}, = y", "    half = 0.5 * h", "    sixth = h / 6.0"]
-    inputs = ys
+    components = _terms(field, constants)
+    ys = ", ".join(f"y{j}" for j in range(n))
+    lines = ["def step(y, h):", f"{ys}, = y", "half = 0.5 * h", "sixth = h / 6.0"]
+    var = "y"
     for stage, scale in (("a", "half"), ("b", "half"), ("c", "h"), ("d", None)):
-        for j, expr in enumerate(_component_exprs(field, inputs, constants)):
-            lines.append(f"    {stage}{j} = {expr}")
+        for j, terms in enumerate(components):
+            lines += _sum_lines(f"{stage}{j}", terms, var)
         if scale is not None:
-            lines += [f"    u{j} = y{j} + {scale} * {stage}{j}" for j in range(n)]
-            inputs = us
-    update = (f"y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(n))
-    lines.append(f"    return ({', '.join(update)},)")
-    return _build("\n".join(lines) + "\n", constants, "step")
+            lines += [f"u{j} = y{j} + {scale} * {stage}{j}" for j in range(n)]
+            var = "u"
+    update = ", ".join(f"y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(n))
+    lines.append(f"return ({update},)")
+    namespace = {"__builtins__": {}, **constants}
+    exec("\n    ".join(lines) + "\n", namespace)
+    return namespace["step"]
 
 
 def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
@@ -232,84 +234,52 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     return states
 
 
-def _closed_map(spec: FlowSpec, p0: FlowState):
-    """The closed-form flow from p0 as a map t -> coordinates.
-
-    The constants of the trajectory (r0, -2/(x_k + i r0), -1/z0) are
-    computed here once; the map repeats only the time-dependent operations
-    of the formula.  Its coordinates are not validated: a pole raises
-    ZeroDivisionError, and an overflow may give inf or nan.
-    """
-    coords = p0.coords
+def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
+    """Evaluate the closed-form flow of spec.kind at time t."""
+    coords = list(p0.coords)
     n = len(coords)
     if n != spec.n:
         raise ValueError(f"state arity {n} differs from spec dimension {spec.n}")
     if spec.kind == "D":
         # the origin is a zero of the field; e^t would overflow for t > 709
-        if not any(coords):
-            return lambda t: coords
-
-        def dilation(t):
-            scale = math.exp(t)
-            return tuple(scale * x for x in coords)
-
-        return dilation
+        scale = math.exp(t) if any(coords) else 1.0
+        return FlowState(tuple(scale * x for x in coords), p0.t + t)
     if spec.kind.startswith("T"):
-        k = int(spec.kind[1:]) - 1
-        return lambda t: coords[:k] + (coords[k] + t,) + coords[k + 1:]
+        k = int(spec.kind[1:])
+        coords[k - 1] += t
+        return FlowState(tuple(coords), p0.t + t)
     if spec.kind == "G":
         z0 = complex(coords[0], coords[1])
         if z0 == 0:
             # the origin is a zero of the field: the flow stays there
-            return lambda t: coords
-        w0 = -1.0 / z0
-
-        def rotation(t):
-            z = -1.0 / (t + w0)
-            return (z.real, z.imag)
-
-        return rotation
+            return FlowState(p0.coords, p0.t + t)
+        z = -1.0 / (t + (-1.0 / z0))
+        return FlowState((z.real, z.imag), p0.t + t)
     # boost Gk, the only kind left once FlowSpec has checked the name
-    k = int(spec.kind[1:]) - 1
-    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k))
+    k = int(spec.kind[1:])
+    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open
         # half-space, where r0 >= xn > 0
-        if coords[k] == 0.0:
+        if coords[k - 1] == 0.0:
             # the origin is a zero of the field: the flow stays there
-            return lambda t: coords
-        pole = 2.0 / coords[k]
-        return lambda t: (0.0,) * k + (-2.0 / (t - pole),) + (0.0,) * (n - k - 1)
-    w0 = -2.0 / complex(coords[k], r0)
-
-    def boost(t):
-        z = -2.0 / (t + w0)
-        scale = z.imag / r0
-        out = [x * scale for x in coords]
-        out[k] = z.real
-        return tuple(out)
-
-    return boost
-
-
-def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
-    """Evaluate the closed-form flow of spec.kind at time t."""
-    return FlowState(_closed_map(spec, p0)(t), p0.t + t)
+            return FlowState(p0.coords, p0.t + t)
+        xk = -2.0 / (t - 2.0 / coords[k - 1])
+        out = [0.0] * n
+        out[k - 1] = xk
+        return FlowState(tuple(out), p0.t + t)
+    z = -2.0 / (t + (-2.0 / complex(coords[k - 1], r0)))
+    scale = z.imag / r0
+    out = [x * scale for x in coords]
+    out[k - 1] = z.real
+    return FlowState(tuple(out), p0.t + t)
 
 
 def _closed_form_gaps(spec: FlowSpec, states: Sequence[FlowState]):
     """Yield (state, closed-form reference, Euclidean gap) along a trajectory from states[0]."""
-    if not states:
-        return
-    start = states[0]
-    try:
-        closed = _closed_map(spec, start)
-    except ArithmeticError as exc:
-        raise NonFinite(f"the closed form has no finite value at t={start.t}") from exc
     for state in states:
-        dt = state.t - start.t
         try:
-            reference = FlowState(closed(dt), start.t + dt)
+            reference = closed_flow(spec, states[0], state.t - states[0].t)
             gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
         except ArithmeticError as exc:
             # a division by zero at the pole, or a float overflow

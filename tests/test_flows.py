@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import rhs_oracle
 from rbkit import flows
 from rbkit import (
     BoundaryEscape,
@@ -173,7 +174,7 @@ def test_closed_flow_time_derivative_matches_field():
     ]
     for spec, p0 in cases:
         # the right-hand side RK4 evaluates
-        rhs = flows._compile(spec.field())(p0.coords)
+        rhs = rhs_oracle(spec.field())(p0.coords)
         forward = closed_flow(spec, p0, h)
         backward = closed_flow(spec, p0, -h)
         for i in range(spec.n):
