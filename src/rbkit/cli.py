@@ -20,7 +20,9 @@ fixed, at any horizon.  A state at which the closed form has no finite value
 (its pole) ends the CSV and exits 2, like an escape.
 
 ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
-parameter set is built; a larger count exits 64.
+parameter set is built; a larger count exits 64.  ``algebra --n`` runs for
+2 <= n <= ``MAX_ALGEBRA_N`` (the closure has dimension n(n+1)/2, 45 at
+n = 9); any other n exits 64.
 
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
 never pass through floats.  Checks run serially in one thread: the
@@ -63,6 +65,7 @@ EXIT_FAIL = 1
 EXIT_ESCAPE = 2
 EXIT_USAGE = 64
 MAX_TRIALS = 10**4  # verify builds every parameter set and field up front
+MAX_ALGEBRA_N = 9  # the closure brackets every pair of its n(n+1)/2 basis fields
 
 
 class _UsageError(Exception):
@@ -272,8 +275,8 @@ def _seed_generators(n: int):
 
 
 def cmd_algebra(n: int, timings: bool):
-    if not 2 <= n <= 6:
-        raise _UsageError(f"algebra command supports 2 <= n <= 6, got {n}")
+    if not 2 <= n <= MAX_ALGEBRA_N:
+        raise _UsageError(f"algebra command supports 2 <= n <= {MAX_ALGEBRA_N}, got {n}")
     start = time.perf_counter()
     names, seeds = _seed_generators(n)
     span, report = algebra_closure(seeds)

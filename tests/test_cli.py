@@ -6,7 +6,16 @@ import math
 import pytest
 
 from rbkit import cli, solitons
-from rbkit.cli import EXIT_ESCAPE, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, MAX_TRIALS, _emit, main
+from rbkit.cli import (
+    EXIT_ESCAPE,
+    EXIT_FAIL,
+    EXIT_PASS,
+    EXIT_USAGE,
+    MAX_ALGEBRA_N,
+    MAX_TRIALS,
+    _emit,
+    main,
+)
 
 
 def write_params(tmp_path, name="params.json", **overrides):
@@ -400,9 +409,22 @@ def test_algebra_brackets_each_basis_pair_once(monkeypatch):
 
 
 def test_algebra_range_checked(capsys):
-    for n in ("1", "7"):
-        code, _, err = run(capsys, ["algebra", "--n", n])
+    assert MAX_ALGEBRA_N == 9
+    for n in ("1", "10"):
+        code, out, err = run(capsys, ["algebra", "--n", n])
         assert code == EXIT_USAGE
+        assert out == "" and f"got {n}" in err
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_algebra_closes_up_to_the_limit(n, capsys):
+    code, out, err = run(capsys, ["algebra", "--n", str(n)])
+    assert code == EXIT_PASS
+    by_name = {r["name"]: r for r in records_of(out)}
+    closure = by_name["closure"]["witness"]
+    assert f"dimension = {n * (n + 1) // 2}; seed_dimension = {2 * n - 1}" in closure
+    assert "cap_exceeded = false" in closure
+    assert by_name["structure_constants"]["status"] == "pass"
 
 
 def test_usage_error_on_unknown_command(capsys):

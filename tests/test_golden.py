@@ -42,6 +42,7 @@ CASES = {
     "algebra_n3": ["algebra", "--n", "3"],
     "algebra_n4": ["algebra", "--n", "4"],
     "algebra_n5": ["algebra", "--n", "5"],
+    "algebra_n7": ["algebra", "--n", "7"],
     "contact_n3": ["contact", "--params", "{n3}"],
     "contact_n5": ["contact", "--params", "{n5}"],
     "contact_n7": ["contact", "--params", "{n7}"],
@@ -79,6 +80,7 @@ GOLDEN = {
     "algebra_n3": (0, "98577703707f03ada46153930bed2b317d03af09755508b733b1cf971c51b67f", None),
     "algebra_n4": (0, "f538d147193080e9842a7605f2d25d7e4a16c8c759d25bc822c39890d44b8934", None),
     "algebra_n5": (0, "b3def20f07ebf64cb4147b218abd98993a7ab087eafe320528a611f361c686f6", None),
+    "algebra_n7": (0, "0d6ed89086ab4029c89e32ac9c7a8d64c4df9e2db4cecd26b7c3d15b667aba41", None),
     "contact_n3": (0, "cf52211240f55bfe1306b1bcb0d8a5ee3ef342cb8d56ca1e63fec82d60a619df", None),
     "contact_n5": (0, "9dfbe8cbfd9f2fbc6d483635f17186cdb92127c451998ec73062dd20fd3439e5", None),
     "contact_n7": (0, "0dccbdca01a5924b9568de8fd4b415231aae42e1904d6c2d902969344ad51c0f", None),
