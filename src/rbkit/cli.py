@@ -88,6 +88,10 @@ def load_params(path: str) -> SolitonParams:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal beyond the int conversion limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
     for key in ("n", "a", "b", "c", "rho"):

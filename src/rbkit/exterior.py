@@ -18,7 +18,7 @@ from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, GradeOverflow
-from .ratlaurent import LaurentPoly, SparseMap, _accumulate
+from .ratlaurent import LaurentPoly, SparseMap, _accumulate, _sum_grouped
 
 IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
 
@@ -153,15 +153,13 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
     """Exterior product; grades add, overlapping indices annihilate."""
     if alpha.n != beta.n:
         raise DimensionMismatch(f"forms in dimensions {alpha.n} and {beta.n}")
-    out: dict[IndexTuple, LaurentPoly] = {}
+    groups: dict[IndexTuple, list] = {}
     for ia, pa in alpha._terms.items():
         seen = set(ia)
         for ib, pb in beta._terms.items():
-            if seen.intersection(ib):
-                continue
-            term = pa * pb
-            _accumulate(out, tuple(sorted(ia + ib)), term if _merge_sign(ia, ib) > 0 else -term)
-    return alpha._like(out, alpha.grade + beta.grade)
+            if not seen.intersection(ib):
+                groups.setdefault(tuple(sorted(ia + ib)), []).append((_merge_sign(ia, ib), pa, pb))
+    return alpha._like(_sum_grouped(alpha.n, groups), alpha.grade + beta.grade)
 
 
 def ext_d(alpha: KForm) -> KForm:
@@ -192,30 +190,27 @@ def interior(field: VectorField, alpha: KForm) -> KForm:
         raise DimensionMismatch(f"field in dimension {field.n}, form in {alpha.n}")
     if alpha.grade < 1:
         raise ValueError("interior product needs grade >= 1")
-    out: dict[IndexTuple, LaurentPoly] = {}
+    groups: dict[IndexTuple, list] = {}
     for idx, poly in alpha._terms.items():
         for pos, i in enumerate(idx):
-            term = poly * field.component(i)
-            if not term:
-                continue
-            if pos % 2:
-                term = -term
-            _accumulate(out, idx[:pos] + idx[pos + 1 :], term)
-    return alpha._like(out, alpha.grade - 1)
+            groups.setdefault(idx[:pos] + idx[pos + 1 :], []).append(
+                (-1 if pos % 2 else 1, poly, field.components[i - 1])
+            )
+    return alpha._like(_sum_grouped(alpha.n, groups), alpha.grade - 1)
 
 
 def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
     # (L_X w)_i = sum_j X^j d_j w_i + w_j d_i X^j, valid on 1-forms only
     n = omega.n
-    out = {}
-    for i in range(1, n + 1):
-        total = LaurentPoly.zero(n)
-        for j in range(1, n + 1):
-            total = total + field.component(j) * omega.coeff((i,)).deriv(j)
-            total = total + omega.coeff((j,)) * field.component(j).deriv(i)
-        if total:
-            out[(i,)] = total
-    return omega._like(out)
+    coords = range(1, n + 1)
+    w = [omega.coeff((i,)) for i in coords]
+    groups = {}
+    for i in coords:
+        products = groups[(i,)] = []
+        for j in coords:
+            products.append((1, field.components[j - 1], w[i - 1].deriv(j)))
+            products.append((1, w[j - 1], field.components[j - 1].deriv(i)))
+    return omega._like(_sum_grouped(n, groups))
 
 
 def lie_derivative_form(field: VectorField, alpha: KForm) -> KForm:

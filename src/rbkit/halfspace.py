@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import BoundaryPoint
 from .exterior import KForm, VectorField
-from .ratlaurent import LaurentPoly, SparseMap
+from .ratlaurent import LaurentPoly, SparseMap, _sum_grouped
 
 
 class SymTensor2(SparseMap):
@@ -192,7 +192,7 @@ def lie_derivative_metric(field: VectorField) -> SymTensor2:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k.
 
     Each d_i X^k and each derivative of a stored metric entry is taken once,
-    and products with a zero factor are skipped.
+    and each (i, j) entry is one sum of products.
     """
     n = field.n
     g = metric(n)
@@ -201,23 +201,16 @@ def lie_derivative_metric(field: VectorField) -> SymTensor2:
     g_dense = [[g.get(i, j) for j in coords] for i in coords]
     dg = {key: [p.deriv(k) for k in coords] for key, p in g.items()}  # dg[(i, j)][k-1] = d_k g_ij
     dX = [[X.deriv(i) for i in coords] for X in field.components]  # dX[k-1][i-1] = d_i X^k
-    out = {}
+    groups = {}
     for i in coords:
         for j in range(i, n + 1):
-            total = LaurentPoly.zero(n)
             dg_ij = dg.get((i, j), zeros)
+            products = groups[(i, j)] = []
             for k in coords:
-                products = (
-                    (field.component(k), dg_ij[k - 1]),
-                    (g_dense[k - 1][j - 1], dX[k - 1][i - 1]),
-                    (g_dense[i - 1][k - 1], dX[k - 1][j - 1]),
-                )
-                for left, right in products:
-                    if left and right:
-                        total = total + left * right
-            if total:
-                out[(i, j)] = total
-    return g._like(out)
+                products.append((1, field.components[k - 1], dg_ij[k - 1]))
+                products.append((1, g_dense[k - 1][j - 1], dX[k - 1][i - 1]))
+                products.append((1, g_dense[i - 1][k - 1], dX[k - 1][j - 1]))
+    return g._like(_sum_grouped(n, groups))
 
 
 def ricci(n: int) -> SymTensor2:

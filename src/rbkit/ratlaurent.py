@@ -26,20 +26,40 @@ and the zero test.  Adding maps of different shapes raises
 
 Trusted construction.  Internal results of all three types are built with
 ``SparseMap._like``, which wraps a term map as is in the shape of an
-existing map.  That map must already be clean: every key passes the type's
-key check, every value is nonzero (a ``Fraction``, or a ``LaurentPoly`` of
-the same n), and nothing else holds a reference to the dict.  The
+existing map (the product kernel below wraps its sums the same way).  That
+map must already be clean: every key passes the type's key check, every
+value is nonzero (a ``Fraction``, or a ``LaurentPoly`` of the same n), and
+nothing else holds a reference to the dict.  The
 operations keep this invariant by construction (sums and products of valid
 exponents stay valid, ``deriv`` lowers only nonzero exponents, wedge
 products sort their index tuples) and by dropping the zero coefficients
 that cancellation leaves, so trusted and validated results are
 interchangeable: ``p == LaurentPoly(p.n, p.terms)`` and
 ``f == KForm(f.n, f.grade, f.terms)``.
+
+Products.  Every polynomial product is a sum of products, sum sign * a * b
+over (sign, a, b) triples, and one private kernel, ``_sum_products``,
+computes each of them exactly: ``p * q`` is its one-pair case, and the
+wedge and interior products, the Lie bracket and the direct Lie
+derivatives of a form and of the metric group their products by output
+key and make one kernel call per output coefficient (``_sum_grouped``).
+Its invariants:
+
+- each factor's coefficients are scaled to integer numerators over the lcm
+  of that factor's denominators, and the products are multiplied and
+  accumulated as Python ints into one dict over a common denominator;
+- each output term is normalised once, as one ``Fraction(num, den)``, and
+  the terms whose sum cancels to zero are dropped at the end;
+- output keys are in first-occurrence order over the triples, and for a
+  pair over the double loop (the terms of ``a`` outer, of ``b`` inner).
+  ``flows`` evaluates a field's terms in ``terms`` order, so the key order
+  of ``p * q`` is part of the byte contract of the trajectory CSV.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
@@ -246,14 +266,7 @@ class LaurentPoly(SparseMap):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        get = out.get
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(map(add, ea, eb))
-                prev = get(exps)
-                out[exps] = ca * cb if prev is None else prev + ca * cb
-        return self._like({e: c for e, c in out.items() if c})
+        return _sum_products(self.n, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -328,6 +341,49 @@ class LaurentPoly(SparseMap):
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _integral(p: LaurentPoly) -> tuple:
+    """(d, [(exps, c * d), ...]) for d the lcm of p's denominators: integer numerators."""
+    den = lcm(*[c.denominator for c in p._terms.values()])
+    if den == 1:
+        return 1, [(exps, c.numerator) for exps, c in p._terms.items()]
+    return den, [(exps, c.numerator * (den // c.denominator)) for exps, c in p._terms.items()]
+
+
+def _sum_products(n: int, products) -> LaurentPoly:
+    """The sum of sign * a * b over (sign, a, b) triples, exactly (module docstring)."""
+    scaled = []
+    den = 1
+    for sign, a, b in products:
+        if a._terms and b._terms:
+            da, ta = _integral(a)
+            db, tb = _integral(b)
+            scaled.append((sign, da * db, ta, tb))
+            den = lcm(den, da * db)
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for sign, d, ta, tb in scaled:
+        factor = sign * (den // d)
+        for ea, na in ta:
+            na *= factor
+            for eb, nb in tb:
+                exps = tuple(map(add, ea, eb))
+                acc[exps] = get(exps, 0) + na * nb
+    out = object.__new__(LaurentPoly)
+    out.n = n
+    out._terms = {exps: Fraction(num, den) for exps, num in acc.items() if num}
+    return out
+
+
+def _sum_grouped(n: int, groups: dict) -> dict:
+    """{key: _sum_products(n, products)} over groups, keeping the nonzero sums."""
+    out = {}
+    for key, products in groups.items():
+        total = _sum_products(n, products)
+        if total._terms:
+            out[key] = total
+    return out
 
 
 def parse_rational(s: str) -> Fraction:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .exterior import KForm, VectorField, ext_d, interior, power_wedge, wedge
 from .halfspace import SolitonParams, flat
-from .ratlaurent import LaurentPoly, _accumulate, grlex_key
+from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
 
 # Convention note emitted with every contact report: the antisymmetric
 # parameter matrix uses entries a_i*c_j - a_j*c_i.
@@ -123,17 +123,19 @@ def one_hot_params(name: str, n: int) -> SolitonParams:
 
 
 def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
-    """[A, B]_j = sum_i (A_i d_i B_j - B_i d_i A_j)."""
+    """[A, B]_j = sum_i (A_i d_i B_j - B_i d_i A_j), one sum of products per j."""
     if A.n != B.n:
         raise DimensionMismatch(f"fields in dimensions {A.n} and {B.n}")
     n = A.n
+    coords = range(n)
     comps = []
-    for j in range(1, n + 1):
-        total = LaurentPoly.zero(n)
-        for i in range(1, n + 1):
-            total = total + A.component(i) * B.component(j).deriv(i)
-            total = total - B.component(i) * A.component(j).deriv(i)
-        comps.append(total)
+    for j in coords:
+        Aj, Bj = A.components[j], B.components[j]
+        products = []
+        for i in coords:
+            products.append((1, A.components[i], Bj.deriv(i + 1)))
+            products.append((-1, B.components[i], Aj.deriv(i + 1)))
+        comps.append(_sum_products(n, products))
     return VectorField(comps)
 
 

@@ -1,13 +1,17 @@
 """Shared random generators for the test suite (seeded, deterministic), the
 Laplace-expansion determinant used as an oracle for the library's Bareiss
-determinant and Pfaffian, and the term-by-term interpreter of a field and
-its RK4 step used as the oracle for the compiled flow step."""
+determinant and Pfaffian, the term-by-term interpreter of a field and its
+RK4 step used as the oracle for the compiled flow step, and the
+product-by-product ``Fraction`` loops of the polynomial product, the wedge
+and interior products, the Lie bracket and the direct Lie derivatives, used
+as oracles for the integer sum-of-products kernel in ``rbkit.ratlaurent``."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
-from rbkit import KForm, LaurentPoly, VectorField
+from rbkit import KForm, LaurentPoly, SymTensor2, VectorField, metric
 
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=4) -> Fraction:
@@ -108,3 +112,98 @@ def rk4_step_oracle(rhs, y, h) -> list:
     k3 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
     k4 = rhs([yi + h * ki for yi, ki in zip(y, k3)])
     return [yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+# -- Fraction-loop oracles of the sum-of-products kernel ------------------------
+
+
+def mul_oracle(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p * q one Fraction product at a time, keys in first-occurrence order."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return LaurentPoly(p.n, out)
+
+
+def sum_products_oracle(n: int, products) -> LaurentPoly:
+    """The running sum total = total + sign * a * b over (sign, a, b) triples."""
+    total = LaurentPoly.zero(n)
+    for sign, a, b in products:
+        term = mul_oracle(a, b)
+        total = total + term if sign > 0 else total - term
+    return total
+
+
+def _accumulate(out: dict, key, value) -> None:
+    prev = out.get(key)
+    total = value if prev is None else prev + value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def wedge_oracle(alpha: KForm, beta: KForm) -> KForm:
+    out = {}
+    for ia, pa in alpha.terms.items():
+        for ib, pb in beta.terms.items():
+            if set(ia).intersection(ib):
+                continue
+            inversions = sum(bisect_left(ib, a) for a in ia)
+            term = mul_oracle(pa, pb)
+            _accumulate(out, tuple(sorted(ia + ib)), -term if inversions % 2 else term)
+    return KForm(alpha.n, alpha.grade + beta.grade, out)
+
+
+def interior_oracle(field: VectorField, alpha: KForm) -> KForm:
+    out = {}
+    for idx, poly in alpha.terms.items():
+        for pos, i in enumerate(idx):
+            term = mul_oracle(poly, field.component(i))
+            if term:
+                _accumulate(out, idx[:pos] + idx[pos + 1 :], -term if pos % 2 else term)
+    return KForm(alpha.n, alpha.grade - 1, out)
+
+
+def lie_derivative_direct_oracle(field: VectorField, omega: KForm) -> KForm:
+    """(L_X w)_i = sum_j X^j d_j w_i + w_j d_i X^j on a 1-form."""
+    n = omega.n
+    out = {}
+    for i in range(1, n + 1):
+        total = LaurentPoly.zero(n)
+        for j in range(1, n + 1):
+            total = total + mul_oracle(field.component(j), omega.coeff((i,)).deriv(j))
+            total = total + mul_oracle(omega.coeff((j,)), field.component(j).deriv(i))
+        out[(i,)] = total
+    return KForm(n, 1, out)
+
+
+def lie_derivative_metric_oracle(field: VectorField) -> SymTensor2:
+    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k over every k."""
+    n = field.n
+    g = metric(n)
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            total = LaurentPoly.zero(n)
+            for k in range(1, n + 1):
+                total = total + mul_oracle(field.component(k), g.get(i, j).deriv(k))
+                total = total + mul_oracle(g.get(k, j), field.component(k).deriv(i))
+                total = total + mul_oracle(g.get(i, k), field.component(k).deriv(j))
+            out[(i, j)] = total
+    return SymTensor2(n, out)
+
+
+def lie_bracket_oracle(A: VectorField, B: VectorField) -> VectorField:
+    """[A, B]_j = sum_i (A_i d_i B_j - B_i d_i A_j)."""
+    n = A.n
+    comps = []
+    for j in range(1, n + 1):
+        total = LaurentPoly.zero(n)
+        for i in range(1, n + 1):
+            total = total + mul_oracle(A.component(i), B.component(j).deriv(i))
+            total = total - mul_oracle(B.component(i), A.component(j).deriv(i))
+        comps.append(total)
+    return VectorField(comps)
