@@ -346,8 +346,6 @@ class LaurentPoly(SparseMap):
 def _integral(p: LaurentPoly) -> tuple:
     """(d, [(exps, c * d), ...]) for d the lcm of p's denominators: integer numerators."""
     den = lcm(*[c.denominator for c in p._terms.values()])
-    if den == 1:
-        return 1, [(exps, c.numerator) for exps, c in p._terms.items()]
     return den, [(exps, c.numerator * (den // c.denominator)) for exps, c in p._terms.items()]
 
 

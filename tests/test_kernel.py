@@ -18,14 +18,13 @@ from helpers import (
     interior_oracle,
     lie_bracket_oracle,
     lie_derivative_direct_oracle,
-    lie_derivative_metric_oracle,
     mul_oracle,
     rand_field,
     rand_kform,
     sum_products_oracle,
     wedge_oracle,
 )
-from rbkit import LaurentPoly, generator, interior, lie_bracket, lie_derivative_metric, wedge
+from rbkit import LaurentPoly, generator, interior, lie_bracket, wedge
 from rbkit.exterior import _lie_derivative_direct
 from rbkit.ratlaurent import _sum_products
 
@@ -106,17 +105,6 @@ def test_product_keeps_first_occurrence_order_with_a_cancelled_key():
     assert product.terms == {(2, 0): 1, (0, 2): -1}
 
 
-def test_product_over_mixed_denominators():
-    p = LaurentPoly(2, {(1, 0): Fraction(1, 6), (0, -1): Fraction(-3, 4)})
-    q = LaurentPoly(2, {(0, 1): Fraction(2, 9), (1, 0): Fraction(5, 1)})
-    assert (p * q).terms == {
-        (1, 1): Fraction(1, 27),
-        (2, 0): Fraction(5, 6),
-        (0, 0): Fraction(-1, 6),
-        (1, -1): Fraction(-15, 4),
-    }
-
-
 def _nonzero_share(results):
     return sum(1 for r in results if r) / len(results)
 
@@ -138,20 +126,18 @@ def test_interior_and_wedge_match_fraction_loops():
     assert _nonzero_share(interiors) > 0.8 and _nonzero_share(wedges) > 0.8
 
 
-def test_lie_derivatives_match_fraction_loops():
+def test_direct_lie_derivative_matches_fraction_loop():
+    # the metric's counterpart is test_halfspace's generic-formula test
     rng = random.Random(43)
-    forms, metrics = [], []
+    forms = []
     for _ in range(30):
         n = rng.randint(2, 5)
         X = rand_field(rng, n, terms=3, laurent=True)
         omega = rand_kform(rng, n, 1, terms=n)
         direct = _lie_derivative_direct(X, omega)
         assert direct == lie_derivative_direct_oracle(X, omega)
-        metric_part = lie_derivative_metric(X)
-        assert metric_part == lie_derivative_metric_oracle(X)
         forms.append(direct)
-        metrics.append(metric_part)
-    assert _nonzero_share(forms) > 0.8 and _nonzero_share(metrics) > 0.8
+    assert _nonzero_share(forms) > 0.8
 
 
 def test_lie_bracket_matches_fraction_loop():
