@@ -20,7 +20,9 @@ fixed, at any horizon.  A state at which the closed form has no finite value
 (its pole) ends the CSV and exits 2, like an escape.
 
 ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
-parameter set is built; a larger count exits 64.  ``algebra --n`` runs for
+parameter set is built; a larger count exits 64.  The ``n`` of a
+``--params`` file is at most ``MAX_PARAMS_N``, checked as soon as it is
+read; a larger n exits 64 with a parse error.  ``algebra --n`` runs for
 2 <= n <= ``MAX_ALGEBRA_N`` (the closure has dimension n(n+1)/2, 45 at
 n = 9); any other n exits 64.
 
@@ -66,6 +68,7 @@ EXIT_ESCAPE = 2
 EXIT_USAGE = 64
 MAX_TRIALS = 10**4  # verify builds every parameter set and field up front
 MAX_ALGEBRA_N = 9  # the closure brackets every pair of its n(n+1)/2 basis fields
+MAX_PARAMS_N = 15  # the Pfaffian recursion of contact has (n-2)!! terms
 
 
 class _UsageError(Exception):
@@ -100,6 +103,8 @@ def load_params(path: str) -> SolitonParams:
     n = raw["n"]
     if not isinstance(n, int) or n < 2:
         raise ParseError(f"{path}: field 'n': must be an integer >= 2")
+    if n > MAX_PARAMS_N:
+        raise ParseError(f"{path}: field 'n': {n} exceeds the limit of {MAX_PARAMS_N}")
 
     def rat(value, where: str) -> Fraction:
         try:

@@ -36,7 +36,7 @@ thousands of coordinates) still compiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import BoundaryEscape, BoundaryPoint, NonFinite
@@ -49,9 +49,8 @@ COORD_LIMIT = 1e9  # rotation flows blow up in finite time near the pole
 MAX_STEPS = 10**6  # integrate keeps every state; this bounds that list
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """A point of the half-space with a time stamp.
+class FlowState(namedtuple("FlowState", "coords t")):
+    """A point of the half-space (a tuple of floats) with a float time stamp.
 
     The hyperbolic metric lives on xn > 0, but starts exactly on the
     boundary plane xn = 0 are accepted for trajectory runs: every generator
@@ -60,17 +59,19 @@ class FlowState:
     rejects their points.
     """
 
-    coords: tuple
-    t: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = tuple(float(x) for x in self.coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "t", float(self.t))
-        if not all(math.isfinite(x) for x in coords) or not math.isfinite(self.t):
-            raise NonFinite(f"non-finite state {coords} at t={self.t}")
+    def __new__(cls, coords, t=0.0):
+        coords, t = tuple(float(x) for x in coords), float(t)
+        if not all(math.isfinite(x) for x in coords) or not math.isfinite(t):
+            raise NonFinite(f"non-finite state {coords} at t={t}")
         if not coords or coords[-1] < 0:
             raise BoundaryPoint(f"last coordinate must be nonnegative, got {coords}")
+        return super().__new__(cls, coords, t)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     @classmethod
     def _trusted(cls, coords: tuple, t: float) -> "FlowState":
@@ -79,30 +80,30 @@ class FlowState:
         Invariant: coords is a nonempty tuple of finite floats whose last
         entry is nonnegative, and t is a finite float, so that the state
         equals ``FlowState(coords, t)``.  ``integrate`` checks exactly this
-        on every state before it stores it.
+        on every state before it stores it; no other path skips the checks.
         """
-        state = object.__new__(cls)
-        object.__setattr__(state, "coords", coords)
-        object.__setattr__(state, "t", t)
-        return state
+        return tuple.__new__(cls, (coords, t))
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(namedtuple("FlowSpec", "kind n")):
     """What to flow: a generator name ("D", "Tk", "Gk", "G") in dimension n.
 
     ``solitons.generator`` checks the name when the spec is made.
     """
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        generator(self.kind, self.n)
+    def __new__(cls, kind, n):
+        generator(kind, n)
+        return super().__new__(cls, kind, n)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     def field(self) -> VectorField:
         return generator(self.kind, self.n)

@@ -16,7 +16,7 @@ and the numeric hyperbolic distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
@@ -50,37 +50,34 @@ class SymTensor2(SparseMap):
         return "; ".join(f"[{i},{j}] {p.text()}" for (i, j), p in self.items())
 
 
-@dataclass(frozen=True)
-class SolitonParams:
+class SolitonParams(namedtuple("SolitonParams", "n a b c rho lam")):
     """Parameters (a_1..a_{n-1}, b, c_1..c_{n-1}, rho, lam) of a soliton field.
 
-    ``lam`` is optional: when omitted, the soliton constant forced by the
-    trace identities, (n-1)(n*rho - 1), is used.  A parameter set with all
-    a_k = 0 and b = 0 gives a constant (possibly zero) field; it is accepted
-    but flagged ``degenerate`` so callers can report it instead of silently
+    Every value is stored as Fraction (a and c as tuples).  ``lam`` is
+    optional: when omitted, the soliton constant forced by the trace
+    identities, (n-1)(n*rho - 1), is used.  A parameter set with all a_k = 0
+    and b = 0 gives a constant (possibly zero) field; it is accepted but
+    flagged ``degenerate`` so callers can report it instead of silently
     treating it as a generic family member.
     """
 
-    n: int
-    a: tuple
-    b: Fraction
-    c: tuple
-    rho: Fraction = Fraction(1)
-    lam: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.lam is not None:
-            object.__setattr__(self, "lam", Fraction(self.lam))
-        if len(self.a) != self.n - 1 or len(self.c) != self.n - 1:
-            raise ValueError(f"a and c must have length n-1 = {self.n - 1}")
-        if self.rho == 0:
+    def __new__(cls, n, a, b, c, rho=1, lam=None):
+        if n < 2:
+            raise ValueError(f"dimension must be >= 2, got {n}")
+        a, c = tuple(map(Fraction, a)), tuple(map(Fraction, c))
+        b, rho = Fraction(b), Fraction(rho)
+        lam = None if lam is None else Fraction(lam)
+        if len(a) != n - 1 or len(c) != n - 1:
+            raise ValueError(f"a and c must have length n-1 = {n - 1}")
+        if rho == 0:
             raise ValueError("rho must be nonzero")
+        return super().__new__(cls, n, a, b, c, rho, lam)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     @property
     def degenerate(self) -> bool:

@@ -18,7 +18,7 @@ coordinates over the basis, so structure constants come from that pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -232,8 +232,7 @@ def span_coefficients(field: VectorField, basis: Sequence[VectorField]):
     return tracker.coefficients(field)
 
 
-@dataclass(frozen=True)
-class AlgebraSpan:
+class AlgebraSpan(namedtuple("AlgebraSpan", "basis brackets")):
     """A rational span of vector fields with the brackets of its basis.
 
     ``brackets`` holds one ``((i, j), field, coords)`` record per bracket
@@ -242,18 +241,15 @@ class AlgebraSpan:
     bracket that escaped when the closure stopped at its cap.
     """
 
-    basis: tuple
-    brackets: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    dimension: int
-    seed_dimension: int
-    already_closed: bool
-    added: tuple  # ((i, j), field) per adjoined bracket of basis elements
-    cap: int
-    cap_exceeded: bool
+class ClosureReport(
+    namedtuple("ClosureReport", "dimension seed_dimension already_closed added cap cap_exceeded")
+):
+    """What ``algebra_closure`` found; ``added`` holds ((i, j), field) per adjoined bracket."""
+
+    __slots__ = ()
 
 
 def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
@@ -350,20 +346,21 @@ def sl2_check(n: int = 2) -> bool:
 # -- contact machinery (odd ambient dimension 2m+1) --------------------------
 
 
-@dataclass(frozen=True)
-class ContactMatrix:
+class ContactMatrix(namedtuple("ContactMatrix", "size entries")):
     """Antisymmetric matrix of parameter cross-products, size 2m."""
 
-    size: int
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.size or any(len(r) != self.size for r in self.entries):
+    def __new__(cls, size, entries):
+        if len(entries) != size or any(len(r) != size for r in entries):
             raise ValueError("entries are not a square matrix of the declared size")
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    raise ValueError("matrix is not antisymmetric")
+        if any(entries[i][j] != -entries[j][i] for i in range(size) for j in range(size)):
+            raise ValueError("matrix is not antisymmetric")
+        return super().__new__(cls, size, entries)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     def row_text(self) -> str:
         return "[" + "; ".join(",".join(str(v) for v in row) for row in self.entries) + "]"
@@ -474,19 +471,17 @@ def contact_top_form(params: SolitonParams, field: VectorField | None = None) ->
     return top.coeff(tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class ContactReport:
-    """Exact contact diagnostics for one parameter set."""
+_CONTACT_FIELDS = "n matrix pf det top_coeff cleared consistent is_contact convention"
 
-    n: int
-    matrix: ContactMatrix
-    pf: Fraction
-    det: Fraction
-    top_coeff: LaurentPoly
-    cleared: LaurentPoly  # top coefficient times xn^n
-    consistent: bool  # |cleared / 2^m| == |Pf(M)| with cleared constant
-    is_contact: bool
-    convention: str = MATRIX_CONVENTION
+
+class ContactReport(namedtuple("ContactReport", _CONTACT_FIELDS, defaults=(MATRIX_CONVENTION,))):
+    """Exact contact diagnostics for one parameter set.
+
+    ``cleared`` is the top coefficient times xn^n, and ``consistent`` means
+    that it is a constant with |cleared / 2^m| == |Pf(M)|.
+    """
+
+    __slots__ = ()
 
 
 def contact_report(params: SolitonParams, field: VectorField | None = None) -> ContactReport:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from rbkit.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     MAX_ALGEBRA_N,
+    MAX_PARAMS_N,
     MAX_TRIALS,
     _emit,
     main,
@@ -132,6 +134,35 @@ def test_verify_trials_cap_checked_before_any_work(tmp_path, capsys, monkeypatch
         assert f"exceeds the limit of {MAX_TRIALS}" in err
     code, out, err = run(capsys, ["verify", "--params", path, "--trials", "-1"])
     assert (code, out) == (EXIT_USAGE, "")
+
+
+def test_params_n_cap_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran above the n limit")
+
+    for name in ("parse_rational", "SolitonParams", "random_params", "build_field", "contact_report"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert MAX_PARAMS_N == 15
+    for n in (MAX_PARAMS_N + 1, 10**6):
+        # the lists are far too short: n is refused before they are read
+        path = write_params(tmp_path, n=n)
+        for command in (["verify", "--trials", "0"], ["contact"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command + ["--params", path])
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"parse error: {path}: field 'n': {n} exceeds the limit of {MAX_PARAMS_N}\n"
+    path = write_params(tmp_path, n=1)
+    code, out, err = run(capsys, ["contact", "--params", path])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"parse error: {path}: field 'n': must be an integer >= 2\n"
+
+
+def test_params_n_cap_admits_the_limit(tmp_path):
+    n = MAX_PARAMS_N
+    path = write_params(tmp_path, n=n, a=["1"] * (n - 1), c=["0"] * (n - 2) + ["1"])
+    params = cli.load_params(path)
+    assert params.n == n and params.a == (1,) * (n - 1)
 
 
 @pytest.mark.parametrize(
