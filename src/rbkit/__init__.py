@@ -63,6 +63,8 @@ from .solitons import (
     det_bareiss,
     det_via_pf,
     generator,
+    generator_names,
+    generators,
     in_span,
     lie_bracket,
     one_hot_params,

@@ -17,7 +17,8 @@ before any step runs.  An unwritable ``--out`` also exits 64.  Values of
 ``--point``, ``--dt`` and ``--t-max`` may start with "-".  A start at the
 origin, a zero of D, of every boost and of the plane rotation, stays
 fixed, at any horizon.  A state at which the closed form has no finite value
-(its pole) ends the CSV and exits 2, like an escape.
+(its pole) ends the CSV and exits 2, like an escape.  An escape with no
+row to write removes a regular file that an earlier run left at ``--out``.
 
 ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
 parameter set is built; a larger count exits 64.  The ``n`` of a
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -57,7 +59,8 @@ from .solitons import (
     algebra_closure,
     build_field,
     contact_report,
-    generator,
+    generator_names,
+    generators,
     sl2_check,
     structure_constants,
 )
@@ -260,13 +263,15 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
         raise _UsageError(str(exc)) from exc
     except (BoundaryEscape, NonFinite) as exc:
         states, escape = getattr(exc, "trajectory", []), exc
-    if states:
-        try:
+    try:
+        if states:
             worst = write_trajectory_csv(out_path, states, spec)
-        except OSError as exc:
-            raise _UsageError(f"--out: {exc}") from exc
-        except NonFinite as exc:
-            escape = exc  # the closed form reached its pole; the CSV stops there
+        elif os.path.isfile(out_path):
+            os.remove(out_path)  # no row to write: drop an earlier run's CSV
+    except OSError as exc:
+        raise _UsageError(f"--out: {exc}") from exc
+    except NonFinite as exc:
+        escape = exc  # the closed form reached its pole; the CSV stops there
     print(f"convention: {spec.convention()}")
     if escape is not None:
         print(f"escape: {escape}")
@@ -278,16 +283,11 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
 # -- algebra -----------------------------------------------------------------
 
 
-def _seed_generators(n: int):
-    names = [f"T{k}" for k in range(1, n)] + ["D"] + [f"G{k}" for k in range(1, n)]
-    return names, [generator(name, n) for name in names]
-
-
 def cmd_algebra(n: int, timings: bool):
     if not 2 <= n <= MAX_ALGEBRA_N:
         raise _UsageError(f"algebra command supports 2 <= n <= {MAX_ALGEBRA_N}, got {n}")
     start = time.perf_counter()
-    names, seeds = _seed_generators(n)
+    names, seeds = generator_names(n), generators(n)
     span, report = algebra_closure(seeds)
     basis_names = list(names) + [f"B{i}" for i in range(len(names) + 1, report.dimension + 1)]
     brackets = {pair: field for pair, field, _ in span.brackets}

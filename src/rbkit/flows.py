@@ -42,7 +42,7 @@ from typing import Sequence
 from .errors import BoundaryEscape, BoundaryPoint, NonFinite
 from .exterior import VectorField
 from .halfspace import hyp_distance
-from .solitons import generator
+from .solitons import _parse_generator, generator
 
 BOUNDARY_EPS = 1e-9  # stop before xn^-2 evaluations overflow
 COORD_LIMIT = 1e9  # rotation flows blow up in finite time near the pole
@@ -92,13 +92,13 @@ class FlowState(namedtuple("FlowState", "coords t")):
 class FlowSpec(namedtuple("FlowSpec", "kind n")):
     """What to flow: a generator name ("D", "Tk", "Gk", "G") in dimension n.
 
-    ``solitons.generator`` checks the name when the spec is made.
+    The name is checked, without building the field, when the spec is made.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, n):
-        generator(kind, n)
+        _parse_generator(kind, n)
         return super().__new__(cls, kind, n)
 
     @classmethod
@@ -109,9 +109,10 @@ class FlowSpec(namedtuple("FlowSpec", "kind n")):
         return generator(self.kind, self.n)
 
     def convention(self) -> str:
-        if self.kind == "G":
+        kind, k = _parse_generator(self.kind, self.n)
+        if kind == "G" and not k:
             return "plane rotation without 1/2 factor; z(t) = -1/(t + e + i f)"
-        if self.kind.startswith("G"):
+        if kind == "G":
             return "boost with 1/2 factor; z(t) = -2/(t + s0 + i e0)"
         return "affine flow (exact)"
 
@@ -241,23 +242,22 @@ def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
     n = len(coords)
     if n != spec.n:
         raise ValueError(f"state arity {n} differs from spec dimension {spec.n}")
-    if spec.kind == "D":
+    kind, k = _parse_generator(spec.kind, spec.n)
+    if kind == "D":
         # the origin is a zero of the field; e^t would overflow for t > 709
         scale = math.exp(t) if any(coords) else 1.0
         return FlowState(tuple(scale * x for x in coords), p0.t + t)
-    if spec.kind.startswith("T"):
-        k = int(spec.kind[1:])
+    if kind == "T":
         coords[k - 1] += t
         return FlowState(tuple(coords), p0.t + t)
-    if spec.kind == "G":
+    if kind == "G" and not k:
         z0 = complex(coords[0], coords[1])
         if z0 == 0:
             # the origin is a zero of the field: the flow stays there
             return FlowState(p0.coords, p0.t + t)
         z = -1.0 / (t + (-1.0 / z0))
         return FlowState((z.real, z.imag), p0.t + t)
-    # boost Gk, the only kind left once FlowSpec has checked the name
-    k = int(spec.kind[1:])
+    # boost Gk, the only kind left
     r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open

@@ -1,12 +1,15 @@
 """The family of soliton vector fields on the hyperbolic half-space.
 
-Construction of the fields from their parameters, the named generators
-(translations T_k, the expansion D, the boosts G_k), exact Lie brackets,
-bracket-closure of spans with exact rational linear algebra, structure
-constants, and the contact machinery for odd ambient dimension: the
-antisymmetric parameter matrix, its Pfaffian and determinant, the top form
-w ^ (dw)^m, the Reeb-defect evaluation, and the kernel/span splitting of
-tangent vectors.
+The fields are the combinations sum c_k T_k + b D + sum a_k G_k over one
+basis, ``generators(n)``, built once per n in the order of
+``generator_names(n)``: T1..T(n-1), D, G1..G(n-1).  ``_parse_generator``
+is the one reader of names ("D", "Tk", "Gk" with ASCII k, or "G" at n=2).
+
+Also here: exact Lie brackets, bracket-closure of spans with exact
+rational linear algebra, structure constants, and the contact machinery
+for odd ambient dimension: the antisymmetric parameter matrix, its
+Pfaffian and determinant, the top form w ^ (dw)^m, the Reeb-defect
+evaluation, and the kernel/span splitting of tangent vectors.
 
 Subalgebra sizes are *measured*, never asserted: ``algebra_closure`` adjoins
 escaping brackets until the span stabilizes and reports what it found.  It
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -39,33 +43,40 @@ from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
 MATRIX_CONVENTION = "M[i][j] = a_i*c_j - a_j*c_i"
 
 
-def build_field(params: SolitonParams) -> VectorField:
-    """Assemble the field from (a, b, c).
+def generator_names(n: int) -> tuple:
+    """The basis order T1..T(n-1), D, G1..G(n-1) of ``generators(n)``."""
+    return (*(f"T{k}" for k in range(1, n)), "D", *(f"G{k}" for k in range(1, n)))
 
-    Component k < n:  a_k/2 (x_k^2 - sum_{j != k} x_j^2)
-                      + (sum_{i != k, i < n} a_i x_i + b) x_k + c_k
-    Component n:      (sum_k a_k x_k + b) xn
-    """
-    n = params.n
-    x = [LaurentPoly.var(n, i) for i in range(1, n + 1)]
-    half = Fraction(1, 2)
-    comps = []
-    for k in range(1, n):
-        ak = params.a[k - 1]
-        quad = x[k - 1] * x[k - 1]
-        for j in range(1, n + 1):
-            if j != k:
-                quad = quad - x[j - 1] * x[j - 1]
-        mixed = LaurentPoly.const(n, params.b)
-        for i in range(1, n):
-            if i != k:
-                mixed = mixed + params.a[i - 1] * x[i - 1]
-        comps.append(half * ak * quad + mixed * x[k - 1] + LaurentPoly.const(n, params.c[k - 1]))
-    radial = LaurentPoly.const(n, params.b)
-    for k in range(1, n):
-        radial = radial + params.a[k - 1] * x[k - 1]
-    comps.append(radial * x[n - 1])
-    return VectorField(comps)
+
+@lru_cache(maxsize=None)
+def generators(n: int) -> tuple:
+    """The fields of ``generator_names(n)``, built once per n."""
+    return tuple(generator(name, n) for name in generator_names(n))
+
+
+def build_field(params: SolitonParams) -> VectorField:
+    """X = sum c_k T_k + b D + sum a_k G_k over ``generators(n)``, skipping zero coefficients."""
+    field = VectorField.zero(params.n)
+    for coeff, gen in zip((*params.c, params.b, *params.a), generators(params.n)):
+        if coeff:
+            field = field + coeff * gen
+    return field
+
+
+@lru_cache(maxsize=256)  # flows.closed_flow reads its spec's name at every state
+def _parse_generator(name: str, n: int) -> tuple:
+    """The one reader of generator names: (kind, k), with k = 0 for "D" and for "G" at n=2."""
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    if name == "D" or (name == "G" and n == 2):
+        return name, 0
+    kind, digits = name[:1], name[1:]
+    if kind not in ("T", "G") or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"unknown generator name {name!r}")
+    k = int(digits)
+    if not 1 <= k <= n - 1:
+        raise IndexOutOfRange(f"generator index {k} outside 1..{n - 1}")
+    return kind, k
 
 
 def generator(name: str, n: int) -> VectorField:
@@ -74,52 +85,38 @@ def generator(name: str, n: int) -> VectorField:
     "G" is the n=2 rotation (x^2-y^2, 2xy), twice the boost "G1"; both
     conventions appear in flows and algebra fingerprints.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    x = [LaurentPoly.var(n, i) for i in range(1, n + 1)]
-    if name == "D":
-        return VectorField(x)
-    if name == "G" and n == 2:
-        return VectorField([x[0] * x[0] - x[1] * x[1], 2 * x[0] * x[1]])
-    kind, digits = name[:1], name[1:]
-    if kind not in ("T", "G") or not digits.isdigit():
-        raise ValueError(f"unknown generator name {name!r}")
-    k = int(digits)
-    if not 1 <= k <= n - 1:
-        raise IndexOutOfRange(f"generator index {k} outside 1..{n - 1}")
+    kind, k = _parse_generator(name, n)
+    if kind == "G" and not k:
+        return 2 * generator("G1", 2)
+    one, half, zero = Fraction(1), Fraction(1, 2), LaurentPoly.zero(n)
+
+    def exps(i: int, j: int) -> tuple:  # the exponents of x_i x_j, with x_0 = 1
+        out = [0] * (n + 1)
+        out[i] += 1
+        out[j] += 1
+        return tuple(out[1:])
+
+    # clean term maps wrapped as trusted results (see ratlaurent); flows
+    # evaluates a component's terms in their order, so it is part of the CSV bytes
     if kind == "T":
-        comps = [LaurentPoly.zero(n)] * n
-        comps[k - 1] = LaurentPoly.const(n, 1)
-        return VectorField(comps)
+        return VectorField([zero] * (k - 1) + [zero._like({exps(0, 0): one})] + [zero] * (n - k))
+    if kind == "D":
+        return VectorField([zero._like({exps(0, j): one}) for j in range(1, n + 1)])
     # boost: (1/2)(x_k^2 - sum_{j != k} x_j^2) d_k + sum_{j != k} x_k x_j d_j
-    half = Fraction(1, 2)
-    quad = x[k - 1] * x[k - 1]
-    for j in range(1, n + 1):
-        if j != k:
-            quad = quad - x[j - 1] * x[j - 1]
-    comps = [x[k - 1] * x[j - 1] for j in range(1, n + 1)]
-    comps[k - 1] = half * quad
+    quad = {exps(k, k): half, **{exps(j, j): -half for j in range(1, n + 1) if j != k}}
+    comps = [zero._like({exps(k, j): one}) for j in range(1, n + 1)]
+    comps[k - 1] = zero._like(quad)
     return VectorField(comps)
 
 
 def one_hot_params(name: str, n: int) -> SolitonParams:
-    """Parameters whose field is the named generator (no "G" convention)."""
-    a = [Fraction(0)] * (n - 1)
-    c = [Fraction(0)] * (n - 1)
-    b = Fraction(0)
-    if name == "D":
-        b = Fraction(1)
-    else:
-        kind, k = name[:1], int(name[1:])
-        if not 1 <= k <= n - 1:
-            raise IndexOutOfRange(f"generator index {k} outside 1..{n - 1}")
-        if kind == "G":
-            a[k - 1] = Fraction(1)
-        elif kind == "T":
-            c[k - 1] = Fraction(1)
-        else:
-            raise ValueError(f"unknown generator name {name!r}")
-    return SolitonParams(n=n, a=tuple(a), b=b, c=tuple(c))
+    """Parameters whose field is the named generator; "G" (n=2) has none."""
+    kind, k = _parse_generator(name, n)
+    if kind == "G" and not k:
+        raise ValueError(f"unknown generator name {name!r}")
+    coeffs = [0] * (2 * n - 1)
+    coeffs[k - 1 if kind == "T" else n - 1 + k] = 1
+    return SolitonParams(n=n, a=coeffs[n:], b=coeffs[n - 1], c=coeffs[: n - 1])
 
 
 def lie_bracket(A: VectorField, B: VectorField) -> VectorField:

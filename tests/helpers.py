@@ -1,17 +1,19 @@
 """Shared random generators for the test suite (seeded, deterministic), the
-Laplace-expansion determinant used as an oracle for the library's Bareiss
-determinant and Pfaffian, the term-by-term interpreter of a field and its
-RK4 step used as the oracle for the compiled flow step, and the
-product-by-product ``Fraction`` loops of the polynomial product, the wedge
-and interior products, the Lie bracket and the direct Lie derivatives, used
-as oracles for the integer sum-of-products kernel in ``rbkit.ratlaurent``."""
+paper's component formula of the soliton field used as the oracle for
+``build_field``, the Laplace-expansion determinant used as an oracle for
+the library's Bareiss determinant and Pfaffian, the term-by-term
+interpreter of a field and its RK4 step used as the oracle for the
+compiled flow step, and the product-by-product ``Fraction`` loops of the
+polynomial product, the wedge and interior products, the Lie bracket and
+the direct Lie derivatives, used as oracles for the integer
+sum-of-products kernel in ``rbkit.ratlaurent``."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
 
-from rbkit import KForm, LaurentPoly, SymTensor2, VectorField, metric
+from rbkit import KForm, LaurentPoly, SolitonParams, SymTensor2, VectorField, metric
 
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=4) -> Fraction:
@@ -57,6 +59,35 @@ def rand_antisymmetric(rng, size):
             rows[i][j] = value
             rows[j][i] = -value
     return [tuple(r) for r in rows]
+
+
+def build_field_oracle(params: SolitonParams) -> VectorField:
+    """The field of (a, b, c), component by component.
+
+    Component k < n:  a_k/2 (x_k^2 - sum_{j != k} x_j^2)
+                      + (sum_{i != k, i < n} a_i x_i + b) x_k + c_k
+    Component n:      (sum_k a_k x_k + b) xn
+    """
+    n = params.n
+    x = [LaurentPoly.var(n, i) for i in range(1, n + 1)]
+    half = Fraction(1, 2)
+    comps = []
+    for k in range(1, n):
+        ak = params.a[k - 1]
+        quad = x[k - 1] * x[k - 1]
+        for j in range(1, n + 1):
+            if j != k:
+                quad = quad - x[j - 1] * x[j - 1]
+        mixed = LaurentPoly.const(n, params.b)
+        for i in range(1, n):
+            if i != k:
+                mixed = mixed + params.a[i - 1] * x[i - 1]
+        comps.append(half * ak * quad + mixed * x[k - 1] + LaurentPoly.const(n, params.c[k - 1]))
+    radial = LaurentPoly.const(n, params.b)
+    for k in range(1, n):
+        radial = radial + params.a[k - 1] * x[k - 1]
+    comps.append(radial * x[n - 1])
+    return VectorField(comps)
 
 
 def det_cofactor(M) -> Fraction:

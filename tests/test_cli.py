@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rbkit import cli, solitons
+from rbkit import cli, flows, solitons
 from rbkit.cli import (
     EXIT_ESCAPE,
     EXIT_FAIL,
@@ -118,6 +118,49 @@ def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, ["verify", "--params", path, "--trials", str(trials)])
         assert code == EXIT_PASS
         assert len(calls) == trials + 1
+
+
+def count_generator_calls(monkeypatch) -> list:
+    """Record every (name, n) built by solitons.generator, from any module."""
+    calls, build = [], solitons.generator
+
+    def counted(name, n):
+        calls.append((name, n))
+        return build(name, n)
+
+    monkeypatch.setattr(solitons, "generator", counted)
+    monkeypatch.setattr(flows, "generator", counted)
+    solitons.generators.cache_clear()
+    return calls
+
+
+def test_verify_builds_the_basis_once(tmp_path, capsys, monkeypatch):
+    calls = count_generator_calls(monkeypatch)
+    params = {"n": 5, "a": ["1"] * 4, "c": ["0"] * 3 + ["1"]}
+    code, _, _ = run(capsys, ["verify", "--params", write_params(tmp_path, **params), "--trials", "4"])
+    assert code == EXIT_PASS
+    # the 9 basis fields, once each, for 5 parameter sets
+    assert calls == [(name, 5) for name in solitons.generator_names(5)]
+
+
+def test_flow_builds_its_field_once(tmp_path, capsys, monkeypatch):
+    calls = count_generator_calls(monkeypatch)
+    assert flows.FlowSpec("G1", 1000) == ("G1", 1000)
+    assert calls == []
+    argv = ["flow", "--gen", "G2", "--n", "3", "--point", "0.1,0.2,1", "--t-max", "0.1",
+            "--dt", "0.01", "--out", str(tmp_path / "t.csv")]
+    code, _, _ = run(capsys, argv)
+    assert code == EXIT_PASS
+    assert calls == [("G2", 3)]
+
+
+def test_flow_generator_index_takes_ascii_digits_only(tmp_path, capsys):
+    out_path = tmp_path / "t.csv"
+    for gen in ("T\u0661", "T\u00b2", "G\u0661"):
+        code, out, err = run(capsys, ["flow", "--gen", gen, "--n", "3", "--point", "0,0,1", "--out", str(out_path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: unknown generator name {gen!r}\n"
+        assert not out_path.exists()
 
 
 def test_verify_trials_cap_checked_before_any_work(tmp_path, capsys, monkeypatch):
@@ -293,6 +336,22 @@ def test_flow_overflow_in_a_step_is_an_escape(tmp_path, capsys):
     assert code == EXIT_ESCAPE
     assert "escape: float overflow" in out
     assert not out_path.exists()
+
+
+def test_flow_escape_without_rows_removes_a_stale_csv(tmp_path, capsys):
+    # the first RK4 step overflows, so there is no row to write
+    out_path = tmp_path / "o.csv"
+    out_path.write_text("stale")
+    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e300,1",
+            "--t-max", "1", "--dt", "0.1", "--out"]
+    code, out, err = run(capsys, [*argv, str(out_path)])
+    assert code == EXIT_ESCAPE
+    assert "escape: float overflow" in out
+    assert not out_path.exists()
+    # a directory at --out is left as it is
+    code, out, err = run(capsys, [*argv, str(tmp_path)])
+    assert code == EXIT_ESCAPE
+    assert tmp_path.is_dir()
 
 
 def test_flow_printed_deviation_is_max_csv_err(tmp_path, capsys):

@@ -5,11 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import det_cofactor, rand_antisymmetric, rand_field, rand_fraction
+from helpers import (
+    build_field_oracle,
+    det_cofactor,
+    rand_antisymmetric,
+    rand_field,
+    rand_fraction,
+)
 from rbkit import (
     BoundaryPoint,
     DegeneratePoint,
     DimensionMismatch,
+    FlowSpec,
     IndexOutOfRange,
     LaurentPoly,
     NotClosed,
@@ -27,11 +34,14 @@ from rbkit import (
     ext_d,
     flat,
     generator,
+    generator_names,
+    generators,
     in_span,
     interior,
     lie_bracket,
     one_hot_params,
     pfaffian,
+    random_params,
     reeb_defect,
     sl2_check,
     span_coefficients,
@@ -95,10 +105,35 @@ def test_build_field_linearity():
 
 
 def test_generator_matches_one_hot_parameters():
-    for n in range(2, 7):
+    rng = random.Random(43)
+    for n in range(2, 10):
         names = [f"T{k}" for k in range(1, n)] + ["D"] + [f"G{k}" for k in range(1, n)]
+        assert generator_names(n) == tuple(names)
+        assert generators(n) == tuple(generator(name, n) for name in names)
         for name in names:
-            assert generator(name, n) == build_field(one_hot_params(name, n))
+            params = one_hot_params(name, n)
+            assert generator(name, n) == build_field(params) == build_field_oracle(params)
+        # the basis combination against the paper's component formula
+        for _ in range(20):
+            params = random_params(rng, n, allow_degenerate=True)
+            assert build_field(params) == build_field_oracle(params)
+        zero = SolitonParams(n=n, a=(0,) * (n - 1), b=0, c=(0,) * (n - 1))
+        assert build_field(zero) == build_field_oracle(zero) == VectorField.zero(n)
+
+
+@pytest.mark.parametrize("name", ["Tx", "T-1", "", "T\u00b2", "T\u0661", "Q1", "T0", "T9", "G"])
+def test_one_generator_grammar(name):
+    # generator, FlowSpec and one_hot_params read names with one parser
+    raised = []
+    for make in (generator, FlowSpec, one_hot_params):
+        with pytest.raises((ValueError, IndexOutOfRange)) as info:
+            make(name, 3)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == raised[2]
+    if name in ("T0", "T9"):
+        assert raised[0] == (IndexOutOfRange, f"generator index {name[1]} outside 1..2")
+    else:
+        assert raised[0] == (ValueError, f"unknown generator name {name!r}")
 
 
 def test_generator_translation():
@@ -116,6 +151,9 @@ def test_generator_index_out_of_range():
 
 def test_plane_rotation_is_twice_the_boost():
     assert generator("G", 2) == 2 * generator("G1", 2)
+    # so it has no one-hot parameter set
+    with pytest.raises(ValueError, match="unknown generator name 'G'"):
+        one_hot_params("G", 2)
 
 
 # -- brackets ----------------------------------------------------------------
