@@ -1,6 +1,8 @@
-"""Differential forms with exact Laurent-polynomial coefficients.
+"""Vector fields and differential forms with exact Laurent-polynomial coefficients.
 
-A grade-k form is stored sparsely: strictly increasing index tuples
+Both are ``ratlaurent.SparseMap``s.  A vector field maps the 1-based index
+i of each nonzero component to X^i; ``components`` is the dense tuple of
+all n, zeros included.  A grade-k form is stored sparsely: strictly increasing index tuples
 (i1 < ... < ik, 1-based) map to nonzero coefficient polynomials.  Grade-0
 forms use the empty tuple.  Tuples longer than the ambient dimension cannot
 be strictly increasing inside 1..n, so forms of grade > n are automatically
@@ -15,63 +17,50 @@ coordinate formula.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, GradeOverflow
 from .ratlaurent import LaurentPoly, SparseMap, _accumulate, _sum_grouped
 
 IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
+_zero = lru_cache(maxsize=None)(LaurentPoly.zero)  # one shared zero polynomial per n
 
 
-class VectorField:
-    """n contravariant components, each a LaurentPoly in x1..xn."""
+class VectorField(SparseMap):
+    """n contravariant components, each a LaurentPoly in x1..xn, stored by 1-based index."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ()
 
     def __init__(self, components: Sequence[LaurentPoly]):
         components = tuple(components)
         if not components:
             raise ValueError("a vector field needs at least one component")
         n = components[0].n
-        if len(components) != n or any(p.n != n for p in components):
+        if len(components) != n:
             raise ValueError("need exactly n components, each a polynomial in n coordinates")
-        self.n = n
-        self.components = components
+        super().__init__(n, dict(enumerate(components, 1)))
+
+    def _check(self, i, poly) -> tuple:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"component index {i} outside 1..{self.n}")
+        if not isinstance(poly, LaurentPoly) or poly.n != self.n:
+            raise ValueError("need exactly n components, each a polynomial in n coordinates")
+        return i, poly
 
     @classmethod
     def zero(cls, n: int) -> "VectorField":
-        return cls([LaurentPoly.zero(n)] * n)
+        return cls([_zero(n)] * n)
 
     def component(self, i: int) -> LaurentPoly:
         """Component X^i, 1-based."""
         return self.components[i - 1]
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if self.n != other.n:
-            raise DimensionMismatch(f"vector fields in dimensions {self.n} and {other.n}")
-        return VectorField([p + q for p, q in zip(self.components, other.components)])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField([-p for p in self.components])
-
-    def __mul__(self, scale) -> "VectorField":
-        return VectorField([p * scale for p in self.components])
-
-    __rmul__ = __mul__
+    @property
+    def components(self) -> tuple:
+        """All n components X^1..X^n, zeros included."""
+        zero = _zero(self.n)
+        return tuple(self._terms.get(i, zero) for i in range(1, self.n + 1))
 
     def text(self) -> str:
         return "(" + ", ".join(p.text() for p in self.components) + ")"
@@ -190,11 +179,12 @@ def interior(field: VectorField, alpha: KForm) -> KForm:
         raise DimensionMismatch(f"field in dimension {field.n}, form in {alpha.n}")
     if alpha.grade < 1:
         raise ValueError("interior product needs grade >= 1")
+    components = field.components
     groups: dict[IndexTuple, list] = {}
     for idx, poly in alpha._terms.items():
         for pos, i in enumerate(idx):
             groups.setdefault(idx[:pos] + idx[pos + 1 :], []).append(
-                (-1 if pos % 2 else 1, poly, field.components[i - 1])
+                (-1 if pos % 2 else 1, poly, components[i - 1])
             )
     return alpha._like(_sum_grouped(alpha.n, groups), alpha.grade - 1)
 
@@ -204,12 +194,13 @@ def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
     n = omega.n
     coords = range(1, n + 1)
     w = [omega.coeff((i,)) for i in coords]
+    X = field.components
     groups = {}
     for i in coords:
         products = groups[(i,)] = []
         for j in coords:
-            products.append((1, field.components[j - 1], w[i - 1].deriv(j)))
-            products.append((1, w[j - 1], field.components[j - 1].deriv(i)))
+            products.append((1, X[j - 1], w[i - 1].deriv(j)))
+            products.append((1, w[j - 1], X[j - 1].deriv(i)))
     return omega._like(_sum_grouped(n, groups))
 
 

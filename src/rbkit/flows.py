@@ -127,9 +127,9 @@ def _terms(field: VectorField, constants: dict) -> list:
     integer exponents.
     """
     components = []
-    for i in range(field.n):
+    for i, poly in enumerate(field.components):
         terms = []
-        for t, (exps, coeff) in enumerate(field.component(i + 1).terms.items()):
+        for t, (exps, coeff) in enumerate(poly._terms.items()):
             name = f"K{i}_{t}"
             constants[name] = float(coeff)
             factors = [(j, e) for j, e in enumerate(exps) if e]

@@ -182,7 +182,7 @@ def flat(field: VectorField) -> KForm:
     """Index lowering: the dual 1-form w_i = X^i / xn^2."""
     n = field.n
     weight = LaurentPoly.monomial(n, (0,) * (n - 1) + (-2,))
-    return KForm(n, 1, {(i,): field.component(i) * weight for i in range(1, n + 1) if field.component(i)})
+    return KForm(n, 1, {(i,): X * weight for i, X in field.items()})
 
 
 def lie_derivative_metric(field: VectorField) -> SymTensor2:
@@ -197,14 +197,15 @@ def lie_derivative_metric(field: VectorField) -> SymTensor2:
     zeros = [LaurentPoly.zero(n)] * n
     g_dense = [[g.get(i, j) for j in coords] for i in coords]
     dg = {key: [p.deriv(k) for k in coords] for key, p in g.items()}  # dg[(i, j)][k-1] = d_k g_ij
-    dX = [[X.deriv(i) for i in coords] for X in field.components]  # dX[k-1][i-1] = d_i X^k
+    X = field.components
+    dX = [[Xk.deriv(i) for i in coords] for Xk in X]  # dX[k-1][i-1] = d_i X^k
     groups = {}
     for i in coords:
         for j in range(i, n + 1):
             dg_ij = dg.get((i, j), zeros)
             products = groups[(i, j)] = []
             for k in coords:
-                products.append((1, field.components[k - 1], dg_ij[k - 1]))
+                products.append((1, X[k - 1], dg_ij[k - 1]))
                 products.append((1, g_dense[k - 1][j - 1], dX[k - 1][i - 1]))
                 products.append((1, g_dense[i - 1][k - 1], dX[k - 1][j - 1]))
     return g._like(_sum_grouped(n, groups))

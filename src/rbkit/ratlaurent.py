@@ -17,14 +17,14 @@ then the exponent tuple).  The order fixes printing and serialization, so a
 polynomial's text form is reproducible byte for byte.  Coordinate indices in
 the public API are 1-based, matching the x1..xn naming.
 
-Shared kernel.  ``LaurentPoly``, ``exterior.KForm`` and
-``halfspace.SymTensor2`` are sparse maps over a shape (n, and for forms the
-grade) and inherit from ``SparseMap`` the validating merge of their public
-constructors, ``+``, ``-``, negation, coefficient scaling, ``==``, hashing
-and the zero test.  Adding maps of different shapes raises
-``DimensionMismatch``.
+Shared kernel.  ``LaurentPoly``, ``exterior.VectorField``,
+``exterior.KForm`` and ``halfspace.SymTensor2`` are sparse maps over a
+shape (n, and for forms the grade) and inherit from ``SparseMap`` the
+validating merge of their public constructors, ``+``, ``-``, negation,
+coefficient scaling, ``==``, hashing and the zero test.  Adding maps of
+different shapes raises ``DimensionMismatch``.
 
-Trusted construction.  Internal results of all three types are built with
+Trusted construction.  Internal results of all four types are built with
 ``SparseMap._like``, which wraps a term map as is in the shape of an
 existing map (the product kernel below wraps its sums the same way).  That
 map must already be clean: every key passes the type's key check, every
@@ -34,8 +34,8 @@ operations keep this invariant by construction (sums and products of valid
 exponents stay valid, ``deriv`` lowers only nonzero exponents, wedge
 products sort their index tuples) and by dropping the zero coefficients
 that cancellation leaves, so trusted and validated results are
-interchangeable: ``p == LaurentPoly(p.n, p.terms)`` and
-``f == KForm(f.n, f.grade, f.terms)``.
+interchangeable: ``p == LaurentPoly(p.n, p.terms)``,
+``f == KForm(f.n, f.grade, f.terms)`` and ``X == VectorField(X.components)``.
 
 Products.  Every polynomial product is a sum of products, sum sign * a * b
 over (sign, a, b) triples, and one private kernel, ``_sum_products``,

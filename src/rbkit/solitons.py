@@ -34,7 +34,7 @@ from .errors import (
     NotClosed,
     OddSize,
 )
-from .exterior import KForm, VectorField, ext_d, interior, power_wedge, wedge
+from .exterior import KForm, VectorField, _zero, ext_d, interior, power_wedge, wedge
 from .halfspace import SolitonParams, flat
 from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
 
@@ -88,7 +88,7 @@ def generator(name: str, n: int) -> VectorField:
     kind, k = _parse_generator(name, n)
     if kind == "G" and not k:
         return 2 * generator("G1", 2)
-    one, half, zero = Fraction(1), Fraction(1, 2), LaurentPoly.zero(n)
+    one, half, zero = Fraction(1), Fraction(1, 2), _zero(n)
 
     def exps(i: int, j: int) -> tuple:  # the exponents of x_i x_j, with x_0 = 1
         out = [0] * (n + 1)
@@ -98,15 +98,14 @@ def generator(name: str, n: int) -> VectorField:
 
     # clean term maps wrapped as trusted results (see ratlaurent); flows
     # evaluates a component's terms in their order, so it is part of the CSV bytes
+    field = VectorField.zero(n)
     if kind == "T":
-        return VectorField([zero] * (k - 1) + [zero._like({exps(0, 0): one})] + [zero] * (n - k))
+        return field._like({k: zero._like({exps(0, 0): one})})
     if kind == "D":
-        return VectorField([zero._like({exps(0, j): one}) for j in range(1, n + 1)])
+        return field._like({j: zero._like({exps(0, j): one}) for j in range(1, n + 1)})
     # boost: (1/2)(x_k^2 - sum_{j != k} x_j^2) d_k + sum_{j != k} x_k x_j d_j
     quad = {exps(k, k): half, **{exps(j, j): -half for j in range(1, n + 1) if j != k}}
-    comps = [zero._like({exps(k, j): one}) for j in range(1, n + 1)]
-    comps[k - 1] = zero._like(quad)
-    return VectorField(comps)
+    return field._like({j: zero._like(quad if j == k else {exps(k, j): one}) for j in range(1, n + 1)})
 
 
 def one_hot_params(name: str, n: int) -> SolitonParams:
@@ -125,15 +124,17 @@ def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
         raise DimensionMismatch(f"fields in dimensions {A.n} and {B.n}")
     n = A.n
     coords = range(n)
-    comps = []
+    Ac, Bc = A.components, B.components
+    comps = {}
     for j in coords:
-        Aj, Bj = A.components[j], B.components[j]
         products = []
         for i in coords:
-            products.append((1, A.components[i], Bj.deriv(i + 1)))
-            products.append((-1, B.components[i], Aj.deriv(i + 1)))
-        comps.append(_sum_products(n, products))
-    return VectorField(comps)
+            products.append((1, Ac[i], Bc[j].deriv(i + 1)))
+            products.append((-1, Bc[i], Ac[j].deriv(i + 1)))
+        comp = _sum_products(n, products)
+        if comp:
+            comps[j + 1] = comp
+    return A._like(comps)
 
 
 # -- exact linear algebra over a shared monomial frame ----------------------
@@ -151,8 +152,8 @@ def _slot_key(slot) -> tuple:
 
 def _sparse_vector(field: VectorField) -> dict:
     out = {}
-    for comp in range(1, field.n + 1):
-        for exps, coeff in field.component(comp).terms.items():
+    for comp, poly in field.items():
+        for exps, coeff in poly._terms.items():
             out[(comp, exps)] = coeff
     return out
 

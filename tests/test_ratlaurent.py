@@ -13,10 +13,13 @@ from rbkit import (
     DimensionMismatch,
     KForm,
     LaurentPoly,
+    SolitonParams,
     SymTensor2,
     VectorField,
+    build_field,
     ext_d,
     interior,
+    lie_bracket,
     lie_derivative_metric,
     wedge,
 )
@@ -223,7 +226,7 @@ def test_operation_results_are_clean(operands):
     assert (q - q).is_zero() and (p * 0).is_zero() and (p - p).deriv(i).is_zero()
 
 
-# -- the sparse-map kernel shared by LaurentPoly, KForm and SymTensor2 -------
+# -- the sparse-map kernel shared by LaurentPoly, VectorField, KForm and SymTensor2
 
 
 @st.composite
@@ -253,6 +256,15 @@ def _tensor_operands(draw):
     field = VectorField([draw(_polys(n)) for _ in range(n)])
     scale = draw(_coeffs | st.integers(-3, 3) | _polys(n))
     return draw(_tensors(n)), draw(_tensors(n)), field, scale
+
+
+@st.composite
+def _field_operands(draw):
+    n = draw(st.integers(2, 3))
+    fields = [VectorField([draw(_polys(n)) for _ in range(n)]) for _ in range(2)]
+    scale = draw(_coeffs | st.integers(-3, 3) | _polys(n))
+    a, c = (draw(st.lists(_coeffs | st.just(0), min_size=n - 1, max_size=n - 1)) for _ in range(2))
+    return *fields, scale, SolitonParams(n=n, a=a, b=draw(_coeffs | st.just(0)), c=c)
 
 
 def _assert_clean_map(f, rebuild):
@@ -291,8 +303,19 @@ def test_tensor_results_are_clean(operands):
     assert (t - t).is_zero() and (s * 0).is_zero()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_field_operands())
+def test_field_results_are_clean(operands):
+    A, B, scale, params = operands
+    results = [A + B, A - B, B - B, -A, A * scale, scale * A, A * 0, lie_bracket(A, B), lie_bracket(A, A)]
+    for f in [*results, build_field(params)]:
+        assert set(f.terms) <= set(range(1, f.n + 1))
+        _assert_clean_map(f, lambda terms, f=f: VectorField(f.components))
+    assert (B - B).is_zero() and (A * 0).is_zero() and lie_bracket(A, A).is_zero()
+
+
 def test_zero_maps_are_falsy_and_hashable():
-    zeros = [LaurentPoly.zero(3), KForm.zero(3, 2), SymTensor2(3)]
+    zeros = [LaurentPoly.zero(3), VectorField.zero(3), KForm.zero(3, 2), SymTensor2(3)]
     for zero in zeros:
         assert zero.is_zero() and not zero
         assert hash(zero) == hash(zero + zero)
@@ -307,6 +330,7 @@ def test_mixed_shape_addition_is_a_dimension_mismatch():
         (KForm.dx(2, 1), KForm.dx(3, 1)),
         (KForm.dx(3, 1), wedge(KForm.dx(3, 1), KForm.dx(3, 2))),
         (SymTensor2(2), SymTensor2(3)),
+        (VectorField([LaurentPoly.var(2, 1)] * 2), VectorField([LaurentPoly.var(3, 1)] * 3)),
     ]
     for left, right in pairs:
         for op in (lambda a, b: a + b, lambda a, b: a - b):
