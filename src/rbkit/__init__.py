@@ -7,6 +7,7 @@ from .errors import (
     BoundaryPoint,
     DegeneratePoint,
     DimensionMismatch,
+    FlowEscape,
     GradeOverflow,
     IndexOutOfRange,
     NonFinite,

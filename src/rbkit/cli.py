@@ -17,15 +17,16 @@ before any step runs.  An unwritable ``--out`` also exits 64.  Values of
 ``--point``, ``--dt`` and ``--t-max`` may start with "-".  A start at the
 origin, a zero of D, of every boost and of the plane rotation, stays
 fixed, at any horizon.  A state at which the closed form has no finite value
-(its pole) ends the CSV and exits 2, like an escape.  An escape with no
-row to write removes a regular file that an earlier run left at ``--out``.
+(its pole) ends the CSV and exits 2, like an escape.  An escape writes the
+rows before it, at least the start row.
 
 ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
 parameter set is built; a larger count exits 64.  The ``n`` of a
 ``--params`` file is at most ``MAX_PARAMS_N``, checked as soon as it is
 read; a larger n exits 64 with a parse error.  ``algebra --n`` runs for
 2 <= n <= ``MAX_ALGEBRA_N`` (the closure has dimension n(n+1)/2, 45 at
-n = 9); any other n exits 64.
+n = 9); any other n exits 64.  ``flow --n`` is at most ``MAX_FLOW_N``,
+checked before any field is built; a larger n exits 64.
 
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
 never pass through floats.  Checks run serially in one thread: the
@@ -37,13 +38,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from fractions import Fraction
 
-from .errors import BoundaryEscape, NonFinite, OddSize, ParseError, RBKitError
+from .errors import FlowEscape, NonFinite, OddSize, ParseError, RBKitError
 from .exterior import ext_d, lie_derivative_form
 from .flows import FlowSpec, FlowState, integrate, write_trajectory_csv
 from .halfspace import (
@@ -72,6 +72,7 @@ EXIT_USAGE = 64
 MAX_TRIALS = 10**4  # verify builds every parameter set and field up front
 MAX_ALGEBRA_N = 9  # the closure brackets every pair of its n(n+1)/2 basis fields
 MAX_PARAMS_N = 15  # the Pfaffian recursion of contact has (n-2)!! terms
+MAX_FLOW_N = 1000  # the compiled RK4 step of a boost Gk has 4(2n-1) term statements
 
 
 class _UsageError(Exception):
@@ -251,6 +252,8 @@ def cmd_contact(params: SolitonParams, timings: bool):
 
 
 def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) -> int:
+    if n > MAX_FLOW_N:
+        raise _UsageError(f"--n {n} exceeds the limit of {MAX_FLOW_N}")
     # the start is checked here, not in the try below: a non-finite start
     # is a usage error, a non-finite step is an escape
     try:
@@ -261,13 +264,10 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
         states, escape = integrate(spec.field(), p0, t_max, dt), None
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    except (BoundaryEscape, NonFinite) as exc:
-        states, escape = getattr(exc, "trajectory", []), exc
+    except FlowEscape as exc:
+        states, escape = exc.trajectory, exc
     try:
-        if states:
-            worst = write_trajectory_csv(out_path, states, spec)
-        elif os.path.isfile(out_path):
-            os.remove(out_path)  # no row to write: drop an earlier run's CSV
+        worst = write_trajectory_csv(out_path, states, spec)
     except OSError as exc:
         raise _UsageError(f"--out: {exc}") from exc
     except NonFinite as exc:

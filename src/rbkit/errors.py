@@ -33,21 +33,25 @@ class DegeneratePoint(RBKitError):
     """The dual form annihilates the field at this point; no splitting exists."""
 
 
-class NonFinite(RBKitError):
-    """A numeric trajectory produced NaN or infinity."""
+class FlowEscape(RBKitError):
+    """A numeric flow stopped before its horizon.
+
+    Carries the valid prefix of the trajectory in ``trajectory`` (the last
+    element is the last valid state); it is empty when no trajectory ran.
+    """
+
+    def __init__(self, message, trajectory=()):
+        super().__init__(message)
+        self.trajectory = list(trajectory)
+
+
+class NonFinite(FlowEscape):
+    """A numeric trajectory, or its closed form, produced NaN or infinity."""
 
 
 class ParseError(RBKitError):
     """A parameter file is malformed; message carries the field or line."""
 
 
-class BoundaryEscape(RBKitError):
-    """A numeric flow left the safe region of the half-space.
-
-    Carries the valid prefix of the trajectory in ``trajectory`` (the last
-    element is the last valid state).
-    """
-
-    def __init__(self, message, trajectory=()):
-        super().__init__(message)
-        self.trajectory = list(trajectory)
+class BoundaryEscape(FlowEscape):
+    """A numeric flow left the safe region of the half-space."""

@@ -188,8 +188,8 @@ def _compile_step(field: VectorField):
 def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
     """Fixed-step RK4 trajectory from p0; raises BoundaryEscape/NonFinite.
 
-    The escape exception carries the valid prefix of the trajectory; a float
-    overflow inside a step is reported as NonFinite.  A dt that is not
+    Either escape carries the valid prefix of the trajectory, at least p0; a
+    float overflow inside a step is reported as NonFinite.  A dt that is not
     positive and finite, a negative t_max, a step count t_max / dt that is
     not finite or exceeds MAX_STEPS, or a field whose dimension differs from
     the arity of p0 raises ValueError before any step runs.
@@ -222,16 +222,16 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
             y = step(y, h)
         except OverflowError as exc:
             # float ** raises where * would give inf
-            raise NonFinite(f"float overflow in the RK4 step from t={t}") from exc
+            raise NonFinite(f"float overflow in the RK4 step from t={t}", states) from exc
         t += h
         if not all(map(isfinite, y)):
-            raise NonFinite(f"non-finite coordinates at t={t}")
+            raise NonFinite(f"non-finite coordinates at t={t}", states)
         escaped = y[-1] <= BOUNDARY_EPS if watch_boundary else y[-1] < 0.0
         if escaped or max(map(abs, y)) > COORD_LIMIT:
             raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
         if not isfinite(t):
             # only from a start time near the float limit
-            raise NonFinite(f"non-finite state {y} at t={t}")
+            raise NonFinite(f"non-finite state {y} at t={t}", states)
         states.append(FlowState._trusted(y, t))
     return states
 

@@ -13,6 +13,7 @@ from rbkit.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     MAX_ALGEBRA_N,
+    MAX_FLOW_N,
     MAX_PARAMS_N,
     MAX_TRIALS,
     _emit,
@@ -326,7 +327,7 @@ def test_flow_escape_exit_code_and_partial_file(tmp_path, capsys):
 
 
 def test_flow_overflow_in_a_step_is_an_escape(tmp_path, capsys):
-    # one step whose RK4 stage overflows float x**e
+    # one step whose RK4 stage overflows float x**e; the start row is still written
     out_path = tmp_path / "traj.csv"
     code, out, err = run(
         capsys,
@@ -334,24 +335,62 @@ def test_flow_overflow_in_a_step_is_an_escape(tmp_path, capsys):
          "--t-max", "1e150", "--dt", "1e150", "--out", str(out_path)],
     )
     assert code == EXIT_ESCAPE
-    assert "escape: float overflow" in out
-    assert not out_path.exists()
+    assert out.splitlines()[1] == "escape: float overflow in the RK4 step from t=0.0"
+    assert out_path.read_text().splitlines() == ["t,x1,x2,cx1,cx2,err", "0.0,100000000.0,1.0,100000000.0,1.0,0.0"]
 
 
-def test_flow_escape_without_rows_removes_a_stale_csv(tmp_path, capsys):
-    # the first RK4 step overflows, so there is no row to write
+def test_flow_overflow_after_valid_steps_keeps_them(tmp_path, capsys):
+    # the state at t=1e52 and its closed form are finite; the next step overflows
+    out_path = tmp_path / "o.csv"
+    code, out, err = run(
+        capsys,
+        ["flow", "--gen", "G2", "--n", "3", "--point", "1e-50,1e-50,1e-50",
+         "--t-max", "4e52", "--dt", "1e52", "--out", str(out_path)],
+    )
+    assert code == EXIT_ESCAPE
+    assert out.splitlines()[1] == "escape: float overflow in the RK4 step from t=1e+52"
+    rows = out_path.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.0", "1e+52"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+def test_flow_escape_overwrites_a_stale_csv(tmp_path, capsys):
+    # the first RK4 step overflows; the CSV holds the start row
     out_path = tmp_path / "o.csv"
     out_path.write_text("stale")
-    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e300,1",
+    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e155,1",
             "--t-max", "1", "--dt", "0.1", "--out"]
     code, out, err = run(capsys, [*argv, str(out_path)])
     assert code == EXIT_ESCAPE
     assert "escape: float overflow" in out
-    assert not out_path.exists()
-    # a directory at --out is left as it is
+    lines = out_path.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.0,1e+155,1.0,")
+    # a directory at --out is left as it is, and is a usage error
     code, out, err = run(capsys, [*argv, str(tmp_path)])
-    assert code == EXIT_ESCAPE
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: --out:")
     assert tmp_path.is_dir()
+
+
+def test_flow_n_cap_checked_before_any_field(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field was built above the n limit")
+
+    monkeypatch.setattr(solitons, "generator", refuse)
+    monkeypatch.setattr(flows, "generator", refuse)
+    assert MAX_FLOW_N == 1000
+    out_path = tmp_path / "o.csv"
+    for n in (MAX_FLOW_N + 1, 10**6):
+        argv = ["flow", "--gen", "G1", "--n", str(n), "--point", "0,1", "--out", str(out_path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: --n {n} exceeds the limit of {MAX_FLOW_N}\n"
+    assert not out_path.exists()
+    monkeypatch.undo()
+    point = ",".join(["0"] * (MAX_FLOW_N - 1) + ["1"])
+    argv = ["flow", "--gen", "T1", "--n", str(MAX_FLOW_N), "--point", point, "--t-max", "0.01", "--dt", "0.01"]
+    code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+    assert code == EXIT_PASS and len(out_path.read_text().splitlines()) == 3
 
 
 def test_flow_printed_deviation_is_max_csv_err(tmp_path, capsys):

@@ -57,7 +57,7 @@ CASES = {
     "flow_G2": ["flow", "--gen", "G2", "--n", "5", "--point", "0.2,-0.5,0.7,-0.1,0.9",
                 "--t-max", "3", "--dt", "0.01", "--out", "{csv}"],
     # exit 2: a partial CSV when the trajectory leaves the safe region,
-    # none when the first RK4 step overflows
+    # the start row alone when the first RK4 step overflows
     "escape_boundary": ["flow", "--gen", "G", "--n", "2", "--point", "2,0.00001",
                         "--t-max", "1", "--dt", "0.001", "--out", "{csv}"],
     "escape_overflow": ["flow", "--gen", "G1", "--n", "2", "--point", "1e8,1",
@@ -85,7 +85,7 @@ GOLDEN = {
     "contact_n5": (0, "9dfbe8cbfd9f2fbc6d483635f17186cdb92127c451998ec73062dd20fd3439e5", None),
     "contact_n7": (0, "0dccbdca01a5924b9568de8fd4b415231aae42e1904d6c2d902969344ad51c0f", None),
     "escape_boundary": (2, "4e1f739e1c2ab044d40e1819ed99ebc3d9327d7073d306eb928245f64dab0747", "4b7403939e96b1672494cdb043b0b270c89fced5f0885211c6aecc4e39c83e7f"),
-    "escape_overflow": (2, "aff0fd95d1e6ef5ac6a24bcbae6859db5f741a8819045867513da3a168cce39b", None),
+    "escape_overflow": (2, "aff0fd95d1e6ef5ac6a24bcbae6859db5f741a8819045867513da3a168cce39b", "c67adb8e8647db4f674c2acd49b7ddb2e32fbf635540c31c3895e84422be0d1f"),
     "flow_G": (0, "622dad5ac15a8a0495d81b4486ee3106179d3c61fdfc6830563e3eb3b9bafebb", "ca1fb9904f4b061650032a14f86331d54aa296f2d15d3c9154982fee7017718c"),
     "flow_G1": (0, "82a5b4df596a27ccd63607858b3427d0240301e5d4f7c7c5960a0ba896108fc9", "85abb8c246b1eb21079dc5ab656baa95fd3643a0d835aa8d6f835385f3827341"),
     "flow_G2": (0, "07ad162d9fa8b6fa2aa1b9c788bdf7f106afe9366e3e1f7f605e0182c62e0201", "26b94527e6d02f811a3c279ffe5ba8a1b46714bf54e41455ab9179e362e4853d"),
