@@ -17,8 +17,9 @@ before any step runs.  An unwritable ``--out`` also exits 64.  Values of
 ``--point``, ``--dt`` and ``--t-max`` may start with "-".  A start at the
 origin, a zero of D, of every boost and of the plane rotation, stays
 fixed, at any horizon.  A state at which the closed form has no finite value
-(its pole) ends the CSV and exits 2, like an escape.  An escape writes the
-rows before it, at least the start row.
+(its pole) ends the CSV and exits 2, like an escape; if an RK4 step also
+overflowed, that overflow is the escape printed.  An escape writes the rows
+before it, at least the start row.
 
 ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
 parameter set is built; a larger count exits 64.  The ``n`` of a
@@ -72,7 +73,7 @@ EXIT_USAGE = 64
 MAX_TRIALS = 10**4  # verify builds every parameter set and field up front
 MAX_ALGEBRA_N = 9  # the closure brackets every pair of its n(n+1)/2 basis fields
 MAX_PARAMS_N = 15  # the Pfaffian recursion of contact has (n-2)!! terms
-MAX_FLOW_N = 1000  # the compiled RK4 step of a boost Gk has 4(2n-1) term statements
+MAX_FLOW_N = 1000  # a boost Gk holds about 2n^2 exponents; n = 8000 took 995 MB
 
 
 class _UsageError(Exception):
@@ -271,7 +272,10 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
     except OSError as exc:
         raise _UsageError(f"--out: {exc}") from exc
     except NonFinite as exc:
-        escape = exc  # the closed form reached its pole; the CSV stops there
+        # the closed form reached its pole; the CSV stops there.  An overflow
+        # in the steps is still the escape reported.
+        if not isinstance(escape, NonFinite):
+            escape = exc
     print(f"convention: {spec.convention()}")
     if escape is not None:
         print(f"escape: {escape}")

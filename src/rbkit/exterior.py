@@ -54,7 +54,9 @@ class VectorField(SparseMap):
 
     def component(self, i: int) -> LaurentPoly:
         """Component X^i, 1-based."""
-        return self.components[i - 1]
+        if not 1 <= i <= self.n:
+            raise IndexError(f"component index {i} outside 1..{self.n}")
+        return self._terms.get(i, _zero(self.n))
 
     @property
     def components(self) -> tuple:

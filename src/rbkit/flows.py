@@ -281,10 +281,15 @@ def _closed_form_gaps(spec: FlowSpec, states: Sequence[FlowState]):
     for state in states:
         try:
             reference = closed_flow(spec, states[0], state.t - states[0].t)
-            gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
         except ArithmeticError as exc:
             # a division by zero at the pole, or a float overflow
             raise NonFinite(f"the closed form has no finite value at t={state.t}") from exc
+        try:
+            gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
+        except OverflowError:
+            # a gap above 1e154 squares past the float limit; hypot scales
+            # instead (only here, so every other gap keeps its bytes)
+            gap = math.hypot(*(a - b for a, b in zip(state.coords, reference.coords)))
         yield state, reference, gap
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BoundaryPoint
-from .exterior import KForm, VectorField
+from .exterior import KForm, VectorField, _zero
 from .ratlaurent import LaurentPoly, SparseMap, _sum_grouped
 
 
@@ -194,7 +194,7 @@ def lie_derivative_metric(field: VectorField) -> SymTensor2:
     n = field.n
     g = metric(n)
     coords = range(1, n + 1)
-    zeros = [LaurentPoly.zero(n)] * n
+    zeros = [_zero(n)] * n
     g_dense = [[g.get(i, j) for j in coords] for i in coords]
     dg = {key: [p.deriv(k) for k in coords] for key, p in g.items()}  # dg[(i, j)][k-1] = d_k g_ij
     X = field.components

@@ -358,18 +358,45 @@ def test_flow_escape_overwrites_a_stale_csv(tmp_path, capsys):
     # the first RK4 step overflows; the CSV holds the start row
     out_path = tmp_path / "o.csv"
     out_path.write_text("stale")
-    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e155,1",
+    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e300,1",
             "--t-max", "1", "--dt", "0.1", "--out"]
     code, out, err = run(capsys, [*argv, str(out_path)])
     assert code == EXIT_ESCAPE
-    assert "escape: float overflow" in out
+    assert out.splitlines()[1] == "escape: float overflow in the RK4 step from t=0.0"
     lines = out_path.read_text().splitlines()
-    assert len(lines) == 2 and lines[1].startswith("0.0,1e+155,1.0,")
+    assert len(lines) == 2 and lines[1].startswith("0.0,1e+300,1.0,")
     # a directory at --out is left as it is, and is a usage error
     code, out, err = run(capsys, [*argv, str(tmp_path)])
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage error: --out:")
     assert tmp_path.is_dir()
+
+
+def test_flow_gap_whose_square_overflows_is_finite(tmp_path, capsys):
+    # at x1 = 1e300 the closed form of G1 is off by about 1e284 in the last
+    # bit; that gap is finite although its square is not
+    out_path = tmp_path / "o.csv"
+    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e300,1", "--t-max", "0", "--dt", "1"]
+    code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+    assert code == EXIT_PASS
+    worst = float(out.splitlines()[1].split(": ")[1])
+    assert 1e283 < worst < 1e285
+    assert float(out_path.read_text().splitlines()[1].split(",")[-1]) == worst
+
+
+def test_flow_step_overflow_outranks_the_closed_form_pole(tmp_path, capsys, monkeypatch):
+    # the rows before a step overflow may reach a closed-form pole; the
+    # overflow is still the escape reported
+    def no_closed_form(spec, p0, t):
+        raise ZeroDivisionError("pole")
+
+    monkeypatch.setattr(flows, "closed_flow", no_closed_form)
+    out_path = tmp_path / "o.csv"
+    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e300,1", "--t-max", "1", "--dt", "0.1"]
+    code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+    assert code == EXIT_ESCAPE
+    assert out.splitlines()[1] == "escape: float overflow in the RK4 step from t=0.0"
+    assert out_path.read_text().splitlines() == ["t,x1,x2,cx1,cx2,err"]
 
 
 def test_flow_n_cap_checked_before_any_field(tmp_path, capsys, monkeypatch):
