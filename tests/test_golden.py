@@ -34,6 +34,14 @@ PARAMS = {
         "rho": "2",
     },
     "n4": {"n": 4, "a": ["1", "0", "2"], "b": "1", "c": ["0", "1", "-1"], "rho": "1"},
+    # every a_k and c_k nonzero: the largest dense Pfaffian MAX_PARAMS_N allows
+    "n15": {
+        "n": 15,
+        "a": ["1", "-2", "1/2", "3", "-1", "2/3", "1", "-1/3", "2", "-3", "1/4", "1", "-1/2", "5"],
+        "b": "1/2",
+        "c": ["2", "1", "-1", "1/3", "3", "-2", "1/2", "1", "-3/2", "1", "2", "-1", "4", "-1/5"],
+        "rho": "1",
+    },
 }
 
 # argv with {params} and {csv} placeholders
@@ -46,6 +54,7 @@ CASES = {
     "contact_n3": ["contact", "--params", "{n3}"],
     "contact_n5": ["contact", "--params", "{n5}"],
     "contact_n7": ["contact", "--params", "{n7}"],
+    "contact_n15": ["contact", "--params", "{n15}"],
     "verify_n3": ["verify", "--params", "{n3}", "--trials", "3"],
     "verify_n5": ["verify", "--params", "{n5}", "--trials", "3"],
     "flow_T1": ["flow", "--gen", "T1", "--n", "3", "--point", "0.5,-0.25,1.5",
@@ -81,6 +90,7 @@ GOLDEN = {
     "algebra_n4": (0, "f538d147193080e9842a7605f2d25d7e4a16c8c759d25bc822c39890d44b8934", None),
     "algebra_n5": (0, "b3def20f07ebf64cb4147b218abd98993a7ab087eafe320528a611f361c686f6", None),
     "algebra_n7": (0, "0d6ed89086ab4029c89e32ac9c7a8d64c4df9e2db4cecd26b7c3d15b667aba41", None),
+    "contact_n15": (0, "06a481b9921a6d061d66ad833fa2805cd0b3b6d32ae97a1de39d6d45973065e2", None),
     "contact_n3": (0, "cf52211240f55bfe1306b1bcb0d8a5ee3ef342cb8d56ca1e63fec82d60a619df", None),
     "contact_n5": (0, "9dfbe8cbfd9f2fbc6d483635f17186cdb92127c451998ec73062dd20fd3439e5", None),
     "contact_n7": (0, "0dccbdca01a5924b9568de8fd4b415231aae42e1904d6c2d902969344ad51c0f", None),
