@@ -17,14 +17,12 @@ coordinate formula.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, GradeOverflow
 from .ratlaurent import LaurentPoly, SparseMap, _accumulate, _sum_grouped
 
 IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
-_zero = lru_cache(maxsize=None)(LaurentPoly.zero)  # one shared zero polynomial per n
 
 
 class VectorField(SparseMap):
@@ -50,18 +48,18 @@ class VectorField(SparseMap):
 
     @classmethod
     def zero(cls, n: int) -> "VectorField":
-        return cls([_zero(n)] * n)
+        return cls([LaurentPoly.zero(n)] * n)
 
     def component(self, i: int) -> LaurentPoly:
         """Component X^i, 1-based."""
         if not 1 <= i <= self.n:
             raise IndexError(f"component index {i} outside 1..{self.n}")
-        return self._terms.get(i, _zero(self.n))
+        return self._terms.get(i, LaurentPoly.zero(self.n))
 
     @property
     def components(self) -> tuple:
         """All n components X^1..X^n, zeros included."""
-        zero = _zero(self.n)
+        zero = LaurentPoly.zero(self.n)
         return tuple(self._terms.get(i, zero) for i in range(1, self.n + 1))
 
     def text(self) -> str:

@@ -59,6 +59,7 @@ Its invariants:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -227,6 +228,7 @@ class LaurentPoly(SparseMap):
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    @lru_cache(maxsize=None)  # one shared zero polynomial per n
     def zero(cls, n: int) -> "LaurentPoly":
         return cls(n)
 

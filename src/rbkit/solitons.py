@@ -8,8 +8,9 @@ is the one reader of names ("D", "Tk", "Gk" with ASCII k, or "G" at n=2).
 Also here: exact Lie brackets, bracket-closure of spans with exact
 rational linear algebra, structure constants, and the contact machinery
 for odd ambient dimension: the antisymmetric parameter matrix, its
-Pfaffian and determinant, the top form w ^ (dw)^m, the Reeb-defect
-evaluation, and the kernel/span splitting of tangent vectors.
+Pfaffian and determinant (fraction-free eliminations on one integer
+matrix, O(k^3)), the top form w ^ (dw)^m, the Reeb-defect evaluation,
+and the kernel/span splitting of tangent vectors.
 
 Subalgebra sizes are *measured*, never asserted: ``algebra_closure`` adjoins
 escaping brackets until the span stabilizes and reports what it found.  It
@@ -34,7 +35,7 @@ from .errors import (
     NotClosed,
     OddSize,
 )
-from .exterior import KForm, VectorField, _zero, ext_d, interior, power_wedge, wedge
+from .exterior import KForm, VectorField, ext_d, interior, power_wedge, wedge
 from .halfspace import SolitonParams, flat
 from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
 
@@ -88,7 +89,7 @@ def generator(name: str, n: int) -> VectorField:
     kind, k = _parse_generator(name, n)
     if kind == "G" and not k:
         return 2 * generator("G1", 2)
-    one, half, zero = Fraction(1), Fraction(1, 2), _zero(n)
+    one, half, zero = Fraction(1), Fraction(1, 2), LaurentPoly.zero(n)
 
     def exps(i: int, j: int) -> tuple:  # the exponents of x_i x_j, with x_0 = 1
         out = [0] * (n + 1)
@@ -376,55 +377,54 @@ def contact_matrix(params: SolitonParams) -> ContactMatrix:
     return ContactMatrix(size=size, entries=entries)
 
 
-def _as_matrix(M) -> list:
-    rows = M.entries if isinstance(M, ContactMatrix) else M
-    return [list(map(Fraction, row)) for row in rows]
+def _integer_matrix(M) -> tuple:
+    """(L, rows): a square matrix (or ContactMatrix) times the lcm L of its denominators, as ints."""
+    rows = [list(map(Fraction, row)) for row in (M.entries if isinstance(M, ContactMatrix) else M)]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("needs a square matrix")
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def pfaffian(M) -> Fraction:
-    """Pfaffian by recursive expansion along the first row."""
-    mat = _as_matrix(M)
-    size = len(mat)
-    if size % 2:
-        raise OddSize(f"Pfaffian needs even size, got {size}")
+    """Pfaffian of the strict upper triangle by fraction-free skew elimination.
 
-    def rec(rows: list) -> Fraction:
-        k = len(rows)
-        if k == 0:
-            return Fraction(1)
-        total = Fraction(0)
-        for j in range(1, k):
-            coeff = rows[0][j]
-            if coeff == 0:
-                continue
-            keep = [r for r in range(1, k) if r != j]
-            minor = [[rows[r][c] for c in keep] for r in keep]
-            term = coeff * rec(minor)
-            # expansion sign (-1)^j for 0-based column j
-            total += -term if j % 2 == 0 else term
-        return total
-
-    return rec(mat)
+    Pf(LM) = L^(k/2) Pf(M).  Each updated entry is a sub-Pfaffian of LM, so
+    every division by the previous pivot is exact (Tanner's identity).
+    """
+    scale, a = _integer_matrix(M)
+    k = len(a)
+    if k % 2:
+        raise OddSize(f"Pfaffian needs even size, got {k}")
+    a = [[a[i][j] if i < j else -a[j][i] if i > j else 0 for j in range(k)] for i in range(k)]
+    sign, prev = 1, 1
+    for p in range(0, k - 2, 2):
+        q = next((q for q in range(p + 1, k) if a[p][q]), None)
+        if q is None:
+            return Fraction(0)
+        if q != p + 1:
+            a[p + 1], a[q] = a[q], a[p + 1]
+            for row in a[p:]:
+                row[p + 1], row[q] = row[q], row[p + 1]
+            sign = -sign
+        top, nxt, pivot = a[p], a[p + 1], a[p][p + 1]
+        for i in range(p + 2, k):
+            row, u, v = a[i], a[i][p], a[i][p + 1]
+            for j in range(i + 1, k):
+                row[j] = (pivot * row[j] - v * top[j] + u * nxt[j]) // prev
+                a[j][i] = -row[j]
+        prev = pivot
+    return Fraction(sign * a[-2][-1], scale ** (k // 2)) if k else Fraction(1)
 
 
 def det_bareiss(M) -> Fraction:
     """Exact determinant by fraction-free elimination (Bareiss 1968).
 
-    Each row is first scaled by the lcm of its denominators, so elimination
-    runs on integers in O(k^3) steps; every division by the previous pivot
-    is exact.  A zero pivot is replaced by a later row with a nonzero entry
-    in its column (flipping the sign), and a column with none means det = 0.
+    det(LM) = L^k det(M); every division by the previous pivot is exact.  A
+    zero pivot is swapped with a later row (flipping the sign), or det = 0.
     """
-    rows = _as_matrix(M)
-    k = len(rows)
-    if any(len(row) != k for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    scale = 1
-    a = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        scale *= den
-        a.append([x.numerator * (den // x.denominator) for x in row])
+    scale, a = _integer_matrix(M)
+    k = len(a)
     sign, prev = 1, 1
     for p in range(k - 1):
         if not a[p][p]:
@@ -439,7 +439,7 @@ def det_bareiss(M) -> Fraction:
             for j in range(p + 1, k):
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    return Fraction(sign * a[-1][-1], scale) if k else Fraction(1)
+    return Fraction(sign * a[-1][-1], scale**k) if k else Fraction(1)
 
 
 def det_via_pf(M) -> Fraction:

@@ -1,7 +1,8 @@
 """Shared random generators for the test suite (seeded, deterministic), the
 paper's component formula of the soliton field used as the oracle for
-``build_field``, the Laplace-expansion determinant used as an oracle for
-the library's Bareiss determinant and Pfaffian, the term-by-term
+``build_field``, the Laplace-expansion determinant and the first-row
+Pfaffian expansion used as oracles for the library's Bareiss determinant
+and skew elimination, the term-by-term
 interpreter of a field and its RK4 step used as the oracle for the
 compiled flow step, and the product-by-product ``Fraction`` loops of the
 polynomial product, the wedge and interior products, the Lie bracket and
@@ -103,6 +104,24 @@ def det_cofactor(M) -> Fraction:
                 minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
                 term = rows[0][j] * rec(minor)
                 total += -term if j % 2 else term
+        return total
+
+    return rec([list(map(Fraction, row)) for row in M])
+
+
+def pfaffian_oracle(M) -> Fraction:
+    """Pfaffian by expansion along the first row ((k-1)!! terms), strict upper triangle only."""
+
+    def rec(rows: list) -> Fraction:
+        k = len(rows)
+        if k == 0:
+            return Fraction(1)
+        total = Fraction(0)
+        for j in range(1, k):
+            if rows[0][j]:
+                keep = [r for r in range(1, k) if r != j]
+                term = rows[0][j] * rec([[rows[r][c] for c in keep] for r in keep])
+                total += -term if j % 2 == 0 else term  # sign (-1)^(j+1) for 0-based j
         return total
 
     return rec([list(map(Fraction, row)) for row in M])

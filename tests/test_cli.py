@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rbkit import cli, flows, solitons
+from rbkit import LaurentPoly, cli, flows, solitons
 from rbkit.cli import (
     EXIT_ESCAPE,
     EXIT_FAIL,
@@ -119,6 +119,22 @@ def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, ["verify", "--params", path, "--trials", str(trials)])
         assert code == EXIT_PASS
         assert len(calls) == trials + 1
+
+
+def test_verify_builds_the_zero_polynomial_at_most_once(tmp_path, capsys, monkeypatch):
+    # every missing coefficient or metric entry is the one shared LaurentPoly.zero(n)
+    zeros, init = [], LaurentPoly.__init__
+
+    def counted(self, n, terms=None):
+        init(self, n, terms)
+        if not self._terms:
+            zeros.append(n)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counted)
+    params = {"n": 6, "a": ["1", "2", "0", "-1", "1"], "b": "1", "c": ["0", "1", "3", "1", "2"]}
+    code, _, _ = run(capsys, ["verify", "--params", write_params(tmp_path, **params), "--trials", "25"])
+    assert code == EXIT_PASS
+    assert len(zeros) <= 1
 
 
 def count_generator_calls(monkeypatch) -> list:

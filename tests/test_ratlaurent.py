@@ -38,6 +38,13 @@ def test_zero_is_empty_map():
     assert not zero
 
 
+def test_zero_is_one_shared_instance_per_n():
+    assert LaurentPoly.zero(3) is LaurentPoly.zero(3)
+    assert LaurentPoly.zero(3) != LaurentPoly.zero(4)
+    assert LaurentPoly.zero(3) + LaurentPoly.var(3, 1) == LaurentPoly.var(3, 1)
+    assert LaurentPoly.zero(3).is_zero()
+
+
 def test_construction_drops_zero_coefficients():
     p = P(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert p.terms == {(0, 1): Fraction(2)}

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     build_field_oracle,
     det_cofactor,
+    pfaffian_oracle,
     rand_antisymmetric,
     rand_field,
     rand_fraction,
@@ -377,6 +378,57 @@ def test_bareiss_matches_cofactor_expansion():
 def test_bareiss_rejects_non_square():
     with pytest.raises(ValueError):
         det_bareiss([[1, 2], [3]])
+
+
+def _pfaffian_cases(rng, size):
+    """Skew matrices (dense, sparse, with a zero leading pivot, of rank 2
+    and rank 4) and non-skew square matrices, rational, of one size."""
+    half = size // 2
+    for density in (1.0, 0.4, 0.1):
+        M = [[x if rng.random() < density else Fraction(0) for x in row] for row in rand_antisymmetric(rng, size)]
+        M = [[M[i][j] if i < j else -M[j][i] for j in range(size)] for i in range(size)]
+        yield True, M
+    if size >= 4:
+        M = [list(row) for row in rand_antisymmetric(rng, size)]
+        M[0][1] = M[1][0] = Fraction(0)  # the first pivot needs a swap
+        if size >= 6:
+            M[0][2] = M[2][0] = Fraction(0)
+        yield True, M
+    for rank in (2, 4):
+        vecs = [[rand_fraction(rng) for _ in range(size)] for _ in range(rank)]
+        yield True, [
+            [sum(u[i] * v[j] - u[j] * v[i] for u, v in zip(vecs[::2], vecs[1::2])) for j in range(size)]
+            for i in range(size)
+        ]
+    yield False, [[rand_fraction(rng) for _ in range(size)] for _ in range(size)]
+    yield False, [[rand_fraction(rng) if j <= i or j > half else Fraction(0) for j in range(size)] for i in range(size)]
+
+
+def test_pfaffian_matches_first_row_expansion():
+    rng = random.Random(53)
+    for size in range(0, 11, 2):
+        for _ in range(4):
+            for skew, M in _pfaffian_cases(rng, size):
+                pf = pfaffian(M)
+                assert pf == pfaffian_oracle(M), M
+                if skew:
+                    assert pf**2 == det_bareiss(M), M
+    with pytest.raises(OddSize):
+        pfaffian([[rand_fraction(rng) for _ in range(5)] for _ in range(5)])
+
+
+def test_pfaffian_squares_to_bareiss_beyond_the_expansion():
+    rng = random.Random(54)
+    for size in (12, 16, 20, 24):
+        for skew, M in _pfaffian_cases(rng, size):
+            if skew:
+                assert pfaffian(M) ** 2 == det_bareiss(M)
+
+
+def test_pfaffian_rejects_non_square():
+    for M in ([[0, 1, 2], [-1, 0, 3]], [[0, 1], [-1]]):
+        with pytest.raises(ValueError):
+            pfaffian(M)
 
 
 def test_pfaffian_plucker_identity_for_rank_two_matrices():
