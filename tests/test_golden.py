@@ -6,7 +6,12 @@ that is meant to keep them must keep these digests.  Each case runs
 translation ``T1``, the plane rotation ``G`` and the boosts ``G1`` (n=3) and
 ``G2`` (n=5), whose RK4 steps and closed forms need only float arithmetic
 and no transcendental functions.  The boost components have several terms
-each, so their CSVs also pin the order in which an RK4 stage sums them.  Escapes and usage errors are pinned too: exit 64 leaves stdout
+each, so their CSVs also pin the order in which an RK4 stage sums them.  The
+dilation ``D`` is pinned too; its closed form takes ``math.exp``, so its
+digest assumes the platform's ``exp`` rounds as glibc's does.  The
+fixed points (the origin under ``D`` and ``G``) and the axis-bound boost
+(a ``G1`` start with r0 = 0) pin the degenerate branches of the closed
+forms.  Escapes and usage errors are pinned too: exit 64 leaves stdout
 empty and writes no CSV.
 
 To re-record after an intended output change, run this file as a script
@@ -65,6 +70,16 @@ CASES = {
                 "--t-max", "3", "--dt", "0.01", "--out", "{csv}"],
     "flow_G2": ["flow", "--gen", "G2", "--n", "5", "--point", "0.2,-0.5,0.7,-0.1,0.9",
                 "--t-max", "3", "--dt", "0.01", "--out", "{csv}"],
+    # the dilation's closed form is the one that calls math.exp
+    "flow_D": ["flow", "--gen", "D", "--n", "3", "--point", "0.2,0.1,0.7",
+               "--t-max", "1", "--dt", "0.01", "--out", "{csv}"],
+    # fixed points and the axis-bound boost (r0 == 0) of the closed forms
+    "flow_G1_axis": ["flow", "--gen", "G1", "--n", "2", "--point", "0.5,0",
+                     "--t-max", "1", "--dt", "0.01", "--out", "{csv}"],
+    "flow_D_origin": ["flow", "--gen", "D", "--n", "3", "--point", "0,0,0",
+                      "--t-max", "1", "--dt", "0.1", "--out", "{csv}"],
+    "flow_G_origin": ["flow", "--gen", "G", "--n", "2", "--point", "0,0",
+                      "--t-max", "1", "--dt", "0.1", "--out", "{csv}"],
     # exit 2: a partial CSV when the trajectory leaves the safe region,
     # the start row alone when the first RK4 step overflows
     "escape_boundary": ["flow", "--gen", "G", "--n", "2", "--point", "2,0.00001",
@@ -96,9 +111,13 @@ GOLDEN = {
     "contact_n7": (0, "0dccbdca01a5924b9568de8fd4b415231aae42e1904d6c2d902969344ad51c0f", None),
     "escape_boundary": (2, "4e1f739e1c2ab044d40e1819ed99ebc3d9327d7073d306eb928245f64dab0747", "4b7403939e96b1672494cdb043b0b270c89fced5f0885211c6aecc4e39c83e7f"),
     "escape_overflow": (2, "aff0fd95d1e6ef5ac6a24bcbae6859db5f741a8819045867513da3a168cce39b", "c67adb8e8647db4f674c2acd49b7ddb2e32fbf635540c31c3895e84422be0d1f"),
+    "flow_D": (0, "d955783bd371254d03ddd8c382319f19c7753419d8d2e3a7e23f69c0ac615d96", "a0be35a5d46c89de857a551a68ded85ecb71d4ee562cfb49d6e44a687823b1ed"),
+    "flow_D_origin": (0, "f64c9cc0778b42aeb7a36a8e83cee85667556fec3ee8f55d9b2d6b38e8cc0cae", "002c208f8adeffebfe8a9db322abd509dcdf8bfbd991c43affc74d80515659d3"),
     "flow_G": (0, "622dad5ac15a8a0495d81b4486ee3106179d3c61fdfc6830563e3eb3b9bafebb", "ca1fb9904f4b061650032a14f86331d54aa296f2d15d3c9154982fee7017718c"),
     "flow_G1": (0, "82a5b4df596a27ccd63607858b3427d0240301e5d4f7c7c5960a0ba896108fc9", "85abb8c246b1eb21079dc5ab656baa95fd3643a0d835aa8d6f835385f3827341"),
+    "flow_G1_axis": (0, "af06faf0b959dbffd8b235419a087241847ad9ba2abca5b5d481186604d26c1b", "d13f4ff01549556c6e3f193e0aba01698dd195351663beec33bebdc82d9cbb53"),
     "flow_G2": (0, "07ad162d9fa8b6fa2aa1b9c788bdf7f106afe9366e3e1f7f605e0182c62e0201", "26b94527e6d02f811a3c279ffe5ba8a1b46714bf54e41455ab9179e362e4853d"),
+    "flow_G_origin": (0, "affc973ecc3129402fae4efd5de21b26c85f7944f42467a292b04b1061f91e3d", "2fcc4d88460754e33c0f4a1f53fce2f0ed0282ba5585b31f76166640b1d160e3"),
     "flow_T1": (0, "08dbee142f9469cfd2dd24381727f94a1c8c845c4c43f2b5580334f6298661a0", "a9566ded2e028e678b1d5045bc8abee6f4f5f084066edd21cd256cd76260b260"),
     "usage_arity": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "usage_bad_gen": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
