@@ -31,6 +31,17 @@ stage inputs are y + 0.5 * h * k (y + h * k for the last stage), and the
 update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  Each term is one
 statement, so a component with thousands of terms (the boost G1 in
 thousands of coordinates) still compiles.
+
+Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
+and works out every constant of the start point (r0, -2/(x_k + i r0),
+-1/z0, the fixed points and the axis-bound branch) once per trajectory,
+and returns ``t -> coords``; ``closed_flow`` is that function checked as a
+FlowState.  The float operations that depend on t, and their order, are
+those of a closed form worked out from scratch at each t, so the CSV bytes
+are unchanged.  The pass of ``write_trajectory_csv`` and ``flow_compare``
+checks each coordinate tuple the way ``FlowState`` does (finite, last
+coordinate nonnegative, finite time) and builds the FlowState only when a
+tuple fails, for the exact error it raises.
 """
 
 from __future__ import annotations
@@ -236,61 +247,105 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     return states
 
 
-def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
-    """Evaluate the closed-form flow of spec.kind at time t."""
-    coords = list(p0.coords)
+def _reference(spec: FlowSpec, p0: FlowState):
+    """The closed-form flow of spec from p0, as a function ``t -> coords``.
+
+    Everything that depends on p0 alone is worked out here, once: the
+    generator kind, r0 and the constant -2/(x_k + i r0) of a boost, -1/z0 of
+    the rotation, and the fixed points and axis-bound branch.  The function
+    does the float operations that depend on t, the same ones in the same
+    order as a closed form worked out from scratch at each t.  It returns
+    the coordinates unchecked and raises ArithmeticError where the closed
+    form has no finite value (a pole hit exactly, ``exp`` overflowing).
+    """
+    coords = p0.coords
     n = len(coords)
     if n != spec.n:
         raise ValueError(f"state arity {n} differs from spec dimension {spec.n}")
     kind, k = _parse_generator(spec.kind, spec.n)
     if kind == "D":
-        # the origin is a zero of the field; e^t would overflow for t > 709
-        scale = math.exp(t) if any(coords) else 1.0
-        return FlowState(tuple(scale * x for x in coords), p0.t + t)
+        if not any(coords):
+            # the origin is a zero of the field; e^t would overflow for t > 709
+            return lambda t: coords
+
+        def dilation(t):
+            scale = math.exp(t)
+            return tuple(scale * x for x in coords)
+
+        return dilation
     if kind == "T":
-        coords[k - 1] += t
-        return FlowState(tuple(coords), p0.t + t)
+        head, xk, tail = coords[: k - 1], coords[k - 1], coords[k:]
+        return lambda t: (*head, xk + t, *tail)
     if kind == "G" and not k:
         z0 = complex(coords[0], coords[1])
         if z0 == 0:
             # the origin is a zero of the field: the flow stays there
-            return FlowState(p0.coords, p0.t + t)
-        z = -1.0 / (t + (-1.0 / z0))
-        return FlowState((z.real, z.imag), p0.t + t)
+            return lambda t: coords
+        e_f = -1.0 / z0
+
+        def rotation(t):
+            z = -1.0 / (t + e_f)
+            return z.real, z.imag
+
+        return rotation
     # boost Gk, the only kind left
+    xk = coords[k - 1]
     r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open
         # half-space, where r0 >= xn > 0
-        if coords[k - 1] == 0.0:
+        if xk == 0.0:
             # the origin is a zero of the field: the flow stays there
-            return FlowState(p0.coords, p0.t + t)
-        xk = -2.0 / (t - 2.0 / coords[k - 1])
-        out = [0.0] * n
-        out[k - 1] = xk
-        return FlowState(tuple(out), p0.t + t)
-    z = -2.0 / (t + (-2.0 / complex(coords[k - 1], r0)))
-    scale = z.imag / r0
-    out = [x * scale for x in coords]
-    out[k - 1] = z.real
-    return FlowState(tuple(out), p0.t + t)
+            return lambda t: coords
+        pole = 2.0 / xk
+        zeros_head, zeros_tail = (0.0,) * (k - 1), (0.0,) * (n - k)
+        return lambda t: (*zeros_head, -2.0 / (t - pole), *zeros_tail)
+    s0_e0 = -2.0 / complex(xk, r0)
+
+    def boost(t):
+        z = -2.0 / (t + s0_e0)
+        scale = z.imag / r0
+        out = [x * scale for x in coords]
+        out[k - 1] = z.real
+        return tuple(out)
+
+    return boost
+
+
+def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
+    """Evaluate the closed-form flow of spec.kind at time t."""
+    return FlowState(_reference(spec, p0)(t), p0.t + t)
 
 
 def _closed_form_gaps(spec: FlowSpec, states: Sequence[FlowState]):
-    """Yield (state, closed-form reference, Euclidean gap) along a trajectory from states[0]."""
+    """Yield (state, closed-form coordinates, Euclidean gap) along a trajectory from states[0].
+
+    The closed form is built once, from states[0].  Its coordinates at each
+    state must pass the checks of ``FlowState``; only when they do not is
+    the state built, for the error it raises.
+    """
+    if not states:
+        return
+    p0 = states[0]
+    reference = _reference(spec, p0)
+    isfinite = math.isfinite
     for state in states:
+        t = state.t - p0.t
         try:
-            reference = closed_flow(spec, states[0], state.t - states[0].t)
+            coords = reference(t)
         except ArithmeticError as exc:
             # a division by zero at the pole, or a float overflow
             raise NonFinite(f"the closed form has no finite value at t={state.t}") from exc
+        if not (all(map(isfinite, coords)) and coords[-1] >= 0 and isfinite(p0.t + t)):
+            # the checks of FlowState failed; it raises their exact error
+            FlowState(coords, p0.t + t)
         try:
-            gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, reference.coords)))
+            gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, coords)))
         except OverflowError:
             # a gap above 1e154 squares past the float limit; hypot scales
             # instead (only here, so every other gap keeps its bytes)
-            gap = math.hypot(*(a - b for a, b in zip(state.coords, reference.coords)))
-        yield state, reference, gap
+            gap = math.hypot(*(a - b for a, b in zip(state.coords, coords)))
+        yield state, coords, gap
 
 
 def flow_compare(spec: FlowSpec, p0: FlowState, t_max: float, dt: float) -> float:
@@ -323,6 +378,6 @@ def write_trajectory_csv(path, states: Sequence[FlowState], spec: FlowSpec) -> f
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for state, reference, gap in _closed_form_gaps(spec, states):
-            handle.write(",".join(map(repr, (state.t, *state.coords, *reference.coords, gap))) + "\n")
+            handle.write(",".join(map(repr, (state.t, *state.coords, *reference, gap))) + "\n")
             worst = max(worst, gap)
     return worst

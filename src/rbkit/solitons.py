@@ -64,7 +64,6 @@ def build_field(params: SolitonParams) -> VectorField:
     return field
 
 
-@lru_cache(maxsize=256)  # flows.closed_flow reads its spec's name at every state
 def _parse_generator(name: str, n: int) -> tuple:
     """The one reader of generator names: (kind, k), with k = 0 for "D" and for "G" at n=2."""
     if n < 2:

@@ -7,14 +7,18 @@ interpreter of a field and its RK4 step used as the oracle for the
 compiled flow step, and the product-by-product ``Fraction`` loops of the
 polynomial product, the wedge and interior products, the Lie bracket and
 the direct Lie derivatives, used as oracles for the integer
-sum-of-products kernel in ``rbkit.ratlaurent``."""
+sum-of-products kernel in ``rbkit.ratlaurent``, and the closed-form flow
+worked out from its start point at each call, used as the oracle for the
+per-trajectory closed form of ``rbkit.flows``."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from rbkit import KForm, LaurentPoly, SolitonParams, SymTensor2, VectorField, metric
+from rbkit import FlowSpec, FlowState, KForm, LaurentPoly, SolitonParams, SymTensor2, VectorField, metric
+from rbkit.solitons import _parse_generator
 
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=4) -> Fraction:
@@ -162,6 +166,46 @@ def rk4_step_oracle(rhs, y, h) -> list:
     k3 = rhs([yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
     k4 = rhs([yi + h * ki for yi, ki in zip(y, k3)])
     return [yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def closed_flow_oracle(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
+    """The closed-form flow of spec.kind at time t, worked out from p0 at each call."""
+    coords = list(p0.coords)
+    n = len(coords)
+    if n != spec.n:
+        raise ValueError(f"state arity {n} differs from spec dimension {spec.n}")
+    kind, k = _parse_generator(spec.kind, spec.n)
+    if kind == "D":
+        # the origin is a zero of the field; e^t would overflow for t > 709
+        scale = math.exp(t) if any(coords) else 1.0
+        return FlowState(tuple(scale * x for x in coords), p0.t + t)
+    if kind == "T":
+        coords[k - 1] += t
+        return FlowState(tuple(coords), p0.t + t)
+    if kind == "G" and not k:
+        z0 = complex(coords[0], coords[1])
+        if z0 == 0:
+            # the origin is a zero of the field: the flow stays there
+            return FlowState(p0.coords, p0.t + t)
+        z = -1.0 / (t + (-1.0 / z0))
+        return FlowState((z.real, z.imag), p0.t + t)
+    # boost Gk, the only kind left
+    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
+    if r0 == 0.0:
+        # axis-bound Riccati solution; unreachable from the open
+        # half-space, where r0 >= xn > 0
+        if coords[k - 1] == 0.0:
+            # the origin is a zero of the field: the flow stays there
+            return FlowState(p0.coords, p0.t + t)
+        xk = -2.0 / (t - 2.0 / coords[k - 1])
+        out = [0.0] * n
+        out[k - 1] = xk
+        return FlowState(tuple(out), p0.t + t)
+    z = -2.0 / (t + (-2.0 / complex(coords[k - 1], r0)))
+    scale = z.imag / r0
+    out = [x * scale for x in coords]
+    out[k - 1] = z.real
+    return FlowState(tuple(out), p0.t + t)
 
 
 # -- Fraction-loop oracles of the sum-of-products kernel ------------------------

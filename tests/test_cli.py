@@ -171,6 +171,28 @@ def test_flow_builds_its_field_once(tmp_path, capsys, monkeypatch):
     assert calls == [("G2", 3)]
 
 
+def test_flow_reads_its_generator_name_a_fixed_number_of_times(tmp_path, capsys, monkeypatch):
+    # the closed form reads the name once per trajectory, not once per state
+    calls, parse = [], solitons._parse_generator
+
+    def counted(name, n):
+        calls.append((name, n))
+        return parse(name, n)
+
+    monkeypatch.setattr(solitons, "_parse_generator", counted)
+    monkeypatch.setattr(flows, "_parse_generator", counted)
+    counts = []
+    for t_max in ("0.1", "1"):
+        calls.clear()
+        argv = ["flow", "--gen", "G2", "--n", "3", "--point", "0.1,0.2,1", "--t-max", t_max,
+                "--dt", "0.01", "--out", str(tmp_path / "t.csv")]
+        code, _, _ = run(capsys, argv)
+        assert code == EXIT_PASS
+        assert set(calls) == {("G2", 3)}
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_flow_generator_index_takes_ascii_digits_only(tmp_path, capsys):
     out_path = tmp_path / "t.csv"
     for gen in ("T\u0661", "T\u00b2", "G\u0661"):
@@ -403,10 +425,13 @@ def test_flow_gap_whose_square_overflows_is_finite(tmp_path, capsys):
 def test_flow_step_overflow_outranks_the_closed_form_pole(tmp_path, capsys, monkeypatch):
     # the rows before a step overflow may reach a closed-form pole; the
     # overflow is still the escape reported
-    def no_closed_form(spec, p0, t):
-        raise ZeroDivisionError("pole")
+    def no_closed_form(spec, p0):
+        def pole(t):
+            raise ZeroDivisionError("pole")
 
-    monkeypatch.setattr(flows, "closed_flow", no_closed_form)
+        return pole
+
+    monkeypatch.setattr(flows, "_reference", no_closed_form)
     out_path = tmp_path / "o.csv"
     argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1e300,1", "--t-max", "1", "--dt", "0.1"]
     code, out, err = run(capsys, [*argv, "--out", str(out_path)])

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import rhs_oracle
+from helpers import closed_flow_oracle, rhs_oracle
 from rbkit import flows
 from rbkit import (
     BoundaryEscape,
@@ -196,6 +196,86 @@ def test_boost_radius_stays_positive():
     for t in (-5.0, -1.0, 0.0, 1.0, 5.0, 50.0):
         st = closed_flow(spec, p0, t)
         assert st.coords[-1] > 0
+
+
+def _outcome(fn, *args):
+    """The exact result of fn: the floats as hex (signed zeros kept), or the error's type and message."""
+    try:
+        state = fn(*args)
+    except (ArithmeticError, ValueError, BoundaryPoint, NonFinite) as exc:
+        return type(exc), str(exc)
+    return tuple(map(float.hex, state.coords)), state.t.hex()
+
+
+def _closed_form_cases(rng):
+    """(spec, start) pairs covering every kind and every branch of the closed forms."""
+    cases = []
+    for n in (2, 3, 5):
+        interior = tuple(rng.uniform(-3, 3) for _ in range(n - 1)) + (rng.uniform(0.1, 3),)
+        boundary = tuple(rng.uniform(-3, 3) for _ in range(n - 1)) + (0.0,)
+        origin = (-0.0,) + (0.0,) * (n - 1)
+        extreme = (1e300,) * (n - 1) + (5e-324,)
+        names = ["D"] + [f"T{k}" for k in range(1, n)] + [f"G{k}" for k in range(1, n)]
+        for name in names + (["G"] if n == 2 else []):
+            for point in (interior, boundary, origin, extreme):
+                cases.append((FlowSpec(name, n), point))
+    # the rotation and the boosts on the axis (r0 == 0), with poles at t = 1/2
+    cases += [(FlowSpec("G", 2), (2.0, 0.0)), (FlowSpec("G", 2), (-2.0, -0.0))]
+    cases += [(FlowSpec("G1", 2), (4.0, 0.0)), (FlowSpec("G2", 3), (0.0, -4.0, 0.0))]
+    cases += [(FlowSpec("G1", 3), (0.5, 0.0, -0.0)), (FlowSpec("G1", 3), (0.0, 0.0, 0.0))]
+    # the translation reaching the float limit, the dilation overflowing
+    cases += [(FlowSpec("T1", 2), (1.7e308, 1.0)), (FlowSpec("D", 2), (1e10, 1.0))]
+    return cases
+
+
+def _times(rng):
+    """Sampled times, negative ones included, plus the poles, exp overflow and the float limits."""
+    fixed = [0.0, -0.0, 0.5, -0.5, 0.25, 4.0, 709.0, 710.0, -745.0, -800.0, 1e-300, -1e-300, 1e300, -1e300]
+    return fixed + [rng.uniform(-20, 20) for _ in range(20)] + [rng.uniform(-1, 1) for _ in range(10)]
+
+
+def test_closed_flow_matches_the_per_call_oracle_bit_for_bit():
+    rng = random.Random(20261018)
+    for spec, point in _closed_form_cases(rng):
+        for start_t in (0.0, -1.5, 1.7976931348623157e308):
+            p0 = FlowState(point, start_t)
+            for t in _times(rng):
+                want = _outcome(closed_flow_oracle, spec, p0, t)
+                assert _outcome(closed_flow, spec, p0, t) == want, (spec, p0, t)
+    # a start whose arity differs from the spec
+    args = (FlowSpec("G1", 3), FlowState((0.0, 1.0)), 0.5)
+    assert _outcome(closed_flow, *args) == _outcome(closed_flow_oracle, *args)
+
+
+def test_closed_form_pass_matches_the_per_call_oracle():
+    # the pass of write_trajectory_csv and flow_compare checks the closed
+    # form without building a state and must end exactly where the oracle does
+    rng = random.Random(1018)
+    top = 1.7976931348623157e308
+    for spec, point in _closed_form_cases(rng):
+        for start_t in (0.0, -1.5, top, -top):
+            p0 = FlowState(point, start_t)
+            times = sorted(_times(rng), key=abs)
+            states = [p0] + [FlowState(p0.coords, p0.t + t) for t in times if math.isfinite(p0.t + t)]
+            # from -top, the time since the start overflows
+            states.append(FlowState(p0.coords, top))
+            got, want = [], []
+            try:
+                for state, coords, _ in flows._closed_form_gaps(spec, states):
+                    got.append(tuple(map(float.hex, coords)))
+            except (BoundaryPoint, NonFinite) as exc:
+                got.append((type(exc), str(exc)))
+            for state in states:
+                try:
+                    reference = closed_flow_oracle(spec, p0, state.t - p0.t)
+                except ArithmeticError:
+                    want.append((NonFinite, f"the closed form has no finite value at t={state.t}"))
+                    break
+                except (BoundaryPoint, NonFinite) as exc:
+                    want.append((type(exc), str(exc)))
+                    break
+                want.append(tuple(map(float.hex, reference.coords)))
+            assert got == want, (spec, p0)
 
 
 def test_isometry_checks():
