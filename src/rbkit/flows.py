@@ -250,13 +250,10 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
 def _reference(spec: FlowSpec, p0: FlowState):
     """The closed-form flow of spec from p0, as a function ``t -> coords``.
 
-    Everything that depends on p0 alone is worked out here, once: the
-    generator kind, r0 and the constant -2/(x_k + i r0) of a boost, -1/z0 of
-    the rotation, and the fixed points and axis-bound branch.  The function
-    does the float operations that depend on t, the same ones in the same
-    order as a closed form worked out from scratch at each t.  It returns
-    the coordinates unchecked and raises ArithmeticError where the closed
-    form has no finite value (a pole hit exactly, ``exp`` overflowing).
+    What depends on p0 alone is worked out here, once; the function does
+    only the float operations that depend on t.  It returns the coordinates
+    unchecked and raises ArithmeticError where the closed form has no
+    finite value (a pole hit exactly, ``exp`` overflowing).
     """
     coords = p0.coords
     n = len(coords)
