@@ -102,6 +102,44 @@ def test_verify_timings_flag(tmp_path, capsys):
     assert all(isinstance(r["timing"], float) for r in records_of(out))
 
 
+RECORD_KEYS = ["name", "status", "witness", "timing"]
+
+
+def record_argv(command, tmp_path):
+    if command == "algebra":
+        return ["algebra", "--n", "2"]
+    path = write_params(tmp_path)
+    return [command, "--params", path] + (["--trials", "2"] if command == "verify" else [])
+
+
+@pytest.mark.parametrize("command", ["verify", "contact", "algebra"])
+def test_records_keep_their_key_order_and_null_timings(command, tmp_path, capsys):
+    code, out, _ = run(capsys, record_argv(command, tmp_path))
+    assert code == EXIT_PASS
+    records = records_of(out)
+    assert records and all(list(r) == RECORD_KEYS for r in records)
+    assert all(line.endswith(', "timing": null}') for line in out.splitlines())
+
+
+@pytest.mark.parametrize("command", ["verify", "contact", "algebra"])
+def test_timings_fill_only_the_timing_field(command, tmp_path, capsys):
+    argv = record_argv(command, tmp_path)
+    _, plain, _ = run(capsys, argv)
+    code, timed, _ = run(capsys, argv + ["--timings"])
+    assert code == EXIT_PASS
+    records = records_of(timed)
+    assert all(list(r) == RECORD_KEYS for r in records)
+    assert [dict(r, timing=None) for r in records] == records_of(plain)
+    times = [r["timing"] for r in records]
+    assert all(type(t) is float and t >= 0 and round(t, 3) == t for t in times)
+    if command == "verify":  # one time per check, summed over the instances
+        assert len(times) == 5
+    if command == "contact":  # one total, shared by the four records
+        assert len(times) == 4 and len(set(times)) == 1
+    if command == "algebra":  # cumulative since the command started
+        assert len(times) == 5 and times == sorted(times)
+
+
 def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
     # at odd n the contact check reuses the field cmd_verify built
     calls, build = [], solitons.build_field
