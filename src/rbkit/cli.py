@@ -1,10 +1,13 @@
 """Command-line entry point: verification suites, contact reports, flows.
 
 Reports are line-oriented JSON, one check per line, so suites can be diffed
-and streamed.  Identical inputs (including the random seed) produce
-byte-identical output: the ``timing`` field stays null unless ``--timings``
-is passed.  Exit codes: 0 all checks pass, 1 some check failed, 2 a
-trajectory escaped at runtime, 64 usage or parse error.
+and streamed.  ``verify``, ``contact`` and ``algebra`` return
+``(name, status, witness, ms)`` tuples; ``_emit`` alone writes them as
+records and picks the exit code.  Identical inputs (including the random
+seed) produce byte-identical output: ``_emit`` writes the ``timing`` field
+as null unless ``--timings`` is passed.  Exit codes: 0 all checks pass,
+1 some check failed, 2 a trajectory escaped at runtime, 64 usage or parse
+error.
 
 ``flow`` streams its trajectory CSV row by row, comparing each state with the
 closed form in the same pass; the largest gap is the printed deviation, and
@@ -168,7 +171,7 @@ def _check_contact(params: SolitonParams, field):
     witness = (
         f"Pf = {report.pf}; det = {report.det}; "
         f"top*xn^{report.n} = {report.cleared.text()}; "
-        f"contact = {'true' if report.is_contact else 'false'}; {report.convention}"
+        f"contact = {'true' if report.is_contact else 'false'}; {MATRIX_CONVENTION}"
     )
     return ("pass" if report.consistent else "fail"), witness
 
@@ -194,7 +197,7 @@ def _aggregate(results, labels):
     return status, witness
 
 
-def cmd_verify(params: SolitonParams, trials: int, seed: int, timings: bool):
+def cmd_verify(params: SolitonParams, trials: int, seed: int):
     rng = random.Random(seed)
     instances = [params] + [random_params(rng, params.n) for _ in range(trials)]
     fields = [build_field(p) for p in instances]
@@ -205,47 +208,32 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int, timings: bool):
             continue
         start = time.perf_counter()
         results = [check(p, f) for p, f in zip(instances, fields)]
-        elapsed = (time.perf_counter() - start) * 1000.0
-        status, witness = _aggregate(results, labels)
-        records.append(
-            {
-                "name": name,
-                "status": status,
-                "witness": witness,
-                "timing": round(elapsed, 3) if timings else None,
-            }
-        )
+        ms = _ms_since(start)
+        records.append((name, *_aggregate(results, labels), ms))
     return records
 
 
 # -- contact -----------------------------------------------------------------
 
 
-def cmd_contact(params: SolitonParams, timings: bool):
+def cmd_contact(params: SolitonParams):
     start = time.perf_counter()
     try:
         report = contact_report(params)
     except OddSize as exc:
         raise _UsageError(str(exc)) from exc
-    elapsed = (time.perf_counter() - start) * 1000.0
-    timing = round(elapsed, 3) if timings else None
-
-    def record(name, status, witness):
-        return {"name": name, "status": status, "witness": witness, "timing": timing}
-
+    ms = _ms_since(start)  # one total, shared by the four records
+    consistent = "true" if report.consistent else "false"
     verdict = "true" if report.is_contact else "false"
+    top_form = (
+        f"coefficient = {report.top_coeff.text()}; times xn^{report.n} = {report.cleared.text()}; "
+        f"|cleared|/2^{(report.n - 1) // 2} == |Pf|: {consistent}"
+    )
     return [
-        record("contact_matrix", "pass", f"{MATRIX_CONVENTION}; M = {report.matrix.row_text()}"),
-        record("pfaffian", "pass", f"Pf = {report.pf}; det = {report.det}"),
-        record(
-            "top_form",
-            "pass" if report.consistent else "fail",
-            f"coefficient = {report.top_coeff.text()}; "
-            f"times xn^{report.n} = {report.cleared.text()}; "
-            f"|cleared|/2^{(report.n - 1) // 2} == |Pf|: "
-            f"{'true' if report.consistent else 'false'}",
-        ),
-        record("contact_verdict", "pass", f"contact = {verdict}"),
+        ("contact_matrix", "pass", f"{MATRIX_CONVENTION}; M = {report.matrix.row_text()}", ms),
+        ("pfaffian", "pass", f"Pf = {report.pf}; det = {report.det}", ms),
+        ("top_form", "pass" if report.consistent else "fail", top_form, ms),
+        ("contact_verdict", "pass", f"contact = {verdict}", ms),
     ]
 
 
@@ -287,7 +275,7 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
 # -- algebra -----------------------------------------------------------------
 
 
-def cmd_algebra(n: int, timings: bool):
+def cmd_algebra(n: int):
     if not 2 <= n <= MAX_ALGEBRA_N:
         raise _UsageError(f"algebra command supports 2 <= n <= {MAX_ALGEBRA_N}, got {n}")
     start = time.perf_counter()
@@ -309,29 +297,14 @@ def cmd_algebra(n: int, timings: bool):
         f"cap_exceeded = {'true' if report.cap_exceeded else 'false'}; "
         f"adjoined = [{added}]"
     )
-    records = []
-
-    def elapsed():
-        # cumulative wall clock since the command started
-        return round((time.perf_counter() - start) * 1000.0, 3) if timings else None
-
-    records.append(
-        {
-            "name": "generators",
-            "status": "pass",
-            "witness": "; ".join(f"{nm} = {f.text()}" for nm, f in zip(names, seeds)),
-            "timing": elapsed(),
-        }
-    )
-    records.append({"name": "bracket_table", "status": "pass", "witness": table, "timing": elapsed()})
-    records.append(
-        {
-            "name": "closure",
-            "status": "pass" if not report.cap_exceeded else "degenerate",
-            "witness": closure_witness,
-            "timing": elapsed(),
-        }
-    )
+    gens = "; ".join(f"{nm} = {f.text()}" for nm, f in zip(names, seeds))
+    closure_status = "degenerate" if report.cap_exceeded else "pass"
+    # each time is cumulative since the command started
+    records = [
+        ("generators", "pass", gens, _ms_since(start)),
+        ("bracket_table", "pass", table, _ms_since(start)),
+        ("closure", closure_status, closure_witness, _ms_since(start)),
+    ]
     if not report.cap_exceeded:
         constants = structure_constants(span)
         text = "; ".join(
@@ -339,32 +312,31 @@ def cmd_algebra(n: int, timings: bool):
             for (i, j, k), v in sorted(constants.items())
             if i < j
         )
-        records.append(
-            {"name": "structure_constants", "status": "pass", "witness": text, "timing": elapsed()}
-        )
+        records.append(("structure_constants", "pass", text, _ms_since(start)))
     if n == 2:
         ok = sl2_check()
-        records.append(
-            {
-                "name": "sl2_fingerprint",
-                "status": "pass" if ok else "fail",
-                "witness": "e = T1, f = -G, h = -2D satisfy [h,e]=2e, [h,f]=-2f, [e,f]=h"
-                if ok
-                else "sl2 bracket table not satisfied",
-                "timing": elapsed(),
-            }
-        )
+        witness = "e = T1, f = -G, h = -2D satisfy [h,e]=2e, [h,f]=-2f, [e,f]=h"
+        if not ok:
+            witness = "sl2 bracket table not satisfied"
+        records.append(("sl2_fingerprint", "pass" if ok else "fail", witness, _ms_since(start)))
     return records
 
 
 # -- entry point ---------------------------------------------------------------
 
 
-def _emit(records) -> int:
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _emit(records, timings: bool) -> int:
+    """Write each (name, status, witness, ms) record as one JSON line."""
     failed = False
-    for record in records:
+    for name, status, witness, ms in records:
+        timing = round(ms, 3) if timings else None
+        record = {"name": name, "status": status, "witness": witness, "timing": timing}
         sys.stdout.write(json.dumps(record) + "\n")
-        failed = failed or record["status"] == "fail"
+        failed = failed or status == "fail"
     return EXIT_FAIL if failed else EXIT_PASS
 
 
@@ -420,9 +392,9 @@ def main(argv=None) -> int:
             if args.trials > MAX_TRIALS:
                 raise _UsageError(f"--trials {args.trials} exceeds the limit of {MAX_TRIALS}")
             params = load_params(args.params)
-            return _emit(cmd_verify(params, args.trials, args.seed, args.timings))
+            return _emit(cmd_verify(params, args.trials, args.seed), args.timings)
         if args.command == "contact":
-            return _emit(cmd_contact(load_params(args.params), args.timings))
+            return _emit(cmd_contact(load_params(args.params)), args.timings)
         if args.command == "flow":
             try:
                 point = [float(x) for x in args.point.split(",")]
@@ -430,7 +402,7 @@ def main(argv=None) -> int:
                 raise _UsageError(f"--point: {exc}") from exc
             return cmd_flow(args.gen, args.n, point, args.t_max, args.dt, args.out)
         if args.command == "algebra":
-            return _emit(cmd_algebra(args.n, args.timings))
+            return _emit(cmd_algebra(args.n), args.timings)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -637,7 +637,7 @@ def test_algebra_brackets_each_basis_pair_once(monkeypatch):
     monkeypatch.setattr(solitons, "lie_bracket", counted)
     for n in range(2, 7):
         calls.clear()
-        cmd_algebra(n, False)
+        cmd_algebra(n)
         dim = n * (n + 1) // 2  # dim so(n,1)
         # the n=2 sl2 fingerprint brackets its own three pairs
         assert len(calls) == math.comb(dim, 2) + (3 if n == 2 else 0)
@@ -668,9 +668,13 @@ def test_usage_error_on_unknown_command(capsys):
 
 
 def test_emit_flags_failures(capsys):
-    records = [
-        {"name": "a", "status": "pass", "witness": "", "timing": None},
-        {"name": "b", "status": "fail", "witness": "boom", "timing": None},
-    ]
-    assert _emit(records) == EXIT_FAIL
+    records = [("a", "pass", "", 1.0), ("b", "fail", "boom", 2.0)]
+    assert _emit(records, False) == EXIT_FAIL
     capsys.readouterr()
+
+
+def test_emit_writes_the_record_schema_and_rounds_timings(capsys):
+    assert _emit([("a", "pass", "w", 1.23456)], True) == EXIT_PASS
+    assert capsys.readouterr().out == '{"name": "a", "status": "pass", "witness": "w", "timing": 1.235}\n'
+    assert _emit([("a", "degenerate", "w", 1.23456)], False) == EXIT_PASS
+    assert capsys.readouterr().out == '{"name": "a", "status": "degenerate", "witness": "w", "timing": null}\n'
