@@ -87,12 +87,6 @@ class SolitonParams(namedtuple("SolitonParams", "n a b c rho lam")):
     def soliton_constant(self) -> Fraction:
         return self.lam if self.lam is not None else soliton_lambda(self.n, self.rho)
 
-    def text(self) -> str:
-        return (
-            f"n={self.n} a=({','.join(map(str, self.a))}) b={self.b} "
-            f"c=({','.join(map(str, self.c))}) rho={self.rho}"
-        )
-
 
 def random_params(rng, n: int, *, allow_degenerate: bool = False) -> SolitonParams:
     """Draw small random rational parameters, deterministic in ``rng``."""

@@ -35,7 +35,7 @@ from .errors import (
     NotClosed,
     OddSize,
 )
-from .exterior import KForm, VectorField, ext_d, interior, power_wedge, wedge
+from .exterior import VectorField, ext_d, interior, power_wedge, wedge
 from .halfspace import SolitonParams, flat
 from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
 
@@ -327,10 +327,8 @@ def structure_constants(span: AlgebraSpan) -> dict:
     return out
 
 
-def sl2_check(n: int = 2) -> bool:
+def sl2_check() -> bool:
     """Fingerprint the n=2 algebra: e=T, f=-G, h=-2D satisfy the sl2 table."""
-    if n != 2:
-        raise ValueError("the sl2 fingerprint is defined for n=2 only")
     e = generator("T1", 2)
     f = -generator("G", 2)
     h = -2 * generator("D", 2)
@@ -468,10 +466,10 @@ def contact_top_form(params: SolitonParams, field: VectorField | None = None) ->
     return top.coeff(tuple(range(1, n + 1)))
 
 
-_CONTACT_FIELDS = "n matrix pf det top_coeff cleared consistent is_contact convention"
+_CONTACT_FIELDS = "n matrix pf det top_coeff cleared consistent is_contact"
 
 
-class ContactReport(namedtuple("ContactReport", _CONTACT_FIELDS, defaults=(MATRIX_CONVENTION,))):
+class ContactReport(namedtuple("ContactReport", _CONTACT_FIELDS)):
     """Exact contact diagnostics for one parameter set.
 
     ``cleared`` is the top coefficient times xn^n, and ``consistent`` means

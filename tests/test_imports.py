@@ -1,0 +1,49 @@
+"""Every module of the package uses each name it imports.
+
+``rbkit/__init__.py`` is left out: its imports are the package's
+re-exports.  A name counts as used when it is read anywhere in the module,
+in a quoted annotation too.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import rbkit
+
+PACKAGE = pathlib.Path(rbkit.__file__).resolve().parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def read_names(tree) -> set:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    nodes = list(ast.walk(tree))
+    annotations = [n.annotation for n in nodes if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in nodes if isinstance(n, ast.FunctionDef)]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= read_names(ast.parse(node.value, mode="eval"))  # a quoted annotation
+    return names
+
+
+def test_every_module_is_checked():
+    assert {"cli.py", "exterior.py", "flows.py", "halfspace.py", "ratlaurent.py",
+            "solitons.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert sorted(imported_names(tree) - read_names(tree)) == []

@@ -32,7 +32,6 @@ from rbkit import (
     contact_report,
     generator,
 )
-from rbkit.solitons import MATRIX_CONVENTION
 
 PARAMS = {"n": 3, "a": ("1", "-2"), "b": "1/2", "c": (3, 1), "rho": "1/3"}
 
@@ -70,7 +69,7 @@ FIELDS = {
     "ClosureReport": ("dimension", "seed_dimension", "already_closed", "added", "cap", "cap_exceeded"),
     "ContactMatrix": ("size", "entries"),
     "ContactReport": ("n", "matrix", "pf", "det", "top_coeff", "cleared", "consistent",
-                      "is_contact", "convention"),
+                      "is_contact"),
 }
 
 
@@ -118,9 +117,6 @@ def test_defaults():
     assert type(params.rho) is Fraction and type(params.a) is tuple
     state = FlowState([1, 2])
     assert state.t == 0.0 and type(state.t) is float and state.coords == (1.0, 2.0)
-    values = _report_values()
-    del values["convention"]
-    assert ContactReport(**values).convention == MATRIX_CONVENTION
 
 
 def test_values_are_coerced():

@@ -319,8 +319,6 @@ def test_structure_constants_not_closed():
 
 def test_sl2_fingerprint():
     assert sl2_check()
-    with pytest.raises(ValueError):
-        sl2_check(3)
 
 
 # -- contact machinery -------------------------------------------------------
