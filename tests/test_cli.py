@@ -140,6 +140,67 @@ def test_timings_fill_only_the_timing_field(command, tmp_path, capsys):
         assert len(times) == 5 and times == sorted(times)
 
 
+def scripted_verify(monkeypatch, scripts, trials, n=3):
+    """Run cmd_verify with each check replaced by a script of per-instance outcomes.
+
+    ``scripts`` maps a check name to {instance: (status, witness)}, where
+    instance 0 is the file's parameter set and k the k-th trial; an
+    instance missing from a script passes with the witness "ok <k>".  The
+    fields are the instance numbers, and ``calls`` records every build and
+    check in call order.
+    """
+    calls, built = [], iter(range(trials + 1))
+
+    def build(params):
+        k = next(built)
+        calls.append(("build", k))
+        return k
+
+    def scripted(name):
+        def check(params, k):
+            calls.append((name, k))
+            return scripts.get(name, {}).get(k, ("pass", f"ok {k}"))
+
+        return check
+
+    names = [name for name, _ in cli._VERIFY_CHECKS]
+    monkeypatch.setattr(cli, "build_field", build)
+    monkeypatch.setattr(cli, "_VERIFY_CHECKS", tuple((nm, scripted(nm)) for nm in names))
+    params = cli.SolitonParams(n=n, a=(1,) * (n - 1), b=0, c=(0,) * (n - 1), rho=1)
+    records = cli.cmd_verify(params, trials, seed=0)
+    return [(name, status, witness) for name, status, witness, _ in records], calls
+
+
+def test_verify_first_fail_wins_over_an_earlier_degenerate(monkeypatch):
+    scripts = {"rb_residual": {1: ("degenerate", "flat"), 3: ("fail", "boom"), 4: ("fail", "late")}}
+    records, _ = scripted_verify(monkeypatch, scripts, trials=5)
+    assert records[1] == ("rb_residual", "fail", "trial 3: boom")
+    assert all(status == "pass" for name, status, _ in records if name != "rb_residual")
+
+
+def test_verify_keeps_the_first_of_two_degenerates(monkeypatch):
+    scripts = {"killing_residual": {2: ("degenerate", "first"), 4: ("degenerate", "second")}}
+    records, _ = scripted_verify(monkeypatch, scripts, trials=4)
+    assert records[0] == ("killing_residual", "degenerate", "trial 2: first")
+
+
+def test_verify_passing_file_keeps_its_unlabelled_witness(monkeypatch):
+    records, _ = scripted_verify(monkeypatch, {}, trials=3)
+    assert [r[1:] for r in records] == [("pass", "ok 0")] * 5
+    records, _ = scripted_verify(monkeypatch, {}, trials=0)
+    assert [r[1:] for r in records] == [("pass", "ok 0")] * 5
+
+
+def test_verify_non_passing_file_is_labelled_params(monkeypatch):
+    scripts = {
+        "dual_form_not_closed": {0: ("degenerate", "dw = 0"), 2: ("degenerate", "later")},
+        "contact_consistency": {0: ("fail", "bad"), 1: ("fail", "worse")},
+    }
+    records, _ = scripted_verify(monkeypatch, scripts, trials=2)
+    assert records[2] == ("dual_form_not_closed", "degenerate", "params: dw = 0")
+    assert records[4] == ("contact_consistency", "fail", "params: bad")
+
+
 def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
     # at odd n the contact check reuses the field cmd_verify built
     calls, build = [], solitons.build_field
