@@ -39,18 +39,21 @@ def records_of(out):
     return [json.loads(line) for line in out.strip().split("\n")]
 
 
+CHECK_NAMES = [
+    "killing_residual",
+    "rb_residual",
+    "dual_form_not_closed",
+    "dual_form_preserved",
+    "contact_consistency",
+]
+
+
 def test_verify_odd_dimension(tmp_path, capsys):
     path = write_params(tmp_path)
     code, out, err = run(capsys, ["verify", "--params", path, "--trials", "3"])
     assert code == EXIT_PASS
     recs = records_of(out)
-    assert [r["name"] for r in recs] == [
-        "killing_residual",
-        "rb_residual",
-        "dual_form_not_closed",
-        "dual_form_preserved",
-        "contact_consistency",
-    ]
+    assert [r["name"] for r in recs] == CHECK_NAMES
     assert all(r["status"] == "pass" for r in recs)
     assert all(r["timing"] is None for r in recs)
     by_name = {r["name"]: r for r in recs}
@@ -63,12 +66,7 @@ def test_verify_even_dimension_has_no_contact_check(tmp_path, capsys):
     path = write_params(tmp_path, **{"n": 2, "a": ["1"], "c": ["1"], "b": "1"})
     code, out, err = run(capsys, ["verify", "--params", path, "--trials", "2"])
     assert code == EXIT_PASS
-    assert [r["name"] for r in records_of(out)] == [
-        "killing_residual",
-        "rb_residual",
-        "dual_form_not_closed",
-        "dual_form_preserved",
-    ]
+    assert [r["name"] for r in records_of(out)] == CHECK_NAMES[:-1]
 
 
 def test_verify_zero_field_reports_degenerate(tmp_path, capsys):
@@ -199,6 +197,14 @@ def test_verify_non_passing_file_is_labelled_params(monkeypatch):
     records, _ = scripted_verify(monkeypatch, scripts, trials=2)
     assert records[2] == ("dual_form_not_closed", "degenerate", "params: dw = 0")
     assert records[4] == ("contact_consistency", "fail", "params: bad")
+
+
+def test_verify_checks_one_instance_at_a_time(monkeypatch):
+    # build, every check, build, every check: no instance outlives its checks
+    for n, names in ((3, CHECK_NAMES), (4, CHECK_NAMES[:-1])):
+        records, calls = scripted_verify(monkeypatch, {}, trials=2, n=n)
+        assert [r[0] for r in records] == names
+        assert calls == [c for k in range(3) for c in [("build", k)] + [(nm, k) for nm in names]]
 
 
 def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
