@@ -143,10 +143,8 @@ def _terms(field: VectorField, constants: dict) -> list:
         for t, (exps, coeff) in enumerate(poly._terms.items()):
             name = f"K{i}_{t}"
             constants[name] = float(coeff)
-            factors = [(j, e) for j, e in enumerate(exps) if e]
-            if any(e != int(e) for _, e in factors):
-                raise ValueError(f"non-integer exponent in {exps} of component {i + 1}")
-            terms.append((name, [(j, int(e)) for j, e in factors]))
+            # LaurentPoly admits only int exponents, so the source holds integer literals
+            terms.append((name, [(j, e) for j, e in enumerate(exps) if e]))
         components.append(terms)
     return components
 

@@ -1,10 +1,10 @@
 """Exact Laurent-polynomial arithmetic over the rationals.
 
 A polynomial in coordinates x1..xn is stored sparsely as a map from exponent
-tuples to nonzero rational coefficients.  Negative exponents are allowed in
-the *last* coordinate only: every denominator arising from the half-space
-metric is a pure power of xn, and restricting the Laurent direction to xn
-keeps normal forms canonical.  The zero polynomial is the empty map.
+tuples of ``int`` to nonzero rational coefficients.  Negative exponents are
+allowed in the *last* coordinate only: every denominator arising from the
+half-space metric is a pure power of xn, and restricting the Laurent
+direction to xn keeps normal forms canonical.  The zero polynomial is the empty map.
 
     x1^2 * x3^-2   ->   {(2, 0, -2): Fraction(1)}        (n = 3)
 
@@ -221,6 +221,8 @@ class LaurentPoly(SparseMap):
         exps = tuple(exps)
         if len(exps) != self.n:
             raise ValueError(f"exponent tuple {exps} has arity {len(exps)}, expected {self.n}")
+        if any(type(e) is not int for e in exps):
+            raise ValueError(f"non-integer exponent in {exps}")
         if any(e < 0 for e in exps[:-1]):
             raise ValueError(f"negative exponent outside the last coordinate: {exps}")
         return exps, Fraction(coeff)

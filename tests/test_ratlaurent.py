@@ -57,6 +57,15 @@ def test_negative_exponent_rejected_outside_last_coordinate():
     P(3, {(0, 0, -5): 1})
 
 
+def test_non_integer_exponent_rejected():
+    # fractional powers would break the normal form and the exec'd RK4 step
+    for exps in [(0.5, 1), (1.0, 0), (Fraction(1), 0), (True, 0), (0, -2.0)]:
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            P(2, {exps: 1})
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            LaurentPoly.monomial(2, exps)
+
+
 def test_cancellation_normalizes_to_zero():
     x = LaurentPoly.var(2, 1)
     assert (x - x).is_zero()
