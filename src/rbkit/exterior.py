@@ -85,10 +85,11 @@ class KForm(SparseMap):
         idx = tuple(idx)
         if len(idx) != self.grade:
             raise ValueError(f"index tuple {idx} has length {len(idx)}, expected grade {self.grade}")
-        if any(not 1 <= i <= self.n for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"index tuple {idx} not strictly increasing inside 1..{self.n}")
-        if poly.n != self.n:
-            raise ValueError("coefficient arity differs from form dimension")
+        inside = all(type(i) is int and 1 <= i <= self.n for i in idx)
+        if not inside or any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"index tuple {idx} not strictly increasing ints inside 1..{self.n}")
+        if not isinstance(poly, LaurentPoly) or poly.n != self.n:
+            raise ValueError(f"coefficient is not a LaurentPoly in {self.n} coordinates")
         return idx, poly
 
     def _like(self, terms: dict, grade: int | None = None) -> "KForm":

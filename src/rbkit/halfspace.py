@@ -33,10 +33,10 @@ class SymTensor2(SparseMap):
 
     def _check(self, key, poly) -> tuple:
         i, j = key
-        if not (1 <= i <= j <= self.n):
-            raise ValueError(f"key ({i}, {j}) not ordered inside 1..{self.n}")
-        if poly.n != self.n:
-            raise ValueError("coefficient arity differs from tensor dimension")
+        if type(i) is not int or type(j) is not int or not 1 <= i <= j <= self.n:
+            raise ValueError(f"key ({i}, {j}) not ordered ints inside 1..{self.n}")
+        if not isinstance(poly, LaurentPoly) or poly.n != self.n:
+            raise ValueError(f"coefficient is not a LaurentPoly in {self.n} coordinates")
         return (i, j), poly
 
     def get(self, i: int, j: int) -> LaurentPoly:

@@ -354,3 +354,23 @@ def test_mixed_shape_addition_is_a_dimension_mismatch():
                 op(left, right)
             with pytest.raises(ValueError):
                 op(left, right)
+
+
+def test_form_and_tensor_terms_are_checked():
+    one = LaurentPoly.const(2, 1)
+    bad = [
+        lambda: KForm(2, 1, {(1,): 5}),  # not a polynomial
+        lambda: KForm(2, 1, {(1,): LaurentPoly.const(3, 1)}),  # another arity
+        lambda: KForm(2, 1, {(1.0,): one}),
+        lambda: KForm(2, 2, {(1, 2.0): one}),
+        lambda: KForm(2, 1, {(True,): one}),
+        lambda: SymTensor2(2, {(1, 1): 5}),
+        lambda: SymTensor2(2, {(1, 1): LaurentPoly.const(3, 1)}),
+        lambda: SymTensor2(2, {(1.0, 1.5): one}),
+        lambda: SymTensor2(2, {(1, 2.0): one}),
+    ]
+    for build in bad:
+        with pytest.raises(ValueError):
+            build()
+    assert KForm(2, 2, {(1, 2): one}).text() == "(1)*dx1^dx2"
+    assert SymTensor2(2, {(1, 2): one}).text() == "[1,2] 1"
