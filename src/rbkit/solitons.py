@@ -177,16 +177,6 @@ class _SpanTracker:
                 _accumulate(comb, idx, factor * value)
         return vec, comb
 
-    def coefficients(self, field: VectorField):
-        """Express field over the inserted basis; None when it escapes."""
-        residue, comb = self._reduce(_sparse_vector(field))
-        if residue:
-            return None
-        out = [Fraction(0)] * self.size
-        for idx, value in comb.items():
-            out[idx] = value
-        return out
-
     def insert(self, field: VectorField) -> bool:
         """Adjoin a field; False when it was already in the span."""
         residue, comb = self._reduce(_sparse_vector(field))
@@ -209,13 +199,10 @@ class _SpanTracker:
 
 def in_span(field: VectorField, basis: Sequence[VectorField]) -> bool:
     """Exact rational membership of a field in the span of a basis."""
-    if field.is_zero():
-        return True
     tracker = _SpanTracker()
     for b in basis:
         tracker.insert(b)
-    residue, _ = tracker._reduce(_sparse_vector(field))
-    return not residue
+    return not tracker.insert(field)
 
 
 def span_coefficients(field: VectorField, basis: Sequence[VectorField]):
@@ -227,7 +214,8 @@ def span_coefficients(field: VectorField, basis: Sequence[VectorField]):
     for b in basis:
         if not tracker.insert(b):
             raise ValueError("basis fields are not linearly independent")
-    return tracker.coefficients(field)
+    residue, comb = tracker._reduce(_sparse_vector(field))
+    return None if residue else [comb.get(k, Fraction(0)) for k in range(tracker.size)]
 
 
 class AlgebraSpan(namedtuple("AlgebraSpan", "basis brackets")):

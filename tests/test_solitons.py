@@ -214,6 +214,10 @@ def test_in_span_and_coefficients():
     assert not in_span(generator("G", 2), [T, D])
     assert span_coefficients(T + 3 * D, [T, D]) == [1, 3]
     assert span_coefficients(generator("G", 2), [T, D]) is None
+    zero = VectorField.zero(2)
+    assert in_span(zero, []) and in_span(zero, [T, D])
+    assert not in_span(T, [])
+    assert span_coefficients(zero, [T, D]) == [0, 0]
 
 
 def test_closure_plane_already_closed():
