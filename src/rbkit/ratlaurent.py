@@ -4,7 +4,8 @@ A polynomial in coordinates x1..xn is stored sparsely as a map from exponent
 tuples of ``int`` to nonzero rational coefficients.  Negative exponents are
 allowed in the *last* coordinate only: every denominator arising from the
 half-space metric is a pure power of xn, and restricting the Laurent
-direction to xn keeps normal forms canonical.  The zero polynomial is the empty map.
+direction to xn keeps normal forms canonical.  The zero polynomial is the
+empty map.
 
     x1^2 * x3^-2   ->   {(2, 0, -2): Fraction(1)}        (n = 3)
 
