@@ -62,7 +62,6 @@ from .solitons import (
     contact_top_form,
     decompose,
     det_bareiss,
-    det_via_pf,
     generator,
     generator_names,
     generators,

@@ -24,7 +24,10 @@ fixed, at any horizon.  A state at which the closed form has no finite value
 overflowed, that overflow is the escape printed.  An escape writes the rows
 before it, at least the start row.
 
-``verify --trials`` is at most ``MAX_TRIALS``, checked before any
+``verify`` builds each instance's field once, and its checks share the
+objects derived from it: L_X g, the dual form w and dw.  Under
+``--timings`` a shared object's time counts toward the first check that
+builds it.  ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
 parameter set is built; a larger count exits 64.  The ``n`` of a
 ``--params`` file is at most ``MAX_PARAMS_N``, checked as soon as it is
 read; a larger n exits 64 with a parse error.  ``algebra --n`` runs for
@@ -46,6 +49,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FlowEscape, NonFinite, OddSize, ParseError, RBKitError
 from .exterior import ext_d, lie_derivative_form
@@ -136,38 +140,62 @@ def load_params(path: str) -> SolitonParams:
 # -- verify ------------------------------------------------------------------
 
 
-def _check_killing(params: SolitonParams, field):
-    residual = lie_derivative_metric(field)
+class _Instance:
+    """One parameter set, its field, and the objects the checks derive from it.
+
+    Each derived object is built by the first check that reads it and
+    shared with the later ones.
+    """
+
+    def __init__(self, params: SolitonParams, field):
+        self.params, self.field = params, field
+
+    @cached_property
+    def lie_g(self):
+        return lie_derivative_metric(self.field)
+
+    @cached_property
+    def omega(self):
+        return flat(self.field)
+
+    @cached_property
+    def domega(self):
+        return ext_d(self.omega)
+
+
+def _check_killing(inst: _Instance):
+    residual = inst.lie_g
     if residual.is_zero():
         return "pass", "L_X g = 0"
     return "fail", f"L_X g = {residual.text()}"
 
 
-def _check_rb(params: SolitonParams, field):
+def _check_rb(inst: _Instance):
+    params = inst.params
     lam = params.soliton_constant()
-    residual = rb_residual(field, params)
+    residual = rb_residual(inst.lie_g, params)
     if residual.is_zero():
         return "pass", f"residual = 0 at lambda = {lam} (rho = {params.rho})"
     return "fail", f"residual = {residual.text()} at lambda = {lam}"
 
 
-def _check_not_closed(params: SolitonParams, field):
-    domega = ext_d(flat(field))
+def _check_not_closed(inst: _Instance):
+    domega, params = inst.domega, inst.params
     if domega.is_zero():
         status = "degenerate" if params.degenerate else "fail"
         return status, "dw = 0 (constant field)" if params.degenerate else "dw = 0"
     return "pass", f"dw = {domega.text()}"
 
 
-def _check_preserved(params: SolitonParams, field):
-    result = lie_derivative_form(field, flat(field))
+def _check_preserved(inst: _Instance):
+    result = lie_derivative_form(inst.field, inst.omega, inst.domega)
     if result.is_zero():
         return "pass", "L_X w = 0 (homotopy identity and direct formula agree)"
     return "fail", f"L_X w = {result.text()}"
 
 
-def _check_contact(params: SolitonParams, field):
-    report = contact_report(params, field)
+def _check_contact(inst: _Instance):
+    report = contact_report(inst.params, inst.omega, inst.domega)
     witness = (
         f"Pf = {report.pf}; det = {report.det}; "
         f"top*xn^{report.n} = {report.cleared.text()}; "
@@ -194,6 +222,7 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int):
     """Check the file's parameters, then each trial, one instance at a time.
 
     Each check keeps one running record, its ms summed over the instances.
+    The checks of an instance share its derived objects (``_Instance``).
     """
     rng = random.Random(seed)
     checks = [c for c in _VERIFY_CHECKS if c[0] != "contact_consistency" or params.n % 2]
@@ -201,10 +230,10 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int):
     for k in range(trials + 1):
         label = f"trial {k}" if k else "params"
         instance = random_params(rng, params.n) if k else params
-        field = build_field(instance)
+        inst = _Instance(instance, build_field(instance))
         for record, (_, check) in zip(records, checks):
             start = time.perf_counter()
-            status, witness = check(instance, field)
+            status, witness = check(inst)
             record[3] += _ms_since(start)
             if k == 0 or _SEVERITY[status] > _SEVERITY[record[1]]:
                 record[1:3] = status, witness if status == "pass" else f"{label}: {witness}"
@@ -216,8 +245,9 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int):
 
 def cmd_contact(params: SolitonParams):
     start = time.perf_counter()
+    omega = flat(build_field(params))
     try:
-        report = contact_report(params)
+        report = contact_report(params, omega, ext_d(omega))
     except OddSize as exc:
         raise _UsageError(str(exc)) from exc
     ms = _ms_since(start)  # one total, shared by the four records

@@ -28,7 +28,7 @@ IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
 class VectorField(SparseMap):
     """n contravariant components, each a LaurentPoly in x1..xn, stored by 1-based index."""
 
-    __slots__ = ()
+    __slots__ = ("_terms",)
 
     def __init__(self, components: Sequence[LaurentPoly]):
         components = tuple(components)
@@ -72,7 +72,7 @@ class VectorField(SparseMap):
 class KForm(SparseMap):
     """Grade-k differential form in dimension n, sparsely stored."""
 
-    __slots__ = ("grade",)
+    __slots__ = ("grade", "_terms")
 
     def __init__(self, n: int, grade: int, terms=None):
         if grade < 0:
@@ -82,6 +82,8 @@ class KForm(SparseMap):
         self._terms = self._validated(terms)
 
     def _check(self, idx, poly) -> tuple:
+        if not isinstance(idx, tuple):
+            raise ValueError(f"index key {idx!r} is not a tuple")
         idx = tuple(idx)
         if len(idx) != self.grade:
             raise ValueError(f"index tuple {idx} has length {len(idx)}, expected grade {self.grade}")
@@ -205,13 +207,17 @@ def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
     return omega._like(_sum_grouped(n, groups))
 
 
-def lie_derivative_form(field: VectorField, alpha: KForm) -> KForm:
-    """Lie derivative L_X alpha = i_X d(alpha) + d(i_X alpha)."""
+def lie_derivative_form(field: VectorField, alpha: KForm, d_alpha: KForm) -> KForm:
+    """Lie derivative L_X alpha = i_X d_alpha + d(i_X alpha), for d_alpha = ext_d(alpha).
+
+    On 1-forms the result is cross-checked against the direct coordinate
+    formula, which does not read d_alpha.
+    """
     if field.n != alpha.n:
         raise DimensionMismatch(f"field in dimension {field.n}, form in {alpha.n}")
     if alpha.grade == 0:
-        return interior(field, ext_d(alpha))
-    result = interior(field, ext_d(alpha)) + ext_d(interior(field, alpha))
+        return interior(field, d_alpha)
+    result = interior(field, d_alpha) + ext_d(interior(field, alpha))
     if alpha.grade == 1:
         direct = _lie_derivative_direct(field, alpha)
         if direct != result:

@@ -29,9 +29,11 @@ from .ratlaurent import LaurentPoly, SparseMap, _sum_grouped
 class SymTensor2(SparseMap):
     """Symmetric (0,2)-tensor; only keys (i, j) with i <= j are stored."""
 
-    __slots__ = ()
+    __slots__ = ("_terms",)
 
     def _check(self, key, poly) -> tuple:
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValueError(f"key {key!r} is not a pair")
         i, j = key
         if type(i) is not int or type(j) is not int or not 1 <= i <= j <= self.n:
             raise ValueError(f"key ({i}, {j}) not ordered ints inside 1..{self.n}")
@@ -179,18 +181,25 @@ def flat(field: VectorField) -> KForm:
     return KForm(n, 1, {(i,): X * weight for i, X in field.items()})
 
 
+@lru_cache(maxsize=None)
+def _metric_table(n: int) -> tuple:
+    """(g, its dense entries, {(i, j): (d_1 g_ij, ..., d_n g_ij)}), built once per n."""
+    g = metric(n)
+    coords = range(1, n + 1)
+    dense = tuple(tuple(g.get(i, j) for j in coords) for i in coords)
+    return g, dense, {key: tuple(p.deriv(k) for k in coords) for key, p in g.items()}
+
+
 def lie_derivative_metric(field: VectorField) -> SymTensor2:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k.
 
-    Each d_i X^k and each derivative of a stored metric entry is taken once,
-    and each (i, j) entry is one sum of products.
+    The metric entries and their derivatives come from a per-n cache, each
+    d_i X^k is taken once, and each (i, j) entry is one sum of products.
     """
     n = field.n
-    g = metric(n)
+    g, g_dense, dg = _metric_table(n)  # dg[(i, j)][k-1] = d_k g_ij
     coords = range(1, n + 1)
     zeros = [LaurentPoly.zero(n)] * n
-    g_dense = [[g.get(i, j) for j in coords] for i in coords]
-    dg = {key: [p.deriv(k) for k in coords] for key, p in g.items()}  # dg[(i, j)][k-1] = d_k g_ij
     X = field.components
     dX = [[Xk.deriv(i) for i in coords] for Xk in X]  # dX[k-1][i-1] = d_i X^k
     groups = {}
@@ -255,13 +264,16 @@ def soliton_lambda(n: int, rho) -> Fraction:
     return Fraction(n - 1) * (n * rho - 1)
 
 
-def rb_residual(field: VectorField, params: SolitonParams) -> SymTensor2:
-    """Defect of the soliton equation: L_X g + 2 Ric - 2(lam + rho r) g."""
-    n = field.n
+def rb_residual(lie_g: SymTensor2, params: SolitonParams) -> SymTensor2:
+    """Defect of the soliton equation, L_X g + 2 Ric - 2(lam + rho r) g.
+
+    ``lie_g`` is L_X g, ``lie_derivative_metric`` of the field of ``params``.
+    """
+    n = params.n
     lam = params.soliton_constant()
     r = scalar_curvature(n)
     factor = LaurentPoly.const(n, 2 * lam) + LaurentPoly.const(n, 2) * params.rho * r
-    return lie_derivative_metric(field) + 2 * ricci(n) - metric(n) * factor
+    return lie_g + 2 * ricci(n) - metric(n) * factor
 
 
 def hyp_distance(p: Sequence[float], q: Sequence[float]) -> float:

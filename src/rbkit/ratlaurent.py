@@ -1,17 +1,17 @@
 """Exact Laurent-polynomial arithmetic over the rationals.
 
-A polynomial in coordinates x1..xn is stored sparsely as a map from exponent
-tuples of ``int`` to nonzero rational coefficients.  Negative exponents are
-allowed in the *last* coordinate only: every denominator arising from the
-half-space metric is a pure power of xn, and restricting the Laurent
-direction to xn keeps normal forms canonical.  The zero polynomial is the
-empty map.
+A polynomial in coordinates x1..xn is a sparse map, its ``terms``, from
+exponent tuples of ``int`` to nonzero rational coefficients.  Negative
+exponents are allowed in the *last* coordinate only: every denominator
+arising from the half-space metric is a pure power of xn, and restricting
+the Laurent direction to xn keeps normal forms canonical.  The zero
+polynomial is the empty map.
 
     x1^2 * x3^-2   ->   {(2, 0, -2): Fraction(1)}        (n = 3)
 
-Coefficients are ``fractions.Fraction``, never floats, so "is this
-identically zero" is an exact, decidable question: two polynomials are equal
-iff their term maps are equal.
+Coefficients are rationals, never floats, so "is this identically zero" is
+an exact, decidable question: two polynomials are equal iff their term maps
+are equal.
 
 Monomials are totally ordered graded-lexicographically (total degree first,
 then the exponent tuple).  The order fixes printing and serialization, so a
@@ -20,22 +20,34 @@ the public API are 1-based, matching the x1..xn naming.
 
 Shared kernel.  ``LaurentPoly``, ``exterior.VectorField``,
 ``exterior.KForm`` and ``halfspace.SymTensor2`` are sparse maps over a
-shape (n, and for forms the grade) and inherit from ``SparseMap`` the
-validating merge of their public constructors, ``+``, ``-``, negation,
-coefficient scaling, ``==``, hashing and the zero test.  Adding maps of
-different shapes raises ``DimensionMismatch``.
+shape (n, and for forms the grade).  All four inherit from ``SparseMap``
+the validating merge of their public constructors; the three maps with
+``LaurentPoly`` values also inherit ``+``, ``-``, negation, coefficient
+scaling, ``==``, hashing and the zero test, which ``LaurentPoly`` does
+on its stored form instead (below).  Adding maps of different shapes
+raises ``DimensionMismatch``.
+
+Stored form.  A ``LaurentPoly`` keeps one denominator ``den`` and a map
+``nums`` from exponents to nonzero ``int`` numerators (the coefficient of
+``exps`` is ``nums[exps] / den``), in normal form: ``den > 0``,
+``gcd(den, *nums.values()) == 1``, and zero is ``den = 1``, ``nums = {}``.
+The form is canonical, so ``==`` and hashing compare it directly, and
+``+``, negation, scaling and ``deriv`` are integer loops with one ``gcd``
+per result.  A ``Fraction`` is built only for a reader: ``terms`` (also
+read as ``_terms`` by the generic ``SparseMap`` code, ``flows`` and the
+span tracker), ``items``, ``text`` and ``evaluate``.
 
 Trusted construction.  Internal results of all four types are built with
-``SparseMap._like``, which wraps a term map as is in the shape of an
-existing map (the product kernel below wraps its sums the same way).  That
-map must already be clean: every key passes the type's key check, every
-value is nonzero (a ``Fraction``, or a ``LaurentPoly`` of the same n), and
-nothing else holds a reference to the dict.  The
-operations keep this invariant by construction (sums and products of valid
-exponents stay valid, ``deriv`` lowers only nonzero exponents, wedge
-products sort their index tuples) and by dropping the zero coefficients
-that cancellation leaves, so trusted and validated results are
-interchangeable: ``p == LaurentPoly(p.n, p.terms)``,
+``_like``, which wraps a clean term map as is in the shape of an existing
+map; ``LaurentPoly._like(nums, den)`` also divides out the common factor
+of the numerators and ``den``.  The map must already be clean: every key
+passes the type's key check, every value is nonzero (an ``int``
+numerator, or a ``LaurentPoly`` of the same n), and nothing else holds a
+reference to the dict.  The operations keep this invariant by
+construction (sums and products of valid exponents stay valid, ``deriv``
+lowers only nonzero exponents, wedge products sort their index tuples)
+and by dropping the zero values that cancellation leaves, so trusted and
+validated results are interchangeable: ``p == LaurentPoly(p.n, p.terms)``,
 ``f == KForm(f.n, f.grade, f.terms)`` and ``X == VectorField(X.components)``.
 
 Products.  Every polynomial product is a sum of products, sum sign * a * b
@@ -46,22 +58,24 @@ derivatives of a form and of the metric group their products by output
 key and make one kernel call per output coefficient (``_sum_grouped``).
 Its invariants:
 
-- each factor's coefficients are scaled to integer numerators over the lcm
-  of that factor's denominators, and the products are multiplied and
-  accumulated as Python ints into one dict over a common denominator;
-- each output term is normalised once, as one ``Fraction(num, den)``, and
-  the terms whose sum cancels to zero are dropped at the end;
+- each product's numerators are multiplied as Python ints and accumulated
+  into one dict over the lcm of the products' denominators ``a.den * b.den``;
+- the sums that cancel to zero are dropped at the end, and the result is
+  reduced by one ``gcd`` (``_like``);
 - output keys are in first-occurrence order over the triples, and for a
   pair over the double loop (the terms of ``a`` outer, of ``b`` inner).
   ``flows`` evaluates a field's terms in ``terms`` order, so the key order
-  of ``p * q`` is part of the byte contract of the trajectory CSV.
+  of ``p * q`` is part of the byte contract of the trajectory CSV.  Every
+  other operation keeps the key order of the same operation on a
+  ``Fraction`` term map: a sum lists the left operand's keys, then the new
+  keys of the right one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
@@ -94,12 +108,13 @@ def _accumulate(out: dict, key, value) -> None:
 class SparseMap:
     """Sparse map from keys to nonzero coefficients, in a fixed shape.
 
-    Subclasses supply ``_check(key, value)``, which validates one term and
-    returns it normalised, and ``text``; a subclass with more shape than n
-    also overrides ``__init__``, ``_like`` and ``_shape``.
+    Subclasses keep their term map in ``_terms`` and supply
+    ``_check(key, value)``, which validates one term and returns it
+    normalised, and ``text``; a subclass with more shape than n also
+    overrides ``__init__``, ``_like`` and ``_shape``.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -149,7 +164,7 @@ class SparseMap:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -209,16 +224,44 @@ class SparseMap:
 
 
 class LaurentPoly(SparseMap):
-    """Multivariate polynomial, Laurent in the last coordinate."""
+    """Multivariate polynomial, Laurent in the last coordinate.
 
-    __slots__ = ()
+    Stored as ``int`` numerators ``nums`` over one denominator ``den``, in
+    normal form (module docstring).
+    """
+
+    __slots__ = ("den", "nums")
 
     def __init__(self, n: int, terms: Mapping[Exponents, object] | None = None):
         if n < 1:
             raise ValueError(f"need at least one coordinate, got n={n}")
-        super().__init__(n, terms)
+        self.n = n
+        clean = self._validated(terms)
+        self.den = den = lcm(*[c.denominator for c in clean.values()])
+        self.nums = {exps: c.numerator * (den // c.denominator) for exps, c in clean.items()}
+
+    def _like(self, nums: dict, den: int = 1) -> "LaurentPoly":
+        """Clean numerators over den > 0, in this n, divided by their common factor."""
+        if den != 1:
+            common = gcd(den, *nums.values())
+            if common != 1:
+                nums = {exps: num // common for exps, num in nums.items()}
+                den //= common
+        out = object.__new__(LaurentPoly)
+        out.n, out.den, out.nums = self.n, den, nums
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """The terms as a fresh ``{exps: Fraction}`` dict."""
+        den = self.den
+        return {exps: Fraction(num, den) for exps, num in self.nums.items()}
+
+    _terms = terms  # what the generic SparseMap code, flows and the span tracker read
 
     def _check(self, exps, coeff) -> tuple:
+        if not isinstance(exps, tuple):
+            raise ValueError(f"exponent key {exps!r} is not a tuple")
         exps = tuple(exps)
         if len(exps) != self.n:
             raise ValueError(f"exponent tuple {exps} has arity {len(exps)}, expected {self.n}")
@@ -260,14 +303,52 @@ class LaurentPoly(SparseMap):
 
     # -- ring operations ---------------------------------------------------
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not LaurentPoly:
+            return NotImplemented
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.den, frozenset(self.nums.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
     def _promote(self, other) -> "LaurentPoly | None":
         if isinstance(other, (int, Fraction)):
             return LaurentPoly.const(self.n, other)
         return None
 
+    def __add__(self, other) -> "LaurentPoly":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = lcm(self.den, other.den)  # both sides as numerators over den
+        scale, other_scale = den // self.den, den // other.den
+        out = {exps: num * scale for exps, num in self.nums.items()}
+        get = out.get
+        for exps, num in other.nums.items():
+            total = get(exps, 0) + num * other_scale
+            if total:
+                out[exps] = total
+            else:
+                del out[exps]
+        return self._like(out, den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "LaurentPoly":
+        return self._like({exps: -num for exps, num in self.nums.items()}, self.den)
+
+    def _scale(self, scale) -> "LaurentPoly":
+        """Every coefficient times an int or a Fraction."""
+        factor = scale.numerator
+        scaled = {exps: num * factor for exps, num in self.nums.items()} if factor else {}
+        return self._like(scaled, self.den * scale.denominator)
+
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            return self._scale(Fraction(other))
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -294,12 +375,12 @@ class LaurentPoly(SparseMap):
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate index {i} outside 1..{self.n}")
         # exps -> dexps is injective on terms with e != 0, so no two terms merge
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, num in self.nums.items():
             e = exps[i - 1]
             if e:
-                out[exps[: i - 1] + (e - 1,) + exps[i:]] = coeff * e
-        return self._like(out)
+                out[exps[: i - 1] + (e - 1,) + exps[i:]] = num * e
+        return self._like(out, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact substitution at a rational point with point[n] != 0."""
@@ -348,22 +429,14 @@ class LaurentPoly(SparseMap):
         return self.text()
 
 
-def _integral(p: LaurentPoly) -> tuple:
-    """(d, [(exps, c * d), ...]) for d the lcm of p's denominators: integer numerators."""
-    den = lcm(*[c.denominator for c in p._terms.values()])
-    return den, [(exps, c.numerator * (den // c.denominator)) for exps, c in p._terms.items()]
-
-
 def _sum_products(n: int, products) -> LaurentPoly:
     """The sum of sign * a * b over (sign, a, b) triples, exactly (module docstring)."""
     scaled = []
     den = 1
     for sign, a, b in products:
-        if a._terms and b._terms:
-            da, ta = _integral(a)
-            db, tb = _integral(b)
-            scaled.append((sign, da * db, ta, tb))
-            den = lcm(den, da * db)
+        if a.nums and b.nums:
+            scaled.append((sign, a.den * b.den, a.nums.items(), b.nums.items()))
+            den = lcm(den, a.den * b.den)
     acc: dict[Exponents, int] = {}
     get = acc.get
     for sign, d, ta, tb in scaled:
@@ -373,10 +446,7 @@ def _sum_products(n: int, products) -> LaurentPoly:
             for eb, nb in tb:
                 exps = tuple(map(add, ea, eb))
                 acc[exps] = get(exps, 0) + na * nb
-    out = object.__new__(LaurentPoly)
-    out.n = n
-    out._terms = {exps: Fraction(num, den) for exps, num in acc.items() if num}
-    return out
+    return LaurentPoly.zero(n)._like({exps: num for exps, num in acc.items() if num}, den)
 
 
 def _sum_grouped(n: int, groups: dict) -> dict:
@@ -384,7 +454,7 @@ def _sum_grouped(n: int, groups: dict) -> dict:
     out = {}
     for key, products in groups.items():
         total = _sum_products(n, products)
-        if total._terms:
+        if total:
             out[key] = total
     return out
 

@@ -35,7 +35,7 @@ from .errors import (
     NotClosed,
     OddSize,
 )
-from .exterior import VectorField, ext_d, interior, power_wedge, wedge
+from .exterior import KForm, VectorField, ext_d, interior, power_wedge, wedge
 from .halfspace import SolitonParams, flat
 from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
 
@@ -88,7 +88,7 @@ def generator(name: str, n: int) -> VectorField:
     kind, k = _parse_generator(name, n)
     if kind == "G" and not k:
         return 2 * generator("G1", 2)
-    one, half, zero = Fraction(1), Fraction(1, 2), LaurentPoly.zero(n)
+    zero = LaurentPoly.zero(n)
 
     def exps(i: int, j: int) -> tuple:  # the exponents of x_i x_j, with x_0 = 1
         out = [0] * (n + 1)
@@ -100,12 +100,12 @@ def generator(name: str, n: int) -> VectorField:
     # evaluates a component's terms in their order, so it is part of the CSV bytes
     field = VectorField.zero(n)
     if kind == "T":
-        return field._like({k: zero._like({exps(0, 0): one})})
+        return field._like({k: zero._like({exps(0, 0): 1})})
     if kind == "D":
-        return field._like({j: zero._like({exps(0, j): one}) for j in range(1, n + 1)})
+        return field._like({j: zero._like({exps(0, j): 1}) for j in range(1, n + 1)})
     # boost: (1/2)(x_k^2 - sum_{j != k} x_j^2) d_k + sum_{j != k} x_k x_j d_j
-    quad = {exps(k, k): half, **{exps(j, j): -half for j in range(1, n + 1) if j != k}}
-    return field._like({j: zero._like(quad if j == k else {exps(k, j): one}) for j in range(1, n + 1)})
+    quad = zero._like({exps(k, k): 1, **{exps(j, j): -1 for j in range(1, n + 1) if j != k}}, 2)
+    return field._like({j: quad if j == k else zero._like({exps(k, j): 1}) for j in range(1, n + 1)})
 
 
 def one_hot_params(name: str, n: int) -> SolitonParams:
@@ -427,11 +427,6 @@ def det_bareiss(M) -> Fraction:
     return Fraction(sign * a[-1][-1], scale**k) if k else Fraction(1)
 
 
-def det_via_pf(M) -> Fraction:
-    """Determinant as Pf(M)^2, cross-checked against Bareiss elimination."""
-    return _det_from_pf(M, pfaffian(M))
-
-
 def _det_from_pf(M, pf: Fraction) -> Fraction:
     square = pf**2
     if square != det_bareiss(M):
@@ -439,17 +434,15 @@ def _det_from_pf(M, pf: Fraction) -> Fraction:
     return square
 
 
-def contact_top_form(params: SolitonParams, field: VectorField | None = None) -> LaurentPoly:
+def contact_top_form(omega: KForm, domega: KForm) -> LaurentPoly:
     """Coefficient of dx1^...^dxn in w ^ (dw)^m, ambient dimension n = 2m+1.
 
-    ``field`` is ``build_field(params)`` when the caller already has it.
+    ``omega`` is the dual form w = flat(X) and ``domega`` is ext_d(omega).
     """
-    n = params.n
+    n = omega.n
     if n % 2 == 0:
         raise OddSize(f"top form needs odd ambient dimension, got n={n}")
     m = (n - 1) // 2
-    omega = flat(build_field(params) if field is None else field)
-    domega = ext_d(omega)
     top = wedge(omega, power_wedge(domega, m))
     return top.coeff(tuple(range(1, n + 1)))
 
@@ -467,17 +460,17 @@ class ContactReport(namedtuple("ContactReport", _CONTACT_FIELDS)):
     __slots__ = ()
 
 
-def contact_report(params: SolitonParams, field: VectorField | None = None) -> ContactReport:
+def contact_report(params: SolitonParams, omega: KForm, domega: KForm) -> ContactReport:
     """Compute the top form and compare it against the Pfaffian route.
 
-    ``field`` is ``build_field(params)`` when the caller already has it.
+    ``omega`` is flat(build_field(params)) and ``domega`` is ext_d(omega).
     """
     n = params.n
     m = (n - 1) // 2
     M = contact_matrix(params)
     pf = pfaffian(M)
     det = _det_from_pf(M, pf)
-    top = contact_top_form(params, field)
+    top = contact_top_form(omega, domega)
     cleared = top * LaurentPoly.monomial(n, (0,) * (n - 1) + (n,))
     const_key = (0,) * n
     is_constant = set(cleared.terms) <= {const_key}

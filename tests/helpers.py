@@ -2,7 +2,9 @@
 paper's component formula of the soliton field used as the oracle for
 ``build_field``, the Laplace-expansion determinant and the first-row
 Pfaffian expansion used as oracles for the library's Bareiss determinant
-and skew elimination, the term-by-term
+and skew elimination, the determinant as a checked Pf^2
+(``det_via_pf``), the dual form w and dw of a parameter set
+(``dual_forms``), the term-by-term
 interpreter of a field and its RK4 step used as the oracle for the
 compiled flow step, and the product-by-product ``Fraction`` loops of the
 polynomial product, the wedge and interior products, the Lie bracket and
@@ -17,8 +19,21 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from rbkit import FlowSpec, FlowState, KForm, LaurentPoly, SolitonParams, SymTensor2, VectorField, metric
-from rbkit.solitons import _parse_generator
+from rbkit import (
+    FlowSpec,
+    FlowState,
+    KForm,
+    LaurentPoly,
+    SolitonParams,
+    SymTensor2,
+    VectorField,
+    build_field,
+    ext_d,
+    flat,
+    metric,
+    pfaffian,
+)
+from rbkit.solitons import _det_from_pf, _parse_generator
 
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=4) -> Fraction:
@@ -129,6 +144,17 @@ def pfaffian_oracle(M) -> Fraction:
         return total
 
     return rec([list(map(Fraction, row)) for row in M])
+
+
+def det_via_pf(M) -> Fraction:
+    """Determinant as Pf(M)^2, cross-checked against Bareiss elimination."""
+    return _det_from_pf(M, pfaffian(M))
+
+
+def dual_forms(params: SolitonParams) -> tuple:
+    """(w, dw) of the field of params: w = flat(X) and dw = ext_d(w)."""
+    omega = flat(build_field(params))
+    return omega, ext_d(omega)
 
 
 def rhs_oracle(field: VectorField):

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import det_cofactor, rand_antisymmetric, rand_field
+from helpers import det_cofactor, dual_forms, rand_antisymmetric, rand_field
 from rbkit import (
     FlowSpec,
     FlowState,
@@ -66,13 +66,13 @@ def test_c02_soliton_residual():
         for _ in range(20):
             params = random_params(rng, n)
             ok = ok and params.soliton_constant() == (n - 1) * (n * params.rho - 1)
-            ok = ok and rb_residual(build_field(params), params).is_zero()
+            ok = ok and rb_residual(lie_derivative_metric(build_field(params)), params).is_zero()
         base = random_params(rng, n)
         shifted = SolitonParams(
             n=n, a=base.a, b=base.b, c=base.c, rho=base.rho,
             lam=soliton_lambda(n, base.rho) + 1,
         )
-        residual = rb_residual(build_field(shifted), shifted)
+        residual = rb_residual(lie_derivative_metric(build_field(shifted)), shifted)
         ok = ok and residual == -2 * metric(n)
     _report(2, "soliton residual zero at derived constant; +1 shift gives -2g", ok)
 
@@ -98,7 +98,7 @@ def test_c03_dual_form_preserved():
         for _ in range(100):
             X = build_field(random_params(rng, n))
             omega = flat(X)
-            homotopy = lie_derivative_form(X, omega)  # cross-checks internally
+            homotopy = lie_derivative_form(X, omega, ext_d(omega))  # cross-checks internally
             direct = _direct_lie_oracle(X, omega)
             ok = ok and homotopy == direct and homotopy.is_zero()
     _report(3, "dual form preserved via both formulas, term by term", ok)
@@ -136,7 +136,7 @@ def test_c05_three_dim_contact_grid():
     for a1, a2, c1, c2 in itertools.product(grid, repeat=4):
         for b in (Fraction(0), Fraction(1)):
             params = SolitonParams(n=3, a=(a1, a2), b=b, c=(c1, c2))
-            report = contact_report(params)
+            report = contact_report(params, *dual_forms(params))
             expected = 2 * (c1 * a2 - c2 * a1) * inv3
             ok = ok and report.top_coeff == expected
             ok = ok and (not report.top_coeff.is_zero()) == (a1 * c2 != a2 * c1)
@@ -152,7 +152,7 @@ def test_c06_top_form_pfaffian_consistency():
     for n in (3, 5):
         for _ in range(20):
             params = random_params(rng, n, allow_degenerate=True)
-            report = contact_report(params)
+            report = contact_report(params, *dual_forms(params))
             ok = ok and report.consistent  # |cleared|/2^m == |Pf|, cleared constant
     for size in (2, 4, 6):
         for _ in range(50):
@@ -167,7 +167,7 @@ def test_c07_five_dim_degeneracy_report():
     ok = True
     for _ in range(20):
         params = random_params(rng, 5)
-        report = contact_report(params)
+        report = contact_report(params, *dual_forms(params))
         ok = ok and report.pf == 0 and report.consistent
         vanished += report.top_coeff.is_zero()
     _report(7, "five-dim top form vs Pfaffian degeneracy (consistency)", ok,

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rbkit import LaurentPoly, cli, flows, solitons
+from rbkit import LaurentPoly, cli, exterior, flows, halfspace, solitons
 from rbkit.cli import (
     EXIT_ESCAPE,
     EXIT_FAIL,
@@ -144,8 +144,9 @@ def scripted_verify(monkeypatch, scripts, trials, n=3):
     ``scripts`` maps a check name to {instance: (status, witness)}, where
     instance 0 is the file's parameter set and k the k-th trial; an
     instance missing from a script passes with the witness "ok <k>".  The
-    fields are the instance numbers, and ``calls`` records every build and
-    check in call order.
+    fields are the instance numbers, each check reads the number as the
+    field of the ``cli._Instance`` it is given, and ``calls`` records every
+    build and check in call order.
     """
     calls, built = [], iter(range(trials + 1))
 
@@ -155,7 +156,8 @@ def scripted_verify(monkeypatch, scripts, trials, n=3):
         return k
 
     def scripted(name):
-        def check(params, k):
+        def check(inst):
+            k = inst.field
             calls.append((name, k))
             return scripts.get(name, {}).get(k, ("pass", f"ok {k}"))
 
@@ -224,6 +226,32 @@ def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, ["verify", "--params", path, "--trials", str(trials)])
         assert code == EXIT_PASS
         assert len(calls) == trials + 1
+
+
+def test_verify_derives_each_object_once_per_instance(tmp_path, capsys, monkeypatch):
+    # one w = flat(X), one L_X g and two ext_d (dw, and d(i_X w) in the
+    # Lie derivative) per instance, whichever module calls them; the
+    # metric's derivative table once per n
+    counts = {}
+    for home, name in ((halfspace, "flat"), (halfspace, "lie_derivative_metric"), (exterior, "ext_d")):
+        original = getattr(home, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in (cli, exterior, halfspace, solitons):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    halfspace._metric_table.cache_clear()
+    for built, (n, trials) in enumerate(((3, 4), (4, 3), (5, 2)), 1):
+        params = {"n": n, "a": ["1"] * (n - 1), "c": ["0"] * (n - 2) + ["1"]}
+        path = write_params(tmp_path, **params)
+        counts.update(flat=0, lie_derivative_metric=0, ext_d=0)
+        code, _, _ = run(capsys, ["verify", "--params", path, "--trials", str(trials)])
+        assert code == EXIT_PASS
+        assert counts == {"flat": trials + 1, "lie_derivative_metric": trials + 1, "ext_d": 2 * (trials + 1)}
+        assert halfspace._metric_table.cache_info().misses == built
 
 
 def test_verify_builds_the_zero_polynomial_at_most_once(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Exact polynomial ring: representation, calculus, ring axioms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -215,8 +216,24 @@ def _operands(draw):
 
 
 def _assert_clean(p):
+    # the stored normal form: den > 0, gcd(den, numerators) = 1, zero is (1, {})
+    assert type(p.den) is int and p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1
+    assert all(type(num) is int and num for num in p.nums.values())
+    assert p.nums or p.den == 1
     assert all(type(c) is Fraction and c for c in p.terms.values())
     assert p == LaurentPoly(p.n, p.terms)
+
+
+def _sum_reference(p, q, sign) -> dict:
+    """p + sign * q over plain Fraction term maps: p's keys, then q's new keys."""
+    out = p.terms
+    for exps, coeff in q.terms.items():
+        total = out.get(exps, 0) + sign * coeff
+        if total:
+            out[exps] = total
+        else:
+            del out[exps]
+    return out
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -227,6 +244,17 @@ def test_operation_results_are_clean(operands):
     results = [p + q, p - q, q - q, -p, p * scale, scale * p, p * 0, p * q, p ** 3, p.deriv(i), (p - p).deriv(i)]
     for result in results:
         _assert_clean(result)
+    # key order and values of a plain Fraction-dict reference; through
+    # flows._terms the key order decides the bytes of a trajectory CSV
+    references = [
+        (p + q, _sum_reference(p, q, 1)),
+        (p - q, _sum_reference(p, q, -1)),
+        (-p, {exps: -coeff for exps, coeff in p.terms.items()}),
+        (p * scale, {exps: coeff * scale for exps, coeff in p.terms.items() if scale}),
+        (p.deriv(i), {e[: i - 1] + (e[i - 1] - 1,) + e[i:]: c * e[i - 1] for e, c in p.terms.items() if e[i - 1]}),
+    ]
+    for result, reference in references:
+        assert list(result.terms.items()) == list(reference.items())
     # the same results through the validating constructor alone
     sums = {}
     for poly, sign in ((p, 1), (q, -1)):
@@ -359,6 +387,9 @@ def test_mixed_shape_addition_is_a_dimension_mismatch():
 def test_form_and_tensor_terms_are_checked():
     one = LaurentPoly.const(2, 1)
     bad = [
+        lambda: LaurentPoly(2, {1: 1}),  # a key that is not a tuple
+        lambda: KForm(2, 1, {1: one}),
+        lambda: SymTensor2(2, {1: one}),
         lambda: KForm(2, 1, {(1,): 5}),  # not a polynomial
         lambda: KForm(2, 1, {(1,): LaurentPoly.const(3, 1)}),  # another arity
         lambda: KForm(2, 1, {(1.0,): one}),

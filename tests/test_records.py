@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import rbkit
+from helpers import dual_forms
 from rbkit import (
     AlgebraSpan,
     BoundaryPoint,
@@ -42,7 +43,8 @@ def _span_values():
 
 
 def _report_values():
-    report = contact_report(SolitonParams(**PARAMS))
+    params = SolitonParams(**PARAMS)
+    report = contact_report(params, *dual_forms(params))
     return {name: getattr(report, name) for name in ContactReport._fields}
 
 

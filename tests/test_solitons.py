@@ -8,6 +8,8 @@ import pytest
 from helpers import (
     build_field_oracle,
     det_cofactor,
+    det_via_pf,
+    dual_forms,
     pfaffian_oracle,
     rand_antisymmetric,
     rand_field,
@@ -31,7 +33,6 @@ from rbkit import (
     contact_top_form,
     decompose,
     det_bareiss,
-    det_via_pf,
     ext_d,
     flat,
     generator,
@@ -451,7 +452,8 @@ def test_pfaffian_plucker_identity_for_rank_two_matrices():
 
 
 def test_contact_report_three_dim_contact_case():
-    report = contact_report(SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1)))
+    params = SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1))
+    report = contact_report(params, *dual_forms(params))
     assert report.top_coeff == LaurentPoly.monomial(3, (0, 0, -3), -2)
     assert report.pf == 1
     assert report.consistent
@@ -471,17 +473,19 @@ def test_contact_report_computes_the_pfaffian_once(monkeypatch):
         SolitonParams(n=5, a=(1, 2, 0, -1), b=1, c=(0, 1, 3, 1)),
     ):
         calls.clear()
-        report = contact_report(params)
+        report = contact_report(params, *dual_forms(params))
         assert len(calls) == 1
         assert report.det == report.pf**2
     # the Pf^2 = det cross-check still runs on every report
     monkeypatch.setattr(solitons, "pfaffian", lambda M: Fraction(7))
+    params = SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1))
     with pytest.raises(AssertionError, match="Bareiss"):
-        contact_report(SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1)))
+        contact_report(params, *dual_forms(params))
 
 
 def test_contact_report_three_dim_noncontact_case():
-    report = contact_report(SolitonParams(n=3, a=(1, 0), b=0, c=(1, 0)))
+    params = SolitonParams(n=3, a=(1, 0), b=0, c=(1, 0))
+    report = contact_report(params, *dual_forms(params))
     assert report.top_coeff.is_zero()
     assert report.pf == 0
     assert report.consistent
@@ -496,10 +500,10 @@ def test_contact_top_form_three_dim_grid():
         for c2 in values:
             params = SolitonParams(n=3, a=(a1, 1), b=1, c=(Fraction(1, 2), c2))
             expected = 2 * (Fraction(1, 2) * 1 - c2 * a1) * inv3
-            assert contact_top_form(params) == expected
+            assert contact_top_form(*dual_forms(params)) == expected
     params = SolitonParams(n=3, a=(2, -1), b=1, c=(3, 1))
     c1a2_minus_c2a1 = Fraction(3) * (-1) - Fraction(1) * 2
-    assert contact_top_form(params) == 2 * c1a2_minus_c2a1 * inv3
+    assert contact_top_form(*dual_forms(params)) == 2 * c1a2_minus_c2a1 * inv3
 
 
 def test_contact_top_form_five_dim_vanishes():
@@ -511,7 +515,7 @@ def test_contact_top_form_five_dim_vanishes():
             b=rand_fraction(rng),
             c=tuple(rand_fraction(rng) for _ in range(4)),
         )
-        report = contact_report(params)
+        report = contact_report(params, *dual_forms(params))
         assert report.pf == 0
         assert report.top_coeff.is_zero()
         assert report.consistent
