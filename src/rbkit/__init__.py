@@ -7,6 +7,7 @@ from .errors import (
     BoundaryPoint,
     DegeneratePoint,
     DimensionMismatch,
+    ExponentOverflow,
     FlowEscape,
     GradeOverflow,
     IndexOutOfRange,
@@ -60,16 +61,13 @@ from .solitons import (
     contact_matrix,
     contact_report,
     contact_top_form,
-    decompose,
     det_bareiss,
     generator,
     generator_names,
     generators,
     in_span,
     lie_bracket,
-    one_hot_params,
     pfaffian,
-    reeb_defect,
     sl2_check,
     span_coefficients,
     structure_constants,

@@ -27,7 +27,9 @@ before it, at least the start row.
 ``verify`` builds each instance's field once, and its checks share the
 objects derived from it: L_X g, the dual form w and dw.  Under
 ``--timings`` a shared object's time counts toward the first check that
-builds it.  ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
+builds it.  A witness is formatted only for the record that keeps it (the
+file's instance, or a more severe status), and that formatting is not
+part of the check's ms.  ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
 parameter set is built; a larger count exits 64.  The ``n`` of a
 ``--params`` file is at most ``MAX_PARAMS_N``, checked as soon as it is
 read; a larger n exits 64 with a parse error.  ``algebra --n`` runs for
@@ -184,7 +186,7 @@ def _check_not_closed(inst: _Instance):
     if domega.is_zero():
         status = "degenerate" if params.degenerate else "fail"
         return status, "dw = 0 (constant field)" if params.degenerate else "dw = 0"
-    return "pass", f"dw = {domega.text()}"
+    return "pass", lambda: f"dw = {domega.text()}"
 
 
 def _check_preserved(inst: _Instance):
@@ -196,12 +198,11 @@ def _check_preserved(inst: _Instance):
 
 def _check_contact(inst: _Instance):
     report = contact_report(inst.params, inst.omega, inst.domega)
-    witness = (
+    return ("pass" if report.consistent else "fail"), lambda: (
         f"Pf = {report.pf}; det = {report.det}; "
         f"top*xn^{report.n} = {report.cleared.text()}; "
         f"contact = {'true' if report.is_contact else 'false'}; {MATRIX_CONVENTION}"
     )
-    return ("pass" if report.consistent else "fail"), witness
 
 
 _VERIFY_CHECKS = (
@@ -223,6 +224,8 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int):
 
     Each check keeps one running record, its ms summed over the instances.
     The checks of an instance share its derived objects (``_Instance``).
+    A check may return its witness as a function that formats it, called
+    only when the record keeps the witness and outside the timed interval.
     """
     rng = random.Random(seed)
     checks = [c for c in _VERIFY_CHECKS if c[0] != "contact_consistency" or params.n % 2]
@@ -236,6 +239,7 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int):
             status, witness = check(inst)
             record[3] += _ms_since(start)
             if k == 0 or _SEVERITY[status] > _SEVERITY[record[1]]:
+                witness = witness() if callable(witness) else witness
                 record[1:3] = status, witness if status == "pass" else f"{label}: {witness}"
     return [tuple(record) for record in records]
 

@@ -13,6 +13,10 @@ class DimensionMismatch(RBKitError, ValueError):
     """Operands live in different ambient dimensions, or differ in grade."""
 
 
+class ExponentOverflow(RBKitError, ValueError):
+    """An exponent falls outside the range a packed monomial key holds."""
+
+
 class GradeOverflow(RBKitError):
     """A wedge power was requested whose grade exceeds the ambient dimension."""
 

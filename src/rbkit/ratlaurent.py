@@ -28,25 +28,41 @@ on its stored form instead (below).  Adding maps of different shapes
 raises ``DimensionMismatch``.
 
 Stored form.  A ``LaurentPoly`` keeps one denominator ``den`` and a map
-``nums`` from exponents to nonzero ``int`` numerators (the coefficient of
-``exps`` is ``nums[exps] / den``), in normal form: ``den > 0``,
-``gcd(den, *nums.values()) == 1``, and zero is ``den = 1``, ``nums = {}``.
-The form is canonical, so ``==`` and hashing compare it directly, and
-``+``, negation, scaling and ``deriv`` are integer loops with one ``gcd``
-per result.  A ``Fraction`` is built only for a reader: ``terms`` (also
-read as ``_terms`` by the generic ``SparseMap`` code, ``flows`` and the
-span tracker), ``items``, ``text`` and ``evaluate``.
+``nums`` from packed monomial keys to nonzero ``int`` numerators (the
+coefficient of the monomial of ``key`` is ``nums[key] / den``), in normal
+form: ``den > 0``, ``gcd(den, *nums.values()) == 1``, and zero is
+``den = 1``, ``nums = {}``.  The form is canonical, so ``==`` and hashing
+compare it directly, and ``+``, negation, scaling and ``deriv`` are
+integer loops with one ``gcd`` per result.
+
+A key is one ``int`` holding the n exponents in fixed-width fields of
+``_WIDTH`` = 16 bits, x1 in the highest field.  Each field holds the
+exponent plus the bias 2^15, so the key of x^0 is ``zero`` (every field at
+the bias; ``_layout(n)``), the key of a product is ``ka + kb - zero``, and
+the derivative in x_i lowers the key by ``1 << 16(n-i)``.  Every stored
+exponent lies in ``range(-EXP_LIMIT, EXP_LIMIT)``, EXP_LIMIT = 2^14, half
+the range a field holds, so the sum of two never carries into the next
+field.  An exponent outside that range raises ``ExponentOverflow``: in the
+constructor, on each output key of the kernel below and on the keys of a
+derivative in the last coordinate (the one that can fall).  The check is
+one subtract and mask per key (``_overflow``), and nothing ever wraps.
+Tuples are made only at the readers: the constructor packs them (its
+``_check``; ``var`` packs its one key directly), and ``terms`` unpacks
+them, together with the ``Fraction`` each coefficient needs.  ``terms`` is
+also read as ``_terms`` by the generic ``SparseMap`` code, ``flows`` and
+the span tracker, and by ``items``, ``text`` and ``evaluate``.
 
 Trusted construction.  Internal results of all four types are built with
 ``_like``, which wraps a clean term map as is in the shape of an existing
 map; ``LaurentPoly._like(nums, den)`` also divides out the common factor
 of the numerators and ``den``.  The map must already be clean: every key
-passes the type's key check, every value is nonzero (an ``int``
-numerator, or a ``LaurentPoly`` of the same n), and nothing else holds a
-reference to the dict.  The operations keep this invariant by
-construction (sums and products of valid exponents stay valid, ``deriv``
-lowers only nonzero exponents, wedge products sort their index tuples)
-and by dropping the zero values that cancellation leaves, so trusted and
+passes the type's key check (for a ``LaurentPoly``, a packed key of
+exponents in range), every value is nonzero (an ``int`` numerator, or a
+``LaurentPoly`` of the same n), and nothing else holds a reference to the
+dict.  The operations keep this invariant by construction (sums and
+products of valid exponents stay valid or raise, ``deriv`` lowers only
+nonzero exponents, wedge products sort their index tuples) and by
+dropping the zero values that cancellation leaves, so trusted and
 validated results are interchangeable: ``p == LaurentPoly(p.n, p.terms)``,
 ``f == KForm(f.n, f.grade, f.terms)`` and ``X == VectorField(X.components)``.
 
@@ -58,10 +74,12 @@ derivatives of a form and of the metric group their products by output
 key and make one kernel call per output coefficient (``_sum_grouped``).
 Its invariants:
 
-- each product's numerators are multiplied as Python ints and accumulated
-  into one dict over the lcm of the products' denominators ``a.den * b.den``;
-- the sums that cancel to zero are dropped at the end, and the result is
-  reduced by one ``gcd`` (``_like``);
+- each pair costs one ``int`` add for its key (``ka - zero`` is taken once
+  per term of ``a``) and one multiply of numerators, accumulated into one
+  dict over the lcm of the products' denominators ``a.den * b.den``;
+- the sums that cancel to zero are dropped at the end, every surviving key
+  passes the range check, and the result is reduced by one ``gcd``
+  (``_like``); a term that cancels raises nothing;
 - output keys are in first-occurrence order over the triples, and for a
   pair over the double loop (the terms of ``a`` outer, of ``b`` inner).
   ``flows`` evaluates a field's terms in ``terms`` order, so the key order
@@ -76,15 +94,39 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from struct import Struct
 from typing import Iterator, Mapping, Sequence
 
-from .errors import BoundaryPoint, DimensionMismatch
+from .errors import BoundaryPoint, DimensionMismatch, ExponentOverflow
 
 # Arbitrary-precision p/q with gcd(p, q) = 1, q > 0, zero canonically 0/1.
 Rational = Fraction
 
 Exponents = tuple  # tuple[int, ...], one entry per coordinate
+
+_WIDTH = 16  # bits per packed exponent field; the readers unpack fields as ">h"
+EXP_LIMIT = 1 << (_WIDTH - 2)  # every stored exponent lies in range(-EXP_LIMIT, EXP_LIMIT)
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple:
+    """(zero, low, fields) of the packed keys in n coordinates (module docstring).
+
+    ``zero`` is the key of x^0 (every field at the bias 2^(_WIDTH-1)), ``low``
+    the key with every exponent at -EXP_LIMIT, and ``fields`` the ``Struct``
+    that packs and unpacks the exponents as signed big-endian fields.
+    """
+    ones = int.from_bytes(b"\x00\x01" * n, "big")
+    return ones << (_WIDTH - 1), ones << (_WIDTH - 2), Struct(f">{n}h")
+
+
+def _overflow(n: int, keys) -> None:
+    """Raise ExponentOverflow unless every packed key holds exponents in range."""
+    zero, low, fields = _layout(n)
+    for key in keys:
+        if (key - low) & zero:  # a field outside [0, 2 EXP_LIMIT) sets its top bit
+            exps = fields.unpack((key ^ zero).to_bytes(2 * n, "big"))  # no field wrapped
+            raise ExponentOverflow(f"exponent tuple {exps} leaves range({-EXP_LIMIT}, {EXP_LIMIT})")
 
 
 def grlex_key(exps: Exponents) -> tuple:
@@ -253,9 +295,13 @@ class LaurentPoly(SparseMap):
 
     @property
     def terms(self) -> dict:
-        """The terms as a fresh ``{exps: Fraction}`` dict."""
-        den = self.den
-        return {exps: Fraction(num, den) for exps, num in self.nums.items()}
+        """The terms as a fresh ``{exps: Fraction}`` dict, keys unpacked to tuples."""
+        zero, _, fields = _layout(self.n)
+        size, den = 2 * self.n, self.den
+        return {
+            fields.unpack((key ^ zero).to_bytes(size, "big")): Fraction(num, den)
+            for key, num in self.nums.items()
+        }
 
     _terms = terms  # what the generic SparseMap code, flows and the span tracker read
 
@@ -265,11 +311,14 @@ class LaurentPoly(SparseMap):
         exps = tuple(exps)
         if len(exps) != self.n:
             raise ValueError(f"exponent tuple {exps} has arity {len(exps)}, expected {self.n}")
-        if any(type(e) is not int for e in exps):
+        if set(map(type, exps)) - {int}:
             raise ValueError(f"non-integer exponent in {exps}")
-        if any(e < 0 for e in exps[:-1]):
+        if min(exps[:-1], default=0) < 0:
             raise ValueError(f"negative exponent outside the last coordinate: {exps}")
-        return exps, Fraction(coeff)
+        if not (-EXP_LIMIT <= min(exps) and max(exps) < EXP_LIMIT):
+            raise ExponentOverflow(f"exponent tuple {exps} leaves range({-EXP_LIMIT}, {EXP_LIMIT})")
+        zero, _, fields = _layout(self.n)
+        return int.from_bytes(fields.pack(*exps), "big") ^ zero, Fraction(coeff)
 
     # -- constructors ------------------------------------------------------
 
@@ -287,9 +336,7 @@ class LaurentPoly(SparseMap):
         """The coordinate polynomial x_i (1-based)."""
         if not 1 <= i <= n:
             raise ValueError(f"coordinate index {i} outside 1..{n}")
-        exps = [0] * n
-        exps[i - 1] = 1
-        return cls(n, {tuple(exps): Fraction(1)})
+        return cls.zero(n)._like({_layout(n)[0] + (1 << _WIDTH * (n - i)): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Sequence[int], coeff=1) -> "LaurentPoly":
@@ -372,14 +419,19 @@ class LaurentPoly(SparseMap):
         Exponent rule e -> e-1 with coefficient scaled by e; for the last
         coordinate negative exponents follow the same rule.
         """
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate index {i} outside 1..{self.n}")
-        # exps -> dexps is injective on terms with e != 0, so no two terms merge
-        out: dict[Exponents, int] = {}
-        for exps, num in self.nums.items():
-            e = exps[i - 1]
+        n = self.n
+        if not 1 <= i <= n:
+            raise ValueError(f"coordinate index {i} outside 1..{n}")
+        shift = _WIDTH * (n - i)
+        step, mask, bias = 1 << shift, (1 << _WIDTH) - 1, 1 << (_WIDTH - 1)
+        # key -> key - step is injective on terms with e != 0, so no two terms merge
+        out: dict[int, int] = {}
+        for key, num in self.nums.items():
+            e = (key >> shift & mask) - bias
             if e:
-                out[exps[: i - 1] + (e - 1,) + exps[i:]] = num * e
+                out[key - step] = num * e
+        if i == n:  # only the last exponent can be negative, and fall below the range
+            _overflow(n, out)
         return self._like(out, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -437,16 +489,20 @@ def _sum_products(n: int, products) -> LaurentPoly:
         if a.nums and b.nums:
             scaled.append((sign, a.den * b.den, a.nums.items(), b.nums.items()))
             den = lcm(den, a.den * b.den)
-    acc: dict[Exponents, int] = {}
+    zero = _layout(n)[0]
+    acc: dict[int, int] = {}
     get = acc.get
     for sign, d, ta, tb in scaled:
         factor = sign * (den // d)
-        for ea, na in ta:
+        for ka, na in ta:
+            ka -= zero  # the key of x^ea * x^eb is ka + kb - zero
             na *= factor
-            for eb, nb in tb:
-                exps = tuple(map(add, ea, eb))
-                acc[exps] = get(exps, 0) + na * nb
-    return LaurentPoly.zero(n)._like({exps: num for exps, num in acc.items() if num}, den)
+            for kb, nb in tb:
+                key = ka + kb
+                acc[key] = get(key, 0) + na * nb
+    nums = {key: num for key, num in acc.items() if num}
+    _overflow(n, nums)
+    return LaurentPoly.zero(n)._like(nums, den)
 
 
 def _sum_grouped(n: int, groups: dict) -> dict:

@@ -9,8 +9,7 @@ Also here: exact Lie brackets, bracket-closure of spans with exact
 rational linear algebra, structure constants, and the contact machinery
 for odd ambient dimension: the antisymmetric parameter matrix, its
 Pfaffian and determinant (fraction-free eliminations on one integer
-matrix, O(k^3)), the top form w ^ (dw)^m, the Reeb-defect evaluation,
-and the kernel/span splitting of tangent vectors.
+matrix, O(k^3)) and the top form w ^ (dw)^m.
 
 Subalgebra sizes are *measured*, never asserted: ``algebra_closure`` adjoins
 escaping brackets until the span stabilizes and reports what it found.  It
@@ -27,16 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import (
-    BoundaryPoint,
-    DegeneratePoint,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotClosed,
-    OddSize,
-)
-from .exterior import KForm, VectorField, ext_d, interior, power_wedge, wedge
-from .halfspace import SolitonParams, flat
+from .errors import DimensionMismatch, IndexOutOfRange, NotClosed, OddSize
+from .exterior import KForm, VectorField, power_wedge, wedge
+from .halfspace import SolitonParams
 from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
 
 # Convention note emitted with every contact report: the antisymmetric
@@ -88,40 +80,35 @@ def generator(name: str, n: int) -> VectorField:
     kind, k = _parse_generator(name, n)
     if kind == "G" and not k:
         return 2 * generator("G1", 2)
-    zero = LaurentPoly.zero(n)
-
-    def exps(i: int, j: int) -> tuple:  # the exponents of x_i x_j, with x_0 = 1
-        out = [0] * (n + 1)
-        out[i] += 1
-        out[j] += 1
-        return tuple(out[1:])
-
-    # clean term maps wrapped as trusted results (see ratlaurent); flows
-    # evaluates a component's terms in their order, so it is part of the CSV bytes
+    # flows evaluates a component's terms in their order, so it is part of the CSV bytes
     field = VectorField.zero(n)
     if kind == "T":
-        return field._like({k: zero._like({exps(0, 0): 1})})
+        return field._like({k: LaurentPoly.const(n, 1)})
+    x = [LaurentPoly.var(n, j) for j in range(1, n + 1)]
     if kind == "D":
-        return field._like({j: zero._like({exps(0, j): 1}) for j in range(1, n + 1)})
+        return field._like(dict(enumerate(x, 1)))
     # boost: (1/2)(x_k^2 - sum_{j != k} x_j^2) d_k + sum_{j != k} x_k x_j d_j
-    quad = zero._like({exps(k, k): 1, **{exps(j, j): -1 for j in range(1, n + 1) if j != k}}, 2)
-    return field._like({j: quad if j == k else zero._like({exps(k, j): 1}) for j in range(1, n + 1)})
-
-
-def one_hot_params(name: str, n: int) -> SolitonParams:
-    """Parameters whose field is the named generator; "G" (n=2) has none."""
-    kind, k = _parse_generator(name, n)
-    if kind == "G" and not k:
-        raise ValueError(f"unknown generator name {name!r}")
-    coeffs = [0] * (2 * n - 1)
-    coeffs[k - 1 if kind == "T" else n - 1 + k] = 1
-    return SolitonParams(n=n, a=coeffs[n:], b=coeffs[n - 1], c=coeffs[: n - 1])
+    xk = x[k - 1]
+    squares = [(1, xk, xk)] + [(-1, xj, xj) for j, xj in enumerate(x, 1) if j != k]
+    quad = _sum_products(n, squares) * Fraction(1, 2)
+    return field._like({j: quad if j == k else xk * xj for j, xj in enumerate(x, 1)})
 
 
 def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
     """[A, B]_j = sum_i (A_i d_i B_j - B_i d_i A_j), one sum of products per j."""
     if A.n != B.n:
         raise DimensionMismatch(f"fields in dimensions {A.n} and {B.n}")
+    return _bracket(A, _derivatives(A), B, _derivatives(B))
+
+
+def _derivatives(field: VectorField) -> tuple:
+    """The table d[j][i] = d_(i+1) X^(j+1) of a field's n^2 first derivatives."""
+    coords = range(1, field.n + 1)
+    return tuple(tuple(comp.deriv(i) for i in coords) for comp in field.components)
+
+
+def _bracket(A: VectorField, dA: tuple, B: VectorField, dB: tuple) -> VectorField:
+    """[A, B] from the fields and their ``_derivatives`` tables, in ``lie_bracket``'s product order."""
     n = A.n
     coords = range(n)
     Ac, Bc = A.components, B.components
@@ -129,8 +116,8 @@ def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
     for j in coords:
         products = []
         for i in coords:
-            products.append((1, Ac[i], Bc[j].deriv(i + 1)))
-            products.append((-1, Bc[i], Ac[j].deriv(i + 1)))
+            products.append((1, Ac[i], dB[j][i]))
+            products.append((-1, Bc[i], dA[j][i]))
         comp = _sum_products(n, products)
         if comp:
             comps[j + 1] = comp
@@ -265,13 +252,14 @@ def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
             basis.append(f)
     seed_dim = len(basis)
 
+    tables = [_derivatives(f) for f in basis]  # each basis field's derivatives, taken once
     added = []
     brackets = []
     cap_exceeded = False
     j = 1
     while j < len(basis) and not cap_exceeded:
         for i in range(j):
-            br = lie_bracket(basis[i], basis[j])
+            br = _bracket(basis[i], tables[i], basis[j], tables[j])
             residue, comb = tracker._reduce(_sparse_vector(br))
             if not residue:
                 coords = tuple(sorted(comb.items()))
@@ -283,6 +271,7 @@ def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
                 tracker._adjoin(residue, comb)
                 coords = ((len(basis), Fraction(1)),)
                 basis.append(br)
+                tables.append(_derivatives(br))
                 added.append(((i, j), br))
             brackets.append(((i, j), br, coords))
         j += 1
@@ -486,41 +475,3 @@ def contact_report(params: SolitonParams, omega: KForm, domega: KForm) -> Contac
         consistent=consistent,
         is_contact=is_constant and value != 0,
     )
-
-
-def reeb_defect(params: SolitonParams, point: Sequence) -> Fraction:
-    """(i_X dw)(d/dxn) at a point; nonzero certifies X is not the Reeb field."""
-    n = params.n
-    pt = [Fraction(x) for x in point]
-    if len(pt) != n:
-        raise ValueError(f"point has arity {len(pt)}, expected {n}")
-    if pt[-1] <= 0:
-        raise BoundaryPoint("point not in the open half-space")
-    field = build_field(params)
-    contraction = interior(field, ext_d(flat(field)))
-    return contraction.coeff((n,)).evaluate(pt)
-
-
-def decompose(v: Sequence, params: SolitonParams, point: Sequence):
-    """Split a tangent vector as v = v_ker + s X(p) with w_p(v_ker) = 0.
-
-    Exact over the rationals; raises DegeneratePoint where w_p(X) = 0 (which
-    happens only where every component of X vanishes).
-    """
-    n = params.n
-    pt = [Fraction(x) for x in point]
-    vec = [Fraction(x) for x in v]
-    if len(pt) != n or len(vec) != n:
-        raise ValueError(f"point and vector must have arity {n}")
-    if pt[-1] <= 0:
-        raise BoundaryPoint("point not in the open half-space")
-    field = build_field(params)
-    xp = [field.component(i).evaluate(pt) for i in range(1, n + 1)]
-    weight = pt[-1] ** -2
-    omega_x = sum(x * x for x in xp) * weight
-    if omega_x == 0:
-        raise DegeneratePoint(f"dual form annihilates the field at {tuple(map(str, pt))}")
-    omega_v = sum(u * x for u, x in zip(vec, xp)) * weight
-    s = omega_v / omega_x
-    v_ker = tuple(u - s * x for u, x in zip(vec, xp))
-    return s, v_ker

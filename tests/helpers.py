@@ -4,7 +4,10 @@ paper's component formula of the soliton field used as the oracle for
 Pfaffian expansion used as oracles for the library's Bareiss determinant
 and skew elimination, the determinant as a checked Pf^2
 (``det_via_pf``), the dual form w and dw of a parameter set
-(``dual_forms``), the term-by-term
+(``dual_forms``), three helpers that no command reaches: the one-hot
+parameters of a generator (``one_hot_params``), the Reeb defect at a point
+(``reeb_defect``) and the splitting of a tangent vector along the kernel of
+the dual form (``decompose``), the term-by-term
 interpreter of a field and its RK4 step used as the oracle for the
 compiled flow step, and the product-by-product ``Fraction`` loops of the
 polynomial product, the wedge and interior products, the Lie bracket and
@@ -18,8 +21,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from typing import Sequence
 
 from rbkit import (
+    BoundaryPoint,
+    DegeneratePoint,
     FlowSpec,
     FlowState,
     KForm,
@@ -30,6 +36,7 @@ from rbkit import (
     build_field,
     ext_d,
     flat,
+    interior,
     metric,
     pfaffian,
 )
@@ -149,6 +156,54 @@ def pfaffian_oracle(M) -> Fraction:
 def det_via_pf(M) -> Fraction:
     """Determinant as Pf(M)^2, cross-checked against Bareiss elimination."""
     return _det_from_pf(M, pfaffian(M))
+
+
+def one_hot_params(name: str, n: int) -> SolitonParams:
+    """Parameters whose field is the named generator; "G" (n=2) has none."""
+    kind, k = _parse_generator(name, n)
+    if kind == "G" and not k:
+        raise ValueError(f"unknown generator name {name!r}")
+    coeffs = [0] * (2 * n - 1)
+    coeffs[k - 1 if kind == "T" else n - 1 + k] = 1
+    return SolitonParams(n=n, a=coeffs[n:], b=coeffs[n - 1], c=coeffs[: n - 1])
+
+
+def reeb_defect(params: SolitonParams, point: Sequence) -> Fraction:
+    """(i_X dw)(d/dxn) at a point; nonzero certifies X is not the Reeb field."""
+    n = params.n
+    pt = [Fraction(x) for x in point]
+    if len(pt) != n:
+        raise ValueError(f"point has arity {len(pt)}, expected {n}")
+    if pt[-1] <= 0:
+        raise BoundaryPoint("point not in the open half-space")
+    field = build_field(params)
+    contraction = interior(field, ext_d(flat(field)))
+    return contraction.coeff((n,)).evaluate(pt)
+
+
+def decompose(v: Sequence, params: SolitonParams, point: Sequence):
+    """Split a tangent vector as v = v_ker + s X(p) with w_p(v_ker) = 0.
+
+    Exact over the rationals; raises DegeneratePoint where w_p(X) = 0 (which
+    happens only where every component of X vanishes).
+    """
+    n = params.n
+    pt = [Fraction(x) for x in point]
+    vec = [Fraction(x) for x in v]
+    if len(pt) != n or len(vec) != n:
+        raise ValueError(f"point and vector must have arity {n}")
+    if pt[-1] <= 0:
+        raise BoundaryPoint("point not in the open half-space")
+    field = build_field(params)
+    xp = [field.component(i).evaluate(pt) for i in range(1, n + 1)]
+    weight = pt[-1] ** -2
+    omega_x = sum(x * x for x in xp) * weight
+    if omega_x == 0:
+        raise DegeneratePoint(f"dual form annihilates the field at {tuple(map(str, pt))}")
+    omega_v = sum(u * x for u, x in zip(vec, xp)) * weight
+    s = omega_v / omega_x
+    v_ker = tuple(u - s * x for u, x in zip(vec, xp))
+    return s, v_ker
 
 
 def dual_forms(params: SolitonParams) -> tuple:

@@ -254,6 +254,30 @@ def test_verify_derives_each_object_once_per_instance(tmp_path, capsys, monkeypa
         assert halfspace._metric_table.cache_info().misses == built
 
 
+def test_verify_formats_only_the_witnesses_it_keeps(tmp_path, capsys, monkeypatch):
+    # every instance passes, so only the file's instance keeps its witness:
+    # one dw text, and at odd n one text of the cleared top form
+    texts = []
+    for cls in (exterior.KForm, LaurentPoly):
+        original = cls.text
+
+        def counted(self, original=original):
+            texts.append(type(self).__name__)
+            return original(self)
+
+        monkeypatch.setattr(cls, "text", counted)
+    for n, trials in ((3, 6), (4, 6), (5, 3)):
+        params = {"n": n, "a": ["1"] * (n - 1), "c": ["0"] * (n - 2) + ["1"]}
+        texts.clear()
+        code, out, _ = run(capsys, ["verify", "--params", write_params(tmp_path, **params), "--trials", str(trials)])
+        assert code == EXIT_PASS
+        # the KForm text of dw formats each of its coefficients
+        dw = [json.loads(line) for line in out.splitlines()][2]
+        assert dw["name"] == "dual_form_not_closed" and dw["witness"].startswith("dw = (")
+        assert texts.count("KForm") == 1
+        assert texts.count("LaurentPoly") == dw["witness"].count(")*dx") + n % 2
+
+
 def test_verify_builds_the_zero_polynomial_at_most_once(tmp_path, capsys, monkeypatch):
     # every missing coefficient or metric entry is the one shared LaurentPoly.zero(n)
     zeros, init = [], LaurentPoly.__init__
@@ -723,13 +747,13 @@ def test_algebra_brackets_each_basis_pair_once(monkeypatch):
     from rbkit.cli import cmd_algebra
 
     calls = []
-    bracket = solitons.lie_bracket
+    bracket = solitons._bracket  # what lie_bracket and the closure both call
 
-    def counted(A, B):
+    def counted(A, dA, B, dB):
         calls.append((A, B))
-        return bracket(A, B)
+        return bracket(A, dA, B, dB)
 
-    monkeypatch.setattr(solitons, "lie_bracket", counted)
+    monkeypatch.setattr(solitons, "_bracket", counted)
     for n in range(2, 7):
         calls.clear()
         cmd_algebra(n)

@@ -1,19 +1,24 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and imports only
+the standard library and its own modules.
 
-``rbkit/__init__.py`` is left out: its imports are the package's
-re-exports.  A name counts as used when it is read anywhere in the module,
-in a quoted annotation too.
+``rbkit/__init__.py`` is left out of the first check: its imports are the
+package's re-exports.  A name counts as used when it is read anywhere in
+the module, in a quoted annotation too.  The run time stays stdlib-only, so
+every absolute import of every module, ``__init__.py`` included, must name
+a module of ``sys.stdlib_module_names``.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
 import rbkit
 
 PACKAGE = pathlib.Path(rbkit.__file__).resolve().parent
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p.name for p in PACKAGE.glob("*.py"))
+MODULES = [name for name in SOURCES if name != "__init__.py"]
 
 
 def imported_names(tree) -> set:
@@ -47,3 +52,25 @@ def test_every_module_is_checked():
 def test_module_uses_every_name_it_imports(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - read_names(tree)) == []
+
+
+def absolute_imports(tree) -> set:
+    """The top-level modules a module imports by absolute name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_absolute_imports_are_read_from_every_import_form():
+    source = "import numpy.linalg as la\nimport os, json\nfrom sympy import S\nfrom . import errors\nfrom .flows import x\n"
+    assert absolute_imports(ast.parse(source)) == {"numpy", "os", "json", "sympy"}
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_module_imports_only_the_standard_library(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert sorted(absolute_imports(tree) - sys.stdlib_module_names) == []

@@ -7,10 +7,12 @@ random fields that are not Killing and forms that are not dual forms, so
 their results are nonzero.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +26,9 @@ from helpers import (
     sum_products_oracle,
     wedge_oracle,
 )
-from rbkit import LaurentPoly, generator, interior, lie_bracket, wedge
+from rbkit import ExponentOverflow, LaurentPoly, generator, interior, lie_bracket, wedge
 from rbkit.exterior import _lie_derivative_direct
-from rbkit.ratlaurent import _sum_products
+from rbkit.ratlaurent import EXP_LIMIT, _sum_products
 
 # negative numerators and denominators above 1, never zero
 _coeffs = st.builds(
@@ -66,6 +68,8 @@ def _assert_normalised(p):
     for c in p.terms.values():
         assert type(c) is Fraction and c
         assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    assert all(type(key) is int for key in p.nums)  # packed monomial keys
+    assert LaurentPoly(p.n, p.terms) == p
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -103,6 +107,112 @@ def test_product_keeps_first_occurrence_order_with_a_cancelled_key():
     product = (x1 - x2) * (x1 + x2)
     assert list(product.terms) == [(2, 0), (0, 2)]
     assert product.terms == {(2, 0): 1, (0, 2): -1}
+
+
+# -- packed monomial keys: exponents at the edge of range(-EXP_LIMIT, EXP_LIMIT)
+
+_L = EXP_LIMIT
+
+
+@st.composite
+def _edge_polys(draw, n):
+    # small exponents and exponents within two of the limit; only the last
+    # slot is negative.  Sums of two edge exponents leave the range.
+    head = st.integers(0, 2) | st.sampled_from([_L - 2, _L - 1])
+    last = st.integers(-2, 2) | st.sampled_from([-_L, -(_L - 1), -(_L - 2), _L - 2, _L - 1])
+    exps = st.tuples(*[head] * (n - 1), last)
+    return LaurentPoly(n, draw(st.dictionaries(exps, _coeffs, max_size=3)))
+
+
+@st.composite
+def _edge_triples(draw):
+    n = draw(st.integers(1, 3))
+    triples = draw(st.lists(st.tuples(st.sampled_from([1, -1]), _edge_polys(n), _edge_polys(n)), max_size=3))
+    return n, triples
+
+
+def _in_range(exps) -> bool:
+    return all(-_L <= e < _L for e in exps)
+
+
+def _products_reference(n, triples) -> dict:
+    """sum sign * a * b as a Fraction map in the kernel's key order, with no range check."""
+    acc = {}
+    for sign, a, b in triples:
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                exps = tuple(x + y for x, y in zip(ea, eb))
+                acc[exps] = acc.get(exps, 0) + sign * ca * cb
+    return {exps: c for exps, c in acc.items() if c}
+
+
+def _assert_matches(compute, reference):
+    """compute() equals reference in value and key order, or raises when a term leaves the range.
+
+    Returns the result, or None when it raised.
+    """
+    if not all(map(_in_range, reference)):
+        with pytest.raises(ExponentOverflow):
+            compute()
+        return None
+    result = compute()
+    assert list(result.terms.items()) == list(reference.items())
+    _assert_normalised(result)
+    return result
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_edge_triples(), st.integers(1, 3))
+def test_packed_kernel_matches_fraction_loops_at_the_exponent_limit(case, i):
+    n, triples = case
+    i = min(i, n)
+    for _, a, b in triples:
+        product = _assert_matches(lambda: a * b, _products_reference(n, [(1, a, b)]))
+        with contextlib.suppress(ExponentOverflow):  # the oracle checks cancelled keys too
+            assert product == mul_oracle(a, b)
+        derivative = {e[: i - 1] + (e[i - 1] - 1,) + e[i:]: c * e[i - 1] for e, c in a.terms.items() if e[i - 1]}
+        _assert_matches(lambda: a.deriv(i), derivative)
+    total = _assert_matches(lambda: _sum_products(n, triples), _products_reference(n, triples))
+    # the oracle adds one product at a time, so a product term that cancels
+    # in the sum can still raise in it
+    with contextlib.suppress(ExponentOverflow):
+        assert total == sum_products_oracle(n, triples)
+
+
+def test_exponent_past_the_limit_raises_at_construction():
+    for exps in [(_L, 0), (0, _L), (0, -_L - 1), (2 * _L, 0), (0, -(2**40))]:
+        with pytest.raises(ExponentOverflow, match="leaves range"):
+            LaurentPoly(2, {exps: 1})
+    assert issubclass(ExponentOverflow, ValueError)
+    edge = LaurentPoly(2, {(_L - 1, -_L): 1, (0, _L - 1): 2})
+    assert edge.terms == {(_L - 1, -_L): 1, (0, _L - 1): 2}
+
+
+def test_product_past_the_limit_raises():
+    x1, x2 = LaurentPoly.var(2, 1), LaurentPoly.var(2, 2)
+    top = LaurentPoly.monomial(2, (_L - 1, 0))
+    bottom = LaurentPoly.monomial(2, (0, -_L))
+    inv = LaurentPoly.monomial(2, (0, -1))
+    for overflow in (lambda: top * x1, lambda: bottom * inv, lambda: x2 * top * x1, lambda: bottom.deriv(2),
+                     lambda: top * top, lambda: bottom * bottom, lambda: x1**_L,
+                     lambda: _sum_products(2, [(1, x2, x2), (-1, top, x1)])):
+        with pytest.raises(ExponentOverflow):
+            overflow()
+    # a term that cancels is no term of the result
+    assert _sum_products(2, [(1, top, x1), (-1, x1, top)]).is_zero()
+
+
+def test_product_exactly_at_the_limit_is_kept():
+    x1 = LaurentPoly.var(2, 1)
+    top = LaurentPoly.monomial(2, (_L - 2, 0), 3) * x1
+    assert top.terms == {(_L - 1, 0): 3}
+    bottom = LaurentPoly.monomial(2, (0, -(_L - 1))) * LaurentPoly.monomial(2, (0, -1), Fraction(1, 2))
+    assert bottom.terms == {(0, -_L): Fraction(1, 2)}
+    assert LaurentPoly.monomial(2, (0, 1 - _L)).deriv(2).terms == {(0, -_L): 1 - _L}
+    assert (top * bottom).terms == {(_L - 1, -_L): Fraction(3, 2)}
+    assert x1 ** (_L - 1) == LaurentPoly.monomial(2, (_L - 1, 0))
+    for p in (top, bottom, top * bottom):
+        _assert_normalised(p)
 
 
 def _nonzero_share(results):

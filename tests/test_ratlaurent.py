@@ -46,6 +46,18 @@ def test_zero_is_one_shared_instance_per_n():
     assert LaurentPoly.zero(3).is_zero()
 
 
+def test_coordinate_is_the_validated_monomial():
+    for n in (1, 2, 5):
+        for i in range(1, n + 1):
+            exps = tuple(int(j == i) for j in range(1, n + 1))
+            x = LaurentPoly.var(n, i)
+            assert x == LaurentPoly(n, {exps: 1}) and x.terms == {exps: 1}
+            _assert_clean(x)
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            LaurentPoly.var(2, i)
+
+
 def test_construction_drops_zero_coefficients():
     p = P(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert p.terms == {(0, 1): Fraction(2)}
@@ -218,7 +230,7 @@ def _operands(draw):
 def _assert_clean(p):
     # the stored normal form: den > 0, gcd(den, numerators) = 1, zero is (1, {})
     assert type(p.den) is int and p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1
-    assert all(type(num) is int and num for num in p.nums.values())
+    assert all(type(key) is int and type(num) is int and num for key, num in p.nums.items())
     assert p.nums or p.den == 1
     assert all(type(c) is Fraction and c for c in p.terms.values())
     assert p == LaurentPoly(p.n, p.terms)

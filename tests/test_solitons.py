@@ -7,13 +7,16 @@ import pytest
 
 from helpers import (
     build_field_oracle,
+    decompose,
     det_cofactor,
     det_via_pf,
     dual_forms,
+    one_hot_params,
     pfaffian_oracle,
     rand_antisymmetric,
     rand_field,
     rand_fraction,
+    reeb_defect,
 )
 from rbkit import (
     BoundaryPoint,
@@ -31,7 +34,6 @@ from rbkit import (
     contact_matrix,
     contact_report,
     contact_top_form,
-    decompose,
     det_bareiss,
     ext_d,
     flat,
@@ -41,10 +43,8 @@ from rbkit import (
     in_span,
     interior,
     lie_bracket,
-    one_hot_params,
     pfaffian,
     random_params,
-    reeb_defect,
     sl2_check,
     span_coefficients,
     structure_constants,
@@ -295,6 +295,23 @@ def test_closure_records_each_bracket_with_its_coordinates():
                 expected[(j + 1, i + 1, k + 1)] = -c
         assert structure_constants(span) == expected
         hash(span)
+
+
+def test_closure_takes_each_basis_fields_derivatives_once(monkeypatch):
+    calls = []
+    deriv = LaurentPoly.deriv
+
+    def counted(poly, i):
+        calls.append(i)
+        return deriv(poly, i)
+
+    monkeypatch.setattr(LaurentPoly, "deriv", counted)
+    for n in (2, 3, 4):
+        calls.clear()
+        span, report = algebra_closure(generators(n))
+        assert not report.cap_exceeded
+        # n^2 derivatives per basis field; a bracket per pair took 2 n^2
+        assert len(calls) == report.dimension * n * n
 
 
 def test_structure_constants_plane_table():
