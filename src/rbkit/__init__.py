@@ -5,7 +5,6 @@ calculus, contact criteria, Lie-algebra closure, and closed-form flows."""
 from .errors import (
     BoundaryEscape,
     BoundaryPoint,
-    DegeneratePoint,
     DimensionMismatch,
     ExponentOverflow,
     FlowEscape,
@@ -50,7 +49,7 @@ from .halfspace import (
     scalar_curvature,
     soliton_lambda,
 )
-from .ratlaurent import LaurentPoly, Rational, parse_rational
+from .ratlaurent import LaurentPoly, parse_rational
 from .solitons import (
     AlgebraSpan,
     ClosureReport,

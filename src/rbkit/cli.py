@@ -32,7 +32,10 @@ file's instance, or a more severe status), and that formatting is not
 part of the check's ms.  ``verify --trials`` is at most ``MAX_TRIALS``, checked before any
 parameter set is built; a larger count exits 64.  The ``n`` of a
 ``--params`` file is at most ``MAX_PARAMS_N``, checked as soon as it is
-read; a larger n exits 64 with a parse error.  ``algebra --n`` runs for
+read; a larger n exits 64 with a parse error, and so does a numerator or
+denominator longer than (L - 1) // 8 digits, L the int-string conversion
+limit of ``sys.get_int_max_str_digits`` (none when L is 0), since a
+printed determinant has up to 8 times their digits.  ``algebra --n`` runs for
 2 <= n <= ``MAX_ALGEBRA_N`` (the closure has dimension n(n+1)/2, 45 at
 n = 9); any other n exits 64.  ``flow --n`` is at most ``MAX_FLOW_N``,
 checked before any field is built; a larger n exits 64.
@@ -119,12 +122,20 @@ def load_params(path: str) -> SolitonParams:
         raise ParseError(f"{path}: field 'n': must be an integer >= 2")
     if n > MAX_PARAMS_N:
         raise ParseError(f"{path}: field 'n': {n} exceeds the limit of {MAX_PARAMS_N}")
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    # the longest printed value, det = Pf^2 at n = 3, has up to 8D + 1 digits for D-digit parts
+    digits = (limit - 1) // 8
 
     def rat(value, where: str) -> Fraction:
         try:
-            return parse_rational(value)
+            x = parse_rational(value)
         except ValueError as exc:
             raise ParseError(f"{path}: field '{where}': {exc}") from exc
+        if limit and max(abs(x.numerator), x.denominator) >= 10**digits:
+            raise ParseError(
+                f"{path}: field '{where}': numerator or denominator longer than {digits} digits"
+            )
+        return x
 
     for key in ("a", "c"):
         if not isinstance(raw[key], list) or len(raw[key]) != n - 1:

@@ -33,10 +33,6 @@ class NotClosed(RBKitError):
     """A bracket left the span; structure constants are undefined."""
 
 
-class DegeneratePoint(RBKitError):
-    """The dual form annihilates the field at this point; no splitting exists."""
-
-
 class FlowEscape(RBKitError):
     """A numeric flow stopped before its horizon.
 

@@ -90,8 +90,8 @@ class SolitonParams(namedtuple("SolitonParams", "n a b c rho lam")):
         return self.lam if self.lam is not None else soliton_lambda(self.n, self.rho)
 
 
-def random_params(rng, n: int, *, allow_degenerate: bool = False) -> SolitonParams:
-    """Draw small random rational parameters, deterministic in ``rng``."""
+def random_params(rng, n: int) -> SolitonParams:
+    """Draw small random rational parameters of a non-constant field, deterministic in ``rng``."""
 
     def q() -> Fraction:
         return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
@@ -100,7 +100,7 @@ def random_params(rng, n: int, *, allow_degenerate: bool = False) -> SolitonPara
         a = tuple(q() for _ in range(n - 1))
         b = q()
         c = tuple(q() for _ in range(n - 1))
-        if allow_degenerate or any(x != 0 for x in a) or b != 0:
+        if any(x != 0 for x in a) or b != 0:
             break
     rho = q()
     while rho == 0:
@@ -108,15 +108,18 @@ def random_params(rng, n: int, *, allow_degenerate: bool = False) -> SolitonPara
     return SolitonParams(n=n, a=a, b=b, c=c, rho=rho)
 
 
+@lru_cache(maxsize=None)
 def metric(n: int) -> SymTensor2:
-    """Diagonal metric with entries xn^-2."""
+    """Diagonal metric with entries xn^-2, built once per n."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     entry = LaurentPoly.monomial(n, (0,) * (n - 1) + (-2,))
     return SymTensor2(n, {(i, i): entry for i in range(1, n + 1)})
 
 
+@lru_cache(maxsize=None)
 def inverse_metric(n: int) -> SymTensor2:
+    """Diagonal inverse metric with entries xn^2, built once per n."""
     entry = LaurentPoly.monomial(n, (0,) * (n - 1) + (2,))
     return SymTensor2(n, {(i, i): entry for i in range(1, n + 1)})
 

@@ -21,7 +21,7 @@ the public API are 1-based, matching the x1..xn naming.
 Shared kernel.  ``LaurentPoly``, ``exterior.VectorField``,
 ``exterior.KForm`` and ``halfspace.SymTensor2`` are sparse maps over a
 shape (n, and for forms the grade).  All four inherit from ``SparseMap``
-the validating merge of their public constructors; the three maps with
+the validating copy of their public constructors; the three maps with
 ``LaurentPoly`` values also inherit ``+``, ``-``, negation, coefficient
 scaling, ``==``, hashing and the zero test, which ``LaurentPoly`` does
 on its stored form instead (below).  Adding maps of different shapes
@@ -49,8 +49,9 @@ one subtract and mask per key (``_overflow``), and nothing ever wraps.
 Tuples are made only at the readers: the constructor packs them (its
 ``_check``; ``var`` packs its one key directly), and ``terms`` unpacks
 them, together with the ``Fraction`` each coefficient needs.  ``terms`` is
-also read as ``_terms`` by the generic ``SparseMap`` code, ``flows`` and
-the span tracker, and by ``items``, ``text`` and ``evaluate``.
+also read as ``_terms`` by the generic ``SparseMap`` code and ``flows``,
+and by ``items``, ``text`` and ``evaluate``; the span tracker of
+``solitons`` reads ``nums`` and ``den`` directly.
 
 Trusted construction.  Internal results of all four types are built with
 ``_like``, which wraps a clean term map as is in the shape of an existing
@@ -98,9 +99,6 @@ from struct import Struct
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BoundaryPoint, DimensionMismatch, ExponentOverflow
-
-# Arbitrary-precision p/q with gcd(p, q) = 1, q > 0, zero canonically 0/1.
-Rational = Fraction
 
 Exponents = tuple  # tuple[int, ...], one entry per coordinate
 
@@ -163,12 +161,12 @@ class SparseMap:
         self._terms = self._validated(terms)
 
     def _validated(self, terms) -> dict:
-        """Check and merge a term mapping into a clean dict."""
+        """Check a term mapping into a clean dict; each ``_check`` is injective, so none merge."""
         clean: dict = {}
         for key, value in (terms or {}).items():
             key, value = self._check(key, value)
             if value:
-                _accumulate(clean, key, value)
+                clean[key] = value
         return clean
 
     def _like(self, terms: dict):
@@ -225,15 +223,7 @@ class SparseMap:
             return NotImplemented
         out = dict(self._terms)
         for key, value in other._terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = value
-            else:
-                total = prev + value
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
+            _accumulate(out, key, value)
         return self._like(out)
 
     __radd__ = __add__
@@ -303,7 +293,7 @@ class LaurentPoly(SparseMap):
             for key, num in self.nums.items()
         }
 
-    _terms = terms  # what the generic SparseMap code, flows and the span tracker read
+    _terms = terms  # what the generic SparseMap code and flows read
 
     def _check(self, exps, coeff) -> tuple:
         if not isinstance(exps, tuple):

@@ -29,7 +29,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, IndexOutOfRange, NotClosed, OddSize
 from .exterior import KForm, VectorField, power_wedge, wedge
 from .halfspace import SolitonParams
-from .ratlaurent import LaurentPoly, _accumulate, _sum_products, grlex_key
+from .ratlaurent import LaurentPoly, _accumulate, _sum_products
 
 # Convention note emitted with every contact report: the antisymmetric
 # parameter matrix uses entries a_i*c_j - a_j*c_i.
@@ -127,21 +127,19 @@ def _bracket(A: VectorField, dA: tuple, B: VectorField, dB: tuple) -> VectorFiel
 # -- exact linear algebra over a shared monomial frame ----------------------
 #
 # A vector field is a rational vector over frame slots (component index,
-# exponent tuple).  Spans are tracked in sparse echelon form: each stored row
-# has a unique pivot slot that is minimal in its support, so reducing a
-# candidate against rows in pivot order terminates in one pass.
-
-
-def _slot_key(slot) -> tuple:
-    comp, exps = slot
-    return (comp, grlex_key(exps))
+# packed monomial key of ``ratlaurent``).  Spans are tracked in sparse echelon
+# form: each stored row has a unique pivot slot that is minimal in its
+# support, so reducing a candidate against rows in pivot order terminates in
+# one pass.  Any total order of the slots serves: membership and the
+# coordinates over independent inserted fields do not depend on it.
 
 
 def _sparse_vector(field: VectorField) -> dict:
     out = {}
-    for comp, poly in field.items():
-        for exps, coeff in poly._terms.items():
-            out[(comp, exps)] = coeff
+    for comp, poly in field._terms.items():
+        den = poly.den
+        for key, num in poly.nums.items():
+            out[(comp, key)] = Fraction(num, den)
     return out
 
 
@@ -174,13 +172,13 @@ class _SpanTracker:
 
     def _adjoin(self, residue: dict, comb: dict) -> None:
         """Store the nonzero residue that _reduce left of a new field."""
-        pivot = min(residue, key=_slot_key)
+        pivot = min(residue)
         inv = 1 / residue[pivot]
         row = {slot: value * inv for slot, value in residue.items()}
         rcomb = {idx: -value * inv for idx, value in comb.items()}
         rcomb[self.size] = inv
         self.rows.append((pivot, row, rcomb))
-        self.rows.sort(key=lambda r: _slot_key(r[0]))
+        self.rows.sort(key=lambda r: r[0])
         self.size += 1
 
 
@@ -225,14 +223,15 @@ class ClosureReport(
     __slots__ = ()
 
 
-def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
+def algebra_closure(seeds: Sequence[VectorField]):
     """Close a span under brackets; returns (AlgebraSpan, ClosureReport).
 
     Brackets of basis pairs are adjoined whenever they escape the current
-    span, until a pass adds nothing.  Hitting the cap stops adjoining and is
-    reported, not raised.  Each pair is bracketed once; the span records
-    every bracket with its coordinates (an adjoined one is the new unit
-    vector).
+    span, until a pass adds nothing.  The cap is n(n+1)/2, the dimension of
+    so(n,1): Killing fields of H^n never close beyond it.  Seeds that are
+    not Killing may reach it; hitting it stops adjoining and is reported,
+    not raised.  Each pair is bracketed once; the span records every
+    bracket with its coordinates (an adjoined one is the new unit vector).
     """
     seeds = list(seeds)
     if not seeds:
@@ -240,10 +239,7 @@ def algebra_closure(seeds: Sequence[VectorField], cap: int | None = None):
     n = seeds[0].n
     if any(f.n != n for f in seeds):
         raise DimensionMismatch("seed fields in mixed dimensions")
-    if cap is None:
-        cap = n * (n + 1) // 2
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    cap = n * (n + 1) // 2
 
     tracker = _SpanTracker()
     basis: list[VectorField] = []

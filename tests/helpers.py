@@ -7,7 +7,10 @@ and skew elimination, the determinant as a checked Pf^2
 (``dual_forms``), three helpers that no command reaches: the one-hot
 parameters of a generator (``one_hot_params``), the Reeb defect at a point
 (``reeb_defect``) and the splitting of a tangent vector along the kernel of
-the dual form (``decompose``), the term-by-term
+the dual form (``decompose``, which raises ``DegeneratePoint``), random
+parameters that may give a constant field (``rand_params``), the
+``Fraction`` Gauss-Jordan solve used as the oracle for the span tracker of
+``rbkit.solitons`` (``span_oracle``), the term-by-term
 interpreter of a field and its RK4 step used as the oracle for the
 compiled flow step, and the product-by-product ``Fraction`` loops of the
 polynomial product, the wedge and interior products, the Lie bracket and
@@ -25,7 +28,6 @@ from typing import Sequence
 
 from rbkit import (
     BoundaryPoint,
-    DegeneratePoint,
     FlowSpec,
     FlowState,
     KForm,
@@ -38,6 +40,7 @@ from rbkit import (
     flat,
     interior,
     metric,
+    RBKitError,
     pfaffian,
 )
 from rbkit.solitons import _det_from_pf, _parse_generator
@@ -63,6 +66,17 @@ def rand_poly(rng, n, terms=3, max_deg=2, laurent=True) -> LaurentPoly:
 
 def rand_field(rng, n, terms=2, max_deg=2, laurent=False) -> VectorField:
     return VectorField([rand_poly(rng, n, terms, max_deg, laurent) for _ in range(n)])
+
+
+def rand_params(rng, n) -> SolitonParams:
+    """The draws of ``rbkit.random_params``, without its redraw of a constant field."""
+    a = tuple(rand_fraction(rng) for _ in range(n - 1))
+    b = rand_fraction(rng)
+    c = tuple(rand_fraction(rng) for _ in range(n - 1))
+    rho = rand_fraction(rng)
+    while rho == 0:
+        rho = rand_fraction(rng)
+    return SolitonParams(n=n, a=a, b=b, c=c, rho=rho)
 
 
 def rand_kform(rng, n, grade, terms=3) -> KForm:
@@ -179,6 +193,10 @@ def reeb_defect(params: SolitonParams, point: Sequence) -> Fraction:
     field = build_field(params)
     contraction = interior(field, ext_d(flat(field)))
     return contraction.coeff((n,)).evaluate(pt)
+
+
+class DegeneratePoint(RBKitError):
+    """The dual form annihilates the field at this point; no splitting exists."""
 
 
 def decompose(v: Sequence, params: SolitonParams, point: Sequence):
@@ -382,3 +400,39 @@ def lie_bracket_oracle(A: VectorField, B: VectorField) -> VectorField:
             total = total - mul_oracle(B.component(i), A.component(j).deriv(i))
         comps.append(total)
     return VectorField(comps)
+
+
+def span_oracle(field: VectorField, basis: Sequence[VectorField]) -> tuple:
+    """(rank of the basis, x) with field = sum_k x_k basis_k, or x = None.
+
+    Gauss-Jordan elimination over ``Fraction`` on the ``terms`` view, one
+    row per (component, exponent tuple) slot in sorted order; x sets the
+    coordinates of non-pivot columns to 0, so it is the unique solution
+    when the rank is len(basis).
+    """
+    vectors = [
+        {(i, exps): c for i, poly in f.items() for exps, c in poly.terms.items()}
+        for f in (*basis, field)
+    ]
+    k = len(basis)
+    rows = [[vec.get(slot, Fraction(0)) for vec in vectors] for slot in sorted(set().union(*vectors))]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        pivot = rows[r][col]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    rank = len(pivots)
+    if any(row[k] for row in rows[rank:]):
+        return rank, None
+    x = [Fraction(0)] * k
+    for r, col in enumerate(pivots):
+        x[col] = rows[r][k]
+    return rank, x

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import det_cofactor, dual_forms, rand_antisymmetric, rand_field
+from helpers import det_cofactor, dual_forms, rand_antisymmetric, rand_field, rand_params
 from rbkit import (
     FlowSpec,
     FlowState,
@@ -151,7 +151,7 @@ def test_c06_top_form_pfaffian_consistency():
     ok = True
     for n in (3, 5):
         for _ in range(20):
-            params = random_params(rng, n, allow_degenerate=True)
+            params = rand_params(rng, n)
             report = contact_report(params, *dual_forms(params))
             ok = ok and report.consistent  # |cleared|/2^m == |Pf|, cleared constant
     for size in (2, 4, 6):

@@ -4,23 +4,31 @@ Each draw starts from a valid parameter file with 2 <= n <= 5 and breaks it
 in one way: JSON that is not an object, a missing key, a value of the wrong
 type, a bad rational literal, a list of the wrong length, n < 2, rho = 0,
 bytes that are not UTF-8, broken JSON syntax, JSON nested beyond the
-recursion limit, or an integer literal beyond the int conversion limit.
-Every draw must exit 64 with empty stdout and a ``parse error:`` line on
-stderr, before any check runs.
+recursion limit, an integer literal beyond the int conversion limit, or a
+numerator or denominator longer than the digit bound that keeps every
+printed value inside that limit.  Every draw must exit 64 with empty stdout
+and a ``parse error:`` line on stderr, before any check runs.
 """
 
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbkit
 from rbkit.cli import EXIT_PASS, EXIT_USAGE, main
 
 KEYS = ("n", "a", "b", "c", "rho")
+# the smallest integer past the digit bound of load_params at this process's limit
+OVER_BOUND = "1" + "0" * ((sys.get_int_max_str_digits() - 1) // 8)
 NOT_OBJECTS = ([], [1, 2], "params", 3, 2.5, None, True)
 NOT_INTEGERS = ("3", 3.0, None, [3], {"n": 3}, 2.5)
 NOT_LISTS = ("1,2", 1, None, {"0": "1"})
@@ -28,6 +36,7 @@ NOT_LITERALS = (1, 0.5, None, ["1"], {"p": 1}, True)
 BAD_LITERALS = (
     "", " 1", "1 ", "+1", "--1", "1/0", "1/-2", "1/", "/2", "1.5", "1e3", "0x10",
     "1_000", "a", "nan", "inf", "٣", "1//2", "9" * 5000, "1/" + "7" * 5000,
+    OVER_BOUND, "-1/" + OVER_BOUND,
 )
 ZERO_RHO = ("0", "-0", "0/7")
 BAD_BYTES = (
@@ -131,3 +140,27 @@ def test_unbroken_param_file_is_accepted(raw):
         code, out, err = _run(["verify", "--params", str(path), "--trials", "0"])
     assert code == EXIT_PASS and err == ""
     assert len(out.splitlines()) == (5 if raw["n"] % 2 else 4)
+
+
+@pytest.mark.parametrize(
+    "limit, a1, c2",
+    [
+        # every part parses, but det = Pf^2 would print past the default 4300 digits
+        pytest.param(None, "1" + "0" * 499, "9" * 2200, id="default-limit"),
+        # 200-digit parts give a 798-digit det, past the lowest limit Python allows
+        pytest.param("640", "1" + "0" * 199, "9" * 200, id="limit-640"),
+    ],
+)
+@pytest.mark.parametrize("command", (["contact"], ["verify", "--trials", "1"]), ids=("contact", "verify"))
+def test_oversized_parts_exit_64_without_traceback(tmp_path, limit, a1, c2, command):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"n": 3, "a": [a1, "0"], "b": "0", "c": ["0", c2], "rho": "1"}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(pathlib.Path(rbkit.__file__).resolve().parents[1])
+    if limit:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    argv = [sys.executable, "-m", "rbkit.cli", *command, "--params", str(path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_USAGE, done.stderr[-300:]
+    assert done.stdout == ""
+    assert done.stderr.startswith("parse error: ") and "Traceback" not in done.stderr

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    DegeneratePoint,
     build_field_oracle,
     decompose,
     det_cofactor,
@@ -16,11 +17,12 @@ from helpers import (
     rand_antisymmetric,
     rand_field,
     rand_fraction,
+    rand_params,
     reeb_defect,
+    span_oracle,
 )
 from rbkit import (
     BoundaryPoint,
-    DegeneratePoint,
     DimensionMismatch,
     FlowSpec,
     IndexOutOfRange,
@@ -117,7 +119,7 @@ def test_generator_matches_one_hot_parameters():
             assert generator(name, n) == build_field(params) == build_field_oracle(params)
         # the basis combination against the paper's component formula
         for _ in range(20):
-            params = random_params(rng, n, allow_degenerate=True)
+            params = rand_params(rng, n)
             assert build_field(params) == build_field_oracle(params)
         zero = SolitonParams(n=n, a=(0,) * (n - 1), b=0, c=(0,) * (n - 1))
         assert build_field(zero) == build_field_oracle(zero) == VectorField.zero(n)
@@ -221,6 +223,36 @@ def test_in_span_and_coefficients():
     assert span_coefficients(zero, [T, D]) == [0, 0]
 
 
+def test_span_tracker_matches_gauss_jordan_oracle():
+    # seeded bases with dependent members and zero fields, over few slots (so
+    # some dependence is accidental) and Laurent exponents (negative in xn)
+    rng = random.Random(218)
+    seen = {"independent": 0, "dependent": 0, "in_span": 0, "outside": 0}
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        shape = {"terms": rng.randint(1, 2), "max_deg": rng.randint(1, 2), "laurent": rng.random() < 0.5}
+        basis = [rand_field(rng, n, **shape) for _ in range(rng.randint(0, 4))]
+        if basis and rng.random() < 0.4:
+            basis.append(sum((rand_fraction(rng) * b for b in basis), VectorField.zero(n)))
+        if rng.random() < 0.2:
+            basis.append(VectorField.zero(n))
+        rng.shuffle(basis)
+        combination = sum((rand_fraction(rng) * b for b in basis), VectorField.zero(n))
+        rank, _ = span_oracle(VectorField.zero(n), basis)
+        independent = rank == len(basis)
+        seen["independent" if independent else "dependent"] += 1
+        for field in (rand_field(rng, n, **shape), combination, VectorField.zero(n)):
+            _, coords = span_oracle(field, basis)
+            seen["outside" if coords is None else "in_span"] += 1
+            assert in_span(field, basis) == (coords is not None)
+            if independent:
+                assert span_coefficients(field, basis) == coords
+            else:
+                with pytest.raises(ValueError, match="not linearly independent"):
+                    span_coefficients(field, basis)
+    assert min(seen.values()) > 0, seen
+
+
 def test_closure_plane_already_closed():
     seeds = [generator(name, 2) for name in ("T1", "D", "G1")]
     span, report = algebra_closure(seeds)
@@ -262,11 +294,17 @@ def test_closure_monotone_in_seeds():
     assert large.dimension >= small.dimension
 
 
+def _unending_seeds():
+    # x1^2 d1 and x1^3 d1 are not Killing: [x1^a d1, x1^b d1] = (b - a) x1^(a+b-1) d1,
+    # so their closure never ends, and at n=2 it stops at the cap 3 with x1^4 d1
+    return [V(2, {(2, 0): 1}, {}), V(2, {(3, 0): 1}, {})]
+
+
 def test_closure_respects_cap():
-    seeds = [generator(name, 3) for name in ("T1", "T2", "D", "G1", "G2")]
-    span, report = algebra_closure(seeds, cap=5)
+    span, report = algebra_closure(_unending_seeds())
     assert report.cap_exceeded
-    assert report.dimension == 5
+    assert report.dimension == report.cap == 3
+    assert report.added == (((0, 1), V(2, {(4, 0): 1}, {})),)
 
 
 def test_closure_records_each_bracket_with_its_coordinates():
@@ -332,10 +370,10 @@ def test_structure_constants_abelian_pair():
 
 
 def test_structure_constants_not_closed():
-    # [T2, G1] escapes, so a cap of two stops the closure at the seeds
-    span, report = algebra_closure([generator("T2", 3), generator("G1", 3)], cap=2)
+    # [e1, e3] = 2 x1^5 d1 escapes after the cap 3 is reached
+    span, report = algebra_closure(_unending_seeds())
     assert report.cap_exceeded
-    with pytest.raises(NotClosed, match="elements 1 and 2"):
+    with pytest.raises(NotClosed, match="elements 1 and 3"):
         structure_constants(span)
 
 
