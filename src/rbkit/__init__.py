@@ -53,7 +53,6 @@ from .ratlaurent import LaurentPoly, parse_rational
 from .solitons import (
     AlgebraSpan,
     ClosureReport,
-    ContactMatrix,
     ContactReport,
     algebra_closure,
     build_field,

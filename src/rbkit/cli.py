@@ -15,14 +15,15 @@ the ``convention:`` line is printed once the CSV is written.  Each input is
 checked by the type that owns it, and this module only maps the error to
 exit 64: the generator name and n by ``FlowSpec``, the start point (finite,
 last coordinate nonnegative) by ``FlowState``, and ``dt``, ``t_max``, the
-step count (at most ``flows.MAX_STEPS``) and the arity by ``integrate``,
-before any step runs.  An unwritable ``--out`` also exits 64.  Values of
-``--point``, ``--dt`` and ``--t-max`` may start with "-".  A start at the
-origin, a zero of D, of every boost and of the plane rotation, stays
-fixed, at any horizon.  A state at which the closed form has no finite value
-(its pole) ends the CSV and exits 2, like an escape; if an RK4 step also
-overflowed, that overflow is the escape printed.  An escape writes the rows
-before it, at least the start row.
+step count (at most ``flows.MAX_STEPS``), the arity and the stored
+coordinates (steps + 1) * n (at most ``flows.MAX_STORED_COORDS``) by
+``integrate``, before any step runs.  An unwritable ``--out`` also exits
+64.  Values of ``--point``, ``--dt`` and ``--t-max`` may start with "-".
+A start at the origin, a zero of D, of every boost and of the plane
+rotation, stays fixed, at any horizon.  A state at which the closed form
+has no finite value (its pole) ends the CSV and exits 2, like an escape;
+if an RK4 step also overflowed, that overflow is the escape printed.  An
+escape writes the rows before it, at least the start row.
 
 ``verify`` builds each instance's field once, and its checks share the
 objects derived from it: L_X g, the dual form w and dw.  Under
@@ -211,7 +212,7 @@ def _check_contact(inst: _Instance):
     report = contact_report(inst.params, inst.omega, inst.domega)
     return ("pass" if report.consistent else "fail"), lambda: (
         f"Pf = {report.pf}; det = {report.det}; "
-        f"top*xn^{report.n} = {report.cleared.text()}; "
+        f"top*xn^{inst.params.n} = {report.cleared.text()}; "
         f"contact = {'true' if report.is_contact else 'false'}; {MATRIX_CONVENTION}"
     )
 
@@ -268,12 +269,13 @@ def cmd_contact(params: SolitonParams):
     ms = _ms_since(start)  # one total, shared by the four records
     consistent = "true" if report.consistent else "false"
     verdict = "true" if report.is_contact else "false"
+    rows = "; ".join(",".join(map(str, row)) for row in report.matrix)
     top_form = (
-        f"coefficient = {report.top_coeff.text()}; times xn^{report.n} = {report.cleared.text()}; "
-        f"|cleared|/2^{(report.n - 1) // 2} == |Pf|: {consistent}"
+        f"coefficient = {report.top_coeff.text()}; times xn^{params.n} = {report.cleared.text()}; "
+        f"|cleared|/2^{(params.n - 1) // 2} == |Pf|: {consistent}"
     )
     return [
-        ("contact_matrix", "pass", f"{MATRIX_CONVENTION}; M = {report.matrix.row_text()}", ms),
+        ("contact_matrix", "pass", f"{MATRIX_CONVENTION}; M = [{rows}]", ms),
         ("pfaffian", "pass", f"Pf = {report.pf}; det = {report.det}", ms),
         ("top_form", "pass" if report.consistent else "fail", top_form, ms),
         ("contact_verdict", "pass", f"contact = {verdict}", ms),

@@ -16,9 +16,9 @@ The boost uses the half-coefficient convention (the field is G_k with the
 convention a run used is part of its report.
 
 Each input is checked once, by its owner: ``FlowSpec`` the generator name,
-``FlowState`` the start point, ``integrate`` the step, horizon, step count
-and arity.  A closed form with no finite value (the pole of a start on the
-boundary plane) raises NonFinite.
+``FlowState`` the start point, ``integrate`` the step, horizon, step count,
+arity and stored size.  A closed form with no finite value (the pole of a
+start on the boundary plane) raises NonFinite.
 
 Compiled step.  ``integrate`` compiles its field once per call into one
 straight-line Python function for a whole RK4 step (``_compile_step``,
@@ -57,7 +57,8 @@ from .solitons import _parse_generator, generator
 
 BOUNDARY_EPS = 1e-9  # stop before xn^-2 evaluations overflow
 COORD_LIMIT = 1e9  # rotation flows blow up in finite time near the pole
-MAX_STEPS = 10**6  # integrate keeps every state; this bounds that list
+MAX_STEPS = 10**6  # integrate keeps every state; this bounds how many
+MAX_STORED_COORDS = 10**7  # and this their coordinates, (steps + 1) * n: under 500 MB
 
 
 class FlowState(namedtuple("FlowState", "coords t")):
@@ -200,8 +201,9 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     Either escape carries the valid prefix of the trajectory, at least p0; a
     float overflow inside a step is reported as NonFinite.  A dt that is not
     positive and finite, a negative t_max, a step count t_max / dt that is
-    not finite or exceeds MAX_STEPS, or a field whose dimension differs from
-    the arity of p0 raises ValueError before any step runs.
+    not finite or exceeds MAX_STEPS, a field whose dimension differs from
+    the arity of p0, or more than MAX_STORED_COORDS stored coordinates
+    (steps + 1) * n raises ValueError before any step runs.
     """
     if dt <= 0 or dt == math.inf:
         raise ValueError("dt must be positive and finite")
@@ -213,19 +215,25 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         raise ValueError(f"t_max / dt = {ratio!r} exceeds the limit of {MAX_STEPS} steps")
     if field.n != p0.n:
         raise ValueError(f"field dimension {field.n} differs from state arity {p0.n}")
+    nsteps = int(round(ratio))
+    if abs(nsteps * dt - t_max) > 1e-12 * max(1.0, t_max):
+        nsteps = int(ratio)
+    leftover = t_max - nsteps * dt
+    steps = nsteps + 1 if leftover > 1e-15 else nsteps
+    stored = (steps + 1) * p0.n
+    if stored > MAX_STORED_COORDS:
+        raise ValueError(
+            f"(steps + 1) * n = {stored} exceeds the limit of {MAX_STORED_COORDS} stored coordinates"
+        )
     step = _compile_step(field)
     states = [p0]
     y = p0.coords
     # a start on the boundary plane stays there exactly; only interior
     # trajectories can "escape" through the xn threshold
     watch_boundary = p0.coords[-1] > BOUNDARY_EPS
-    nsteps = int(round(ratio))
-    if abs(nsteps * dt - t_max) > 1e-12 * max(1.0, t_max):
-        nsteps = int(ratio)
-    leftover = t_max - nsteps * dt
     t = p0.t
     isfinite = math.isfinite
-    for i in range(nsteps + 1 if leftover > 1e-15 else nsteps):
+    for i in range(steps):
         h = dt if i < nsteps else leftover
         try:
             y = step(y, h)

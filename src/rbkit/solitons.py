@@ -315,41 +315,20 @@ def sl2_check() -> bool:
 # -- contact machinery (odd ambient dimension 2m+1) --------------------------
 
 
-class ContactMatrix(namedtuple("ContactMatrix", "size entries")):
-    """Antisymmetric matrix of parameter cross-products, size 2m."""
-
-    __slots__ = ()
-
-    def __new__(cls, size, entries):
-        if len(entries) != size or any(len(r) != size for r in entries):
-            raise ValueError("entries are not a square matrix of the declared size")
-        if any(entries[i][j] != -entries[j][i] for i in range(size) for j in range(size)):
-            raise ValueError("matrix is not antisymmetric")
-        return super().__new__(cls, size, entries)
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
-
-    def row_text(self) -> str:
-        return "[" + "; ".join(",".join(str(v) for v in row) for row in self.entries) + "]"
-
-
-def contact_matrix(params: SolitonParams) -> ContactMatrix:
-    """M_ij = a_i c_j - a_j c_i over the 2m parameter indices."""
+def contact_matrix(params: SolitonParams) -> tuple:
+    """The rows of M_ij = a_i c_j - a_j c_i over the 2m parameter indices."""
     if params.n % 2 == 0:
         raise OddSize(f"contact matrix needs odd ambient dimension, got n={params.n}")
     size = params.n - 1
-    entries = tuple(
+    return tuple(
         tuple(params.a[i] * params.c[j] - params.a[j] * params.c[i] for j in range(size))
         for i in range(size)
     )
-    return ContactMatrix(size=size, entries=entries)
 
 
 def _integer_matrix(M) -> tuple:
-    """(L, rows): a square matrix (or ContactMatrix) times the lcm L of its denominators, as ints."""
-    rows = [list(map(Fraction, row)) for row in (M.entries if isinstance(M, ContactMatrix) else M)]
+    """(L, rows): the rows of a square matrix times the lcm L of their denominators, as ints."""
+    rows = [list(map(Fraction, row)) for row in M]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("needs a square matrix")
     scale = math.lcm(*(x.denominator for row in rows for x in row))
@@ -432,7 +411,7 @@ def contact_top_form(omega: KForm, domega: KForm) -> LaurentPoly:
     return top.coeff(tuple(range(1, n + 1)))
 
 
-_CONTACT_FIELDS = "n matrix pf det top_coeff cleared consistent is_contact"
+_CONTACT_FIELDS = "matrix pf det top_coeff cleared consistent is_contact"
 
 
 class ContactReport(namedtuple("ContactReport", _CONTACT_FIELDS)):
@@ -462,7 +441,6 @@ def contact_report(params: SolitonParams, omega: KForm, domega: KForm) -> Contac
     value = cleared.terms.get(const_key, Fraction(0))
     consistent = is_constant and abs(value) == abs(pf) * 2**m
     return ContactReport(
-        n=n,
         matrix=M,
         pf=pf,
         det=det,

@@ -618,6 +618,19 @@ def test_flow_n_cap_checked_before_any_field(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PASS and len(out_path.read_text().splitlines()) == 3
 
 
+def test_flow_stored_coordinate_cap_exits_64(tmp_path, capsys):
+    # each would store more than 10^7 coordinates, up to 10^9 (about 37 GB)
+    out_path = tmp_path / "o.csv"
+    for n, t_max, stored in ((1000, "10001", 10002000), (1000, "1000000", 1000001000), (10, "1000000", 10000010)):
+        point = ",".join(["0"] * (n - 1) + ["1"])
+        argv = ["flow", "--gen", "T1", "--n", str(n), "--point", point, "--t-max", t_max, "--dt", "1",
+                "--out", str(out_path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: (steps + 1) * n = {stored} exceeds the limit of 10000000 stored coordinates\n"
+        assert not out_path.exists()
+
+
 def test_flow_printed_deviation_is_max_csv_err(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     code, out, err = run(

@@ -65,6 +65,27 @@ def test_integrate_step_cap(monkeypatch):
         integrate(field, p0, 1.0, 0.09)
 
 
+def test_integrate_stored_coordinate_cap(monkeypatch):
+    def refuse(field):
+        raise AssertionError("a step was compiled above the stored-coordinate limit")
+
+    assert flows.MAX_STORED_COORDS == 10**7
+    field, p0 = generator("T1", 2), FlowState((0.0, 1.0))
+    monkeypatch.setattr(flows, "MAX_STORED_COORDS", 22)
+    assert len(integrate(field, p0, 1.0, 0.1)) == 11  # 11 states of 2 coordinates, at the limit
+    # (steps + 1) * n is checked before any step is compiled or run
+    monkeypatch.setattr(flows, "_compile_step", refuse)
+    for t_max in (1.1, 1.05):  # 11 steps; 10 steps and a leftover one
+        with pytest.raises(ValueError) as raised:
+            integrate(field, p0, t_max, 0.1)
+        assert str(raised.value) == "(steps + 1) * n = 24 exceeds the limit of 22 stored coordinates"
+    # the step-count and arity checks come first, with their own messages
+    with pytest.raises(ValueError, match=f"limit of {flows.MAX_STEPS} steps"):
+        integrate(field, p0, 1e300, 1e-300)
+    with pytest.raises(ValueError, match="differs from state arity"):
+        integrate(generator("T1", 3), p0, 10.0, 0.1)
+
+
 def test_translation_flow_exact():
     spec = FlowSpec(kind="T1", n=4)
     p0 = FlowState((0.0, 0.0, 0.0, 1.0))

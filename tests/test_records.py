@@ -23,7 +23,6 @@ from rbkit import (
     AlgebraSpan,
     BoundaryPoint,
     ClosureReport,
-    ContactMatrix,
     ContactReport,
     FlowSpec,
     FlowState,
@@ -59,7 +58,6 @@ RECORDS = {
         lambda: {"dimension": 3, "seed_dimension": 3, "already_closed": True, "added": (),
                  "cap": 3, "cap_exceeded": False},
     ),
-    "ContactMatrix": (ContactMatrix, lambda: {"size": 2, "entries": ((0, 1), (-1, 0))}),
     "ContactReport": (ContactReport, _report_values),
 }
 
@@ -69,9 +67,7 @@ FIELDS = {
     "FlowSpec": ("kind", "n"),
     "AlgebraSpan": ("basis", "brackets"),
     "ClosureReport": ("dimension", "seed_dimension", "already_closed", "added", "cap", "cap_exceeded"),
-    "ContactMatrix": ("size", "entries"),
-    "ContactReport": ("n", "matrix", "pf", "det", "top_coeff", "cleared", "consistent",
-                      "is_contact"),
+    "ContactReport": ("matrix", "pf", "det", "top_coeff", "cleared", "consistent", "is_contact"),
 }
 
 
@@ -144,9 +140,6 @@ INVALID = [
     (FlowSpec, {"kind": "Q1", "n": 3}, ValueError, "unknown generator name 'Q1'"),
     (FlowSpec, {"kind": "T3", "n": 3}, IndexOutOfRange, "generator index 3 outside 1..2"),
     (FlowSpec, {"kind": "D", "n": 1}, ValueError, "dimension must be >= 2, got 1"),
-    (ContactMatrix, {"size": 2, "entries": ((0, 1),)}, ValueError,
-     "entries are not a square matrix of the declared size"),
-    (ContactMatrix, {"size": 2, "entries": ((0, 1), (1, 0))}, ValueError, "matrix is not antisymmetric"),
 ]
 
 
@@ -163,7 +156,6 @@ def test_make_and_replace_are_checked(cls, kwargs, error, message):
         SolitonParams: SolitonParams(**PARAMS),
         FlowState: FlowState((1.0, 2.0)),
         FlowSpec: FlowSpec("D", 3),
-        ContactMatrix: ContactMatrix(2, ((0, 1), (-1, 0))),
     }[cls]
     with pytest.raises(error) as raised:
         valid._replace(**kwargs)

@@ -386,9 +386,22 @@ def test_sl2_fingerprint():
 
 def test_contact_matrix_three_dim():
     M = contact_matrix(SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1)))
-    assert M.size == 2
-    assert M.entries == ((0, 1), (-1, 0))
+    assert M == ((0, 1), (-1, 0))
     assert pfaffian(M) == 1
+
+
+def test_contact_matrix_is_its_rows():
+    rng = random.Random(55)
+    for n in (3, 5, 7, 9):
+        for _ in range(3):
+            params = rand_params(rng, n)
+            a, c = params.a, params.c
+            M = contact_matrix(params)
+            assert M == tuple(tuple(a[i] * c[j] - a[j] * c[i] for j in range(n - 1)) for i in range(n - 1))
+            assert type(M) is tuple and all(type(row) is tuple for row in M)
+            assert all(M[i][j] == -M[j][i] for i in range(n - 1) for j in range(n - 1))
+            assert pfaffian(M) == pfaffian_oracle(M)
+            assert det_bareiss(M) == det_cofactor(M)
 
 
 def test_contact_matrix_needs_odd_dimension():
@@ -500,8 +513,7 @@ def test_pfaffian_plucker_identity_for_rank_two_matrices():
             c=tuple(rand_fraction(rng) for _ in range(4)),
         )
         M = contact_matrix(params)
-        e = M.entries
-        plucker = e[0][1] * e[2][3] - e[0][2] * e[1][3] + e[0][3] * e[1][2]
+        plucker = M[0][1] * M[2][3] - M[0][2] * M[1][3] + M[0][3] * M[1][2]
         assert plucker == 0
         assert pfaffian(M) == plucker == 0
 
