@@ -28,8 +28,6 @@ from .exterior import (
 from .flows import (
     FlowSpec,
     FlowState,
-    closed_flow,
-    flow_compare,
     integrate,
     isometry_check,
     write_trajectory_csv,

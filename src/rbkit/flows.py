@@ -35,20 +35,22 @@ thousands of coordinates) still compiles.
 Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
 and works out every constant of the start point (r0, -2/(x_k + i r0),
 -1/z0, the fixed points and the axis-bound branch) once per trajectory,
-and returns ``t -> coords``; ``closed_flow`` is that function checked as a
-FlowState.  The float operations that depend on t, and their order, are
-those of a closed form worked out from scratch at each t, so the CSV bytes
-are unchanged.  The pass of ``write_trajectory_csv`` and ``flow_compare``
-checks each coordinate tuple the way ``FlowState`` does (finite, last
-coordinate nonnegative, finite time) and builds the FlowState only when a
-tuple fails, for the exact error it raises.
+and returns ``t -> coords``.  The float operations that depend on t, and
+their order, are those of a closed form worked out from scratch at each t,
+so the two agree bit for bit.  ``write_trajectory_csv`` is the one pass
+that puts a trajectory beside its closed form: it reads the states as any
+iterable whose first item is the start point, checks each coordinate tuple
+the way ``FlowState`` does (finite, last coordinate nonnegative, finite
+time) and builds the FlowState only when a tuple fails, for the exact
+error it raises.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Sequence
+from itertools import chain
+from typing import Iterable
 
 from .errors import BoundaryEscape, BoundaryPoint, NonFinite
 from .exterior import VectorField
@@ -315,48 +317,6 @@ def _reference(spec: FlowSpec, p0: FlowState):
     return boost
 
 
-def closed_flow(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
-    """Evaluate the closed-form flow of spec.kind at time t."""
-    return FlowState(_reference(spec, p0)(t), p0.t + t)
-
-
-def _closed_form_gaps(spec: FlowSpec, states: Sequence[FlowState]):
-    """Yield (state, closed-form coordinates, Euclidean gap) along a trajectory from states[0].
-
-    The closed form is built once, from states[0].  Its coordinates at each
-    state must pass the checks of ``FlowState``; only when they do not is
-    the state built, for the error it raises.
-    """
-    if not states:
-        return
-    p0 = states[0]
-    reference = _reference(spec, p0)
-    isfinite = math.isfinite
-    for state in states:
-        t = state.t - p0.t
-        try:
-            coords = reference(t)
-        except ArithmeticError as exc:
-            # a division by zero at the pole, or a float overflow
-            raise NonFinite(f"the closed form has no finite value at t={state.t}") from exc
-        if not (all(map(isfinite, coords)) and coords[-1] >= 0 and isfinite(p0.t + t)):
-            # the checks of FlowState failed; it raises their exact error
-            FlowState(coords, p0.t + t)
-        try:
-            gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, coords)))
-        except OverflowError:
-            # a gap above 1e154 squares past the float limit; hypot scales
-            # instead (only here, so every other gap keeps its bytes)
-            gap = math.hypot(*(a - b for a, b in zip(state.coords, coords)))
-        yield state, coords, gap
-
-
-def flow_compare(spec: FlowSpec, p0: FlowState, t_max: float, dt: float) -> float:
-    """Max Euclidean gap between the RK4 trajectory and the closed form."""
-    trajectory = integrate(spec.field(), p0, t_max, dt)
-    return max((gap for _, _, gap in _closed_form_gaps(spec, trajectory)), default=0.0)
-
-
 def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float, dt: float) -> float:
     """Max drift of the hyperbolic distance between two flowed points."""
     traj_p = integrate(field, p, t_max, dt)
@@ -368,19 +328,42 @@ def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float,
     return worst
 
 
-def write_trajectory_csv(path, states: Sequence[FlowState], spec: FlowSpec) -> float:
+def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> float:
     """Write `t,x1..xn,cx1..cxn,err` rows one by one; return the largest err.
 
-    A closed form with no finite value at some state (the pole of a
-    boundary-plane rotation or boost, or an overflow) raises NonFinite after
-    the rows before it are written.
+    states is any iterable whose first item is the start point; with none,
+    only the header is written and 0.0 returned.  A closed form with no
+    finite value at some state (the pole of a boundary-plane rotation or
+    boost, or an overflow) raises NonFinite after the rows before it are
+    written.
     """
     n = spec.n
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"cx{i}" for i in range(1, n + 1)] + ["err"]
     worst = 0.0
+    isfinite = math.isfinite
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for state, reference, gap in _closed_form_gaps(spec, states):
-            handle.write(",".join(map(repr, (state.t, *state.coords, *reference, gap))) + "\n")
+        states = iter(states)
+        p0 = next(states, None)
+        if p0 is None:
+            return worst
+        reference = _reference(spec, p0)
+        for state in chain((p0,), states):
+            t = state.t - p0.t
+            try:
+                coords = reference(t)
+            except ArithmeticError as exc:
+                # a division by zero at the pole, or a float overflow
+                raise NonFinite(f"the closed form has no finite value at t={state.t}") from exc
+            if not (all(map(isfinite, coords)) and coords[-1] >= 0 and isfinite(p0.t + t)):
+                # the checks of FlowState failed; it raises their exact error
+                FlowState(coords, p0.t + t)
+            try:
+                gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, coords)))
+            except OverflowError:
+                # a gap above 1e154 squares past the float limit; hypot scales
+                # instead (only here, so every other gap keeps its bytes)
+                gap = math.hypot(*(a - b for a, b in zip(state.coords, coords)))
+            handle.write(",".join(map(repr, (state.t, *state.coords, *coords, gap))) + "\n")
             worst = max(worst, gap)
     return worst

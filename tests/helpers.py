@@ -15,9 +15,12 @@ interpreter of a field and its RK4 step used as the oracle for the
 compiled flow step, and the product-by-product ``Fraction`` loops of the
 polynomial product, the wedge and interior products, the Lie bracket and
 the direct Lie derivatives, used as oracles for the integer
-sum-of-products kernel in ``rbkit.ratlaurent``, and the closed-form flow
+sum-of-products kernel in ``rbkit.ratlaurent``, the closed-form flow
 worked out from its start point at each call, used as the oracle for the
-per-trajectory closed form of ``rbkit.flows``."""
+per-trajectory closed form of ``rbkit.flows``, and that closed form at one
+time (``closed_state``) and the largest gap of the trajectory CSV pass
+(``csv_gap``), the two views of ``write_trajectory_csv`` the flow tests
+measure."""
 
 from __future__ import annotations
 
@@ -38,11 +41,14 @@ from rbkit import (
     build_field,
     ext_d,
     flat,
+    integrate,
     interior,
     metric,
     RBKitError,
     pfaffian,
+    write_trajectory_csv,
 )
+from rbkit.flows import _reference
 from rbkit.solitons import _det_from_pf, _parse_generator
 
 
@@ -305,6 +311,16 @@ def closed_flow_oracle(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
     out = [x * scale for x in coords]
     out[k - 1] = z.real
     return FlowState(tuple(out), p0.t + t)
+
+
+def closed_state(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
+    """The closed form that ``write_trajectory_csv`` compares with, from p0 at time t, as a FlowState."""
+    return FlowState(_reference(spec, p0)(t), p0.t + t)
+
+
+def csv_gap(spec: FlowSpec, p0: FlowState, t_max: float, dt: float, tmp_path) -> float:
+    """The largest err ``write_trajectory_csv`` gives for the RK4 trajectory from p0."""
+    return write_trajectory_csv(tmp_path / "gap.csv", integrate(spec.field(), p0, t_max, dt), spec)
 
 
 # -- Fraction-loop oracles of the sum-of-products kernel ------------------------

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import det_cofactor, dual_forms, rand_antisymmetric, rand_field, rand_params
+from helpers import closed_state, csv_gap, det_cofactor, dual_forms, rand_antisymmetric, rand_field, rand_params
 from rbkit import (
     FlowSpec,
     FlowState,
@@ -18,11 +18,9 @@ from rbkit import (
     SolitonParams,
     algebra_closure,
     build_field,
-    closed_flow,
     contact_report,
     ext_d,
     flat,
-    flow_compare,
     generator,
     in_span,
     isometry_check,
@@ -202,7 +200,7 @@ def test_c08_lie_algebra_structure():
             f"n=3 closure dimension {rep3.dimension}")
 
 
-def test_c09_flow_accuracy_and_convergence():
+def test_c09_flow_accuracy_and_convergence(tmp_path):
     start = time.perf_counter()
     cases = [
         (FlowSpec(kind="T1", n=2), FlowState((0.0, 1.0))),
@@ -217,18 +215,18 @@ def test_c09_flow_accuracy_and_convergence():
     ]
     ok = True
     for spec, p0 in cases:
-        ok = ok and flow_compare(spec, p0, 1.0, 1e-3) <= 1e-8
+        ok = ok and csv_gap(spec, p0, 1.0, 1e-3, tmp_path) <= 1e-8
 
     # fourth-order convergence, measured where truncation dominates roundoff
     spec, p0 = FlowSpec(kind="G", n=2), FlowState((0.0, 1.0))
-    coarse = flow_compare(spec, p0, 1.0, 1 / 64)
-    fine = flow_compare(spec, p0, 1.0, 1 / 128)
+    coarse = csv_gap(spec, p0, 1.0, 1 / 64, tmp_path)
+    fine = csv_gap(spec, p0, 1.0, 1 / 128, tmp_path)
     ratio = coarse / fine
     ok = ok and ratio >= 12.0
 
     for spec, p0 in cases:
-        stepwise = closed_flow(spec, closed_flow(spec, p0, 0.4), 0.6)
-        direct = closed_flow(spec, p0, 1.0)
+        stepwise = closed_state(spec, closed_state(spec, p0, 0.4), 0.6)
+        direct = closed_state(spec, p0, 1.0)
         gap = max(abs(a - b) for a, b in zip(stepwise.coords, direct.coords))
         ok = ok and gap <= 1e-9
     elapsed = time.perf_counter() - start

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import closed_flow_oracle, rhs_oracle
+from helpers import closed_flow_oracle, closed_state, csv_gap, rhs_oracle
 from rbkit import flows
 from rbkit import (
     BoundaryEscape,
@@ -16,8 +16,6 @@ from rbkit import (
     LaurentPoly,
     NonFinite,
     VectorField,
-    closed_flow,
-    flow_compare,
     generator,
     integrate,
     isometry_check,
@@ -86,20 +84,20 @@ def test_integrate_stored_coordinate_cap(monkeypatch):
         integrate(generator("T1", 3), p0, 10.0, 0.1)
 
 
-def test_translation_flow_exact():
+def test_translation_flow_exact(tmp_path):
     spec = FlowSpec(kind="T1", n=4)
     p0 = FlowState((0.0, 0.0, 0.0, 1.0))
     states = integrate(spec.field(), p0, 1.0, 1e-3)
     assert max(abs(a - b) for a, b in zip(states[-1].coords, (1.0, 0.0, 0.0, 1.0))) < 1e-12
-    assert flow_compare(spec, p0, 1.0, 1e-3) < 1e-12
+    assert csv_gap(spec, p0, 1.0, 1e-3, tmp_path) < 1e-12
 
 
-def test_dilation_flow_reaches_e():
+def test_dilation_flow_reaches_e(tmp_path):
     spec = FlowSpec(kind="D", n=2)
     p0 = FlowState((0.0, 1.0))
     final = integrate(spec.field(), p0, 1.0, 1e-3)[-1]
     assert abs(final.coords[1] - math.e) < 1e-8
-    assert flow_compare(spec, p0, 1.0, 1e-3) < 1e-8
+    assert csv_gap(spec, p0, 1.0, 1e-3, tmp_path) < 1e-8
 
 
 def test_zero_field_constant_trajectory():
@@ -112,8 +110,8 @@ def test_rotation_closed_form_frozen_values():
     # z0 = i: e + i f = i, z(t) = -1/(t + i) = (-t + i)/(t^2 + 1)
     spec = FlowSpec(kind="G", n=2)
     p0 = FlowState((0.0, 1.0))
-    assert closed_flow(spec, p0, 0.0).coords == (0.0, 1.0)
-    st = closed_flow(spec, p0, 1.0)
+    assert closed_state(spec, p0, 0.0).coords == (0.0, 1.0)
+    st = closed_state(spec, p0, 1.0)
     assert abs(st.coords[0] - (-0.5)) < 1e-15
     assert abs(st.coords[1] - 0.5) < 1e-15
 
@@ -123,7 +121,7 @@ def test_boost_closed_form_frozen_values():
     spec = FlowSpec(kind="G1", n=3)
     p0 = FlowState((0.0, 1.0, 0.0))
     for t in (0.0, 0.5, 1.0, 2.0):
-        st = closed_flow(spec, p0, t)
+        st = closed_state(spec, p0, t)
         assert abs(st.coords[0] - (-2 * t / (t * t + 4))) < 1e-15
         assert abs(st.coords[1] - (4 / (t * t + 4))) < 1e-15
         assert st.coords[2] == 0.0
@@ -132,7 +130,7 @@ def test_boost_closed_form_frozen_values():
 def test_boost_transverse_rescaling_preserves_direction():
     spec = FlowSpec(kind="G2", n=5)
     p0 = FlowState((3.0, 0.5, 4.0, 0.0, 1.0))
-    st = closed_flow(spec, p0, 0.7)
+    st = closed_state(spec, p0, 0.7)
     # transverse components stay proportional to the initial ones
     ratios = [st.coords[i] / p0.coords[i] for i in (0, 2, 4)]
     assert max(ratios) - min(ratios) < 1e-12
@@ -144,10 +142,10 @@ def test_boost_transverse_rescaling_preserves_direction():
 def test_dilation_identity_at_zero_time():
     spec = FlowSpec(kind="D", n=3)
     p0 = FlowState((2.0, -1.0, 0.5))
-    assert closed_flow(spec, p0, 0.0).coords == p0.coords
+    assert closed_state(spec, p0, 0.0).coords == p0.coords
 
 
-def test_flow_compare_bounds():
+def test_trajectory_csv_gap_bounds(tmp_path):
     cases = [
         (FlowSpec(kind="T1", n=2), FlowState((0.0, 1.0)), 1e-10),
         (FlowSpec(kind="D", n=3), FlowState((1.0, 1.0, 1.0)), 1e-8),
@@ -157,15 +155,15 @@ def test_flow_compare_bounds():
         (FlowSpec(kind="G2", n=5), FlowState((1.0, 0.0, 0.0, 0.0, 1.0)), 1e-8),
     ]
     for spec, p0, bound in cases:
-        assert flow_compare(spec, p0, 1.0, 1e-3) <= bound
+        assert csv_gap(spec, p0, 1.0, 1e-3, tmp_path) <= bound
 
 
-def test_rk4_fourth_order_convergence():
+def test_rk4_fourth_order_convergence(tmp_path):
     # run where truncation dominates roundoff: errors at dt and dt/2
     spec = FlowSpec(kind="G1", n=3)
     p0 = FlowState((0.0, 1.0, 0.0))
-    coarse = flow_compare(spec, p0, 1.0, 1 / 64)
-    fine = flow_compare(spec, p0, 1.0, 1 / 128)
+    coarse = csv_gap(spec, p0, 1.0, 1 / 64, tmp_path)
+    fine = csv_gap(spec, p0, 1.0, 1 / 128, tmp_path)
     assert coarse / fine >= 12.0
 
 
@@ -179,13 +177,13 @@ def test_group_law_all_kinds():
     ]
     for spec, p0 in cases:
         for s, t in ((0.3, 0.7), (0.1, 0.2), (1.0, 1.0)):
-            stepwise = closed_flow(spec, closed_flow(spec, p0, s), t)
-            direct = closed_flow(spec, p0, s + t)
+            stepwise = closed_state(spec, closed_state(spec, p0, s), t)
+            direct = closed_state(spec, p0, s + t)
             gap = max(abs(a - b) for a, b in zip(stepwise.coords, direct.coords))
             assert gap <= 1e-9
 
 
-def test_closed_flow_time_derivative_matches_field():
+def test_closed_form_time_derivative_matches_field():
     h = 1e-5
     cases = [
         (FlowSpec(kind="D", n=2), FlowState((0.7, 1.3))),
@@ -196,26 +194,26 @@ def test_closed_flow_time_derivative_matches_field():
     for spec, p0 in cases:
         # the right-hand side RK4 evaluates
         rhs = rhs_oracle(spec.field())(p0.coords)
-        forward = closed_flow(spec, p0, h)
-        backward = closed_flow(spec, p0, -h)
+        forward = closed_state(spec, p0, h)
+        backward = closed_state(spec, p0, -h)
         for i in range(spec.n):
             numeric = (forward.coords[i] - backward.coords[i]) / (2 * h)
             assert abs(numeric - rhs[i]) < 1e-6
 
 
-def test_closed_flow_fixed_at_origin():
+def test_closed_form_fixed_at_origin():
     # the origin is a zero of D, of every boost G_k and of the plane rotation G
     for kind, n in (("D", 2), ("G1", 2), ("G", 2), ("G1", 3)):
         spec, p0 = FlowSpec(kind=kind, n=n), FlowState((0.0,) * n, 0.5)
         for t in (-1.0, 0.0, 2.0, 1e300):
-            assert closed_flow(spec, p0, t) == FlowState((0.0,) * n, 0.5 + t)
+            assert closed_state(spec, p0, t) == FlowState((0.0,) * n, 0.5 + t)
 
 
 def test_boost_radius_stays_positive():
     spec = FlowSpec(kind="G1", n=3)
     p0 = FlowState((1.0, 0.5, 0.5))
     for t in (-5.0, -1.0, 0.0, 1.0, 5.0, 50.0):
-        st = closed_flow(spec, p0, t)
+        st = closed_state(spec, p0, t)
         assert st.coords[-1] > 0
 
 
@@ -255,37 +253,42 @@ def _times(rng):
     return fixed + [rng.uniform(-20, 20) for _ in range(20)] + [rng.uniform(-1, 1) for _ in range(10)]
 
 
-def test_closed_flow_matches_the_per_call_oracle_bit_for_bit():
+def test_closed_form_matches_the_per_call_oracle_bit_for_bit():
     rng = random.Random(20261018)
     for spec, point in _closed_form_cases(rng):
         for start_t in (0.0, -1.5, 1.7976931348623157e308):
             p0 = FlowState(point, start_t)
             for t in _times(rng):
                 want = _outcome(closed_flow_oracle, spec, p0, t)
-                assert _outcome(closed_flow, spec, p0, t) == want, (spec, p0, t)
+                assert _outcome(closed_state, spec, p0, t) == want, (spec, p0, t)
     # a start whose arity differs from the spec
     args = (FlowSpec("G1", 3), FlowState((0.0, 1.0)), 0.5)
-    assert _outcome(closed_flow, *args) == _outcome(closed_flow_oracle, *args)
+    assert _outcome(closed_state, *args) == _outcome(closed_flow_oracle, *args)
 
 
-def test_closed_form_pass_matches_the_per_call_oracle():
-    # the pass of write_trajectory_csv and flow_compare checks the closed
-    # form without building a state and must end exactly where the oracle does
+def test_closed_form_pass_matches_the_per_call_oracle(tmp_path):
+    # write_trajectory_csv checks the closed form without building a state
+    # and must end exactly where the oracle does; repr round-trips, so the
+    # cx columns of the CSV give the coordinates bit for bit
     rng = random.Random(1018)
     top = 1.7976931348623157e308
+    out = tmp_path / "traj.csv"
     for spec, point in _closed_form_cases(rng):
+        n = spec.n
         for start_t in (0.0, -1.5, top, -top):
             p0 = FlowState(point, start_t)
             times = sorted(_times(rng), key=abs)
             states = [p0] + [FlowState(p0.coords, p0.t + t) for t in times if math.isfinite(p0.t + t)]
             # from -top, the time since the start overflows
             states.append(FlowState(p0.coords, top))
-            got, want = [], []
+            raised = []
             try:
-                for state, coords, _ in flows._closed_form_gaps(spec, states):
-                    got.append(tuple(map(float.hex, coords)))
+                write_trajectory_csv(out, states, spec)
             except (BoundaryPoint, NonFinite) as exc:
-                got.append((type(exc), str(exc)))
+                raised.append((type(exc), str(exc)))
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            got = [tuple(float(v).hex() for v in row[1 + n : 1 + 2 * n]) for row in rows] + raised
+            want = []
             for state in states:
                 try:
                     reference = closed_flow_oracle(spec, p0, state.t - p0.t)
@@ -297,6 +300,33 @@ def test_closed_form_pass_matches_the_per_call_oracle():
                     break
                 want.append(tuple(map(float.hex, reference.coords)))
             assert got == want, (spec, p0)
+
+
+def _csv_outcome(path, states, spec):
+    """The CSV bytes write_trajectory_csv leaves and its return value or error."""
+    try:
+        result = write_trajectory_csv(path, states, spec)
+    except NonFinite as exc:
+        result = (type(exc), str(exc))
+    return path.read_bytes(), result
+
+
+def test_trajectory_csv_reads_any_iterable_of_states(tmp_path):
+    out = tmp_path / "traj.csv"
+    cases = [
+        (FlowSpec(kind="G2", n=5), FlowState((1.0, 0.5, 0.2, 0.1, 1.5)), 1.0),
+        (FlowSpec(kind="D", n=3), FlowState((0.5, -0.5, 1.0), -1.5), 1.0),
+        (FlowSpec(kind="G", n=2), FlowState((2.0, 0.0)), 0.5),  # ends on the pole at t = 1/2
+    ]
+    for spec, p0, t_max in cases:
+        states = integrate(spec.field(), p0, t_max, 1 / 16)
+        want = _csv_outcome(out, states, spec)
+        assert _csv_outcome(out, iter(states), spec) == want, spec
+        assert _csv_outcome(out, (state for state in states), spec) == want, spec
+    # no states: the header alone, and no gap
+    for states in ([], iter(())):
+        assert write_trajectory_csv(out, states, FlowSpec(kind="D", n=2)) == 0.0
+        assert out.read_text() == "t,x1,x2,cx1,cx2,err\n"
 
 
 def test_isometry_checks():
@@ -348,7 +378,6 @@ def test_trajectory_csv_returns_worst_gap(tmp_path):
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert worst > 0.0
         assert worst == max(float(row[-1]) for row in rows)
-        assert worst == flow_compare(spec, p0, 1.0, 1 / 64)
 
 
 def test_closed_form_pole_raises_non_finite(tmp_path):
@@ -358,8 +387,6 @@ def test_closed_form_pole_raises_non_finite(tmp_path):
     with pytest.raises(NonFinite, match="t=0.5"):
         write_trajectory_csv(out, states, spec)
     assert len(out.read_text().splitlines()) == 2
-    with pytest.raises(NonFinite):
-        flow_compare(spec, p0, 0.5, 0.5)
 
 
 def test_time_overflow_raises_non_finite():
