@@ -61,11 +61,9 @@ from .solitons import (
     generator,
     generator_names,
     generators,
-    in_span,
     lie_bracket,
     pfaffian,
     sl2_check,
-    span_coefficients,
     structure_constants,
 )
 

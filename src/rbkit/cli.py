@@ -23,7 +23,8 @@ A start at the origin, a zero of D, of every boost and of the plane
 rotation, stays fixed, at any horizon.  A state at which the closed form
 has no finite value (its pole) ends the CSV and exits 2, like an escape;
 if an RK4 step also overflowed, that overflow is the escape printed.  An
-escape writes the rows before it, at least the start row.
+RK4 escape writes the rows before it, at least the start row; a closed
+form with no finite value at the start writes the header alone.
 
 ``verify`` builds each instance's field once, and its checks share the
 objects derived from it: L_X g, the dual form w and dw.  Under

@@ -6,9 +6,10 @@ basis, ``generators(n)``, built once per n in the order of
 is the one reader of names ("D", "Tk", "Gk" with ASCII k, or "G" at n=2).
 
 Also here: exact Lie brackets, bracket-closure of spans with exact
-rational linear algebra, structure constants, and the contact machinery
-for odd ambient dimension: the antisymmetric parameter matrix, its
-Pfaffian and determinant (fraction-free eliminations on one integer
+rational linear algebra (one echelon tracker whose ``insert`` adjoins a
+field or returns its coordinates), structure constants, and the contact
+machinery for odd ambient dimension: the antisymmetric parameter matrix,
+its Pfaffian and determinant (fraction-free eliminations on one integer
 matrix, O(k^3)) and the top form w ^ (dw)^m.
 
 Subalgebra sizes are *measured*, never asserted: ``algebra_closure`` adjoins
@@ -132,15 +133,9 @@ def _bracket(A: VectorField, dA: tuple, B: VectorField, dB: tuple) -> VectorFiel
 # support, so reducing a candidate against rows in pivot order terminates in
 # one pass.  Any total order of the slots serves: membership and the
 # coordinates over independent inserted fields do not depend on it.
-
-
-def _sparse_vector(field: VectorField) -> dict:
-    out = {}
-    for comp, poly in field._terms.items():
-        den = poly.den
-        for key, num in poly.nums.items():
-            out[(comp, key)] = Fraction(num, den)
-    return out
+# ``_SpanTracker.insert`` is the one way in: it reduces a field once, then
+# adjoins it or returns its coordinates, which for a field that depends on
+# the inserted ones is a kernel vector of those fields.
 
 
 class _SpanTracker:
@@ -150,7 +145,19 @@ class _SpanTracker:
         self.rows = []  # (pivot slot, sparse row, combination over inserted fields)
         self.size = 0  # number of independent fields inserted
 
-    def _reduce(self, vec: dict):
+    def insert(self, field: VectorField):
+        """None after adjoining a field outside the span, else the field's coordinates.
+
+        The coordinates are the sparse ``{k: c}`` with field = sum c f_k over
+        the independent fields f_0, f_1, ... inserted so far, numbered in
+        insertion order; the zero field gives ``{}``.  A field in the span
+        is not stored.
+        """
+        vec = {}
+        for comp, poly in field._terms.items():
+            den = poly.den
+            for key, num in poly.nums.items():
+                vec[(comp, key)] = Fraction(num, den)
         comb: dict[int, Fraction] = {}
         for pivot, row, rcomb in self.rows:
             factor = vec.get(pivot)
@@ -160,47 +167,17 @@ class _SpanTracker:
                 _accumulate(vec, slot, -factor * value)
             for idx, value in rcomb.items():
                 _accumulate(comb, idx, factor * value)
-        return vec, comb
-
-    def insert(self, field: VectorField) -> bool:
-        """Adjoin a field; False when it was already in the span."""
-        residue, comb = self._reduce(_sparse_vector(field))
-        if not residue:
-            return False
-        self._adjoin(residue, comb)
-        return True
-
-    def _adjoin(self, residue: dict, comb: dict) -> None:
-        """Store the nonzero residue that _reduce left of a new field."""
-        pivot = min(residue)
-        inv = 1 / residue[pivot]
-        row = {slot: value * inv for slot, value in residue.items()}
+        if not vec:
+            return comb
+        pivot = min(vec)
+        inv = 1 / vec[pivot]
+        row = {slot: value * inv for slot, value in vec.items()}
         rcomb = {idx: -value * inv for idx, value in comb.items()}
         rcomb[self.size] = inv
         self.rows.append((pivot, row, rcomb))
         self.rows.sort(key=lambda r: r[0])
         self.size += 1
-
-
-def in_span(field: VectorField, basis: Sequence[VectorField]) -> bool:
-    """Exact rational membership of a field in the span of a basis."""
-    tracker = _SpanTracker()
-    for b in basis:
-        tracker.insert(b)
-    return not tracker.insert(field)
-
-
-def span_coefficients(field: VectorField, basis: Sequence[VectorField]):
-    """Solve field = sum_k coeff_k basis_k exactly; None when unsolvable.
-
-    Requires a linearly independent basis (the coefficients are then unique).
-    """
-    tracker = _SpanTracker()
-    for b in basis:
-        if not tracker.insert(b):
-            raise ValueError("basis fields are not linearly independent")
-    residue, comb = tracker._reduce(_sparse_vector(field))
-    return None if residue else [comb.get(k, Fraction(0)) for k in range(tracker.size)]
+        return None
 
 
 class AlgebraSpan(namedtuple("AlgebraSpan", "basis brackets")):
@@ -244,7 +221,7 @@ def algebra_closure(seeds: Sequence[VectorField]):
     tracker = _SpanTracker()
     basis: list[VectorField] = []
     for f in seeds:
-        if tracker.insert(f):
+        if tracker.insert(f) is None:
             basis.append(f)
     seed_dim = len(basis)
 
@@ -256,15 +233,15 @@ def algebra_closure(seeds: Sequence[VectorField]):
     while j < len(basis) and not cap_exceeded:
         for i in range(j):
             br = _bracket(basis[i], tables[i], basis[j], tables[j])
-            residue, comb = tracker._reduce(_sparse_vector(br))
-            if not residue:
+            comb = tracker.insert(br)
+            if comb is not None:
                 coords = tuple(sorted(comb.items()))
-            elif len(basis) + 1 > cap:
+            elif len(basis) >= cap:
+                # insert has stored the escaping bracket, which is harmless: the closure stops
                 cap_exceeded = True
                 brackets.append(((i, j), br, None))
                 break
             else:
-                tracker._adjoin(residue, comb)
                 coords = ((len(basis), Fraction(1)),)
                 basis.append(br)
                 tables.append(_derivatives(br))

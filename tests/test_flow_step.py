@@ -48,7 +48,7 @@ def outcome(fn, *args):
         return type(exc)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(field=laurent_fields(), data=st.data(), h=STEP)
 def test_compiled_step_matches_the_oracle(field, data, h):
     y = tuple(data.draw(st.lists(COORD, min_size=field.n, max_size=field.n)))

@@ -42,13 +42,11 @@ from rbkit import (
     generator,
     generator_names,
     generators,
-    in_span,
     interior,
     lie_bracket,
     pfaffian,
     random_params,
     sl2_check,
-    span_coefficients,
     structure_constants,
 )
 from rbkit import solitons
@@ -211,16 +209,16 @@ def test_bracket_dimension_mismatch():
 # -- span and closure --------------------------------------------------------
 
 
-def test_in_span_and_coefficients():
+def test_span_tracker_insert_returns_coordinates():
     T, D = generator("T1", 2), generator("D", 2)
-    assert in_span(T + 3 * D, [T, D])
-    assert not in_span(generator("G", 2), [T, D])
-    assert span_coefficients(T + 3 * D, [T, D]) == [1, 3]
-    assert span_coefficients(generator("G", 2), [T, D]) is None
     zero = VectorField.zero(2)
-    assert in_span(zero, []) and in_span(zero, [T, D])
-    assert not in_span(T, [])
-    assert span_coefficients(zero, [T, D]) == [0, 0]
+    tracker = solitons._SpanTracker()
+    assert tracker.insert(zero) == {}
+    assert tracker.insert(T) is None and tracker.insert(D) is None
+    assert tracker.insert(T + 3 * D) == {0: 1, 1: 3}
+    assert tracker.insert(generator("G", 2)) is None
+    assert tracker.insert(zero) == {}
+    assert tracker.size == 3
 
 
 def test_span_tracker_matches_gauss_jordan_oracle():
@@ -238,19 +236,25 @@ def test_span_tracker_matches_gauss_jordan_oracle():
             basis.append(VectorField.zero(n))
         rng.shuffle(basis)
         combination = sum((rand_fraction(rng) * b for b in basis), VectorField.zero(n))
-        rank, _ = span_oracle(VectorField.zero(n), basis)
-        independent = rank == len(basis)
-        seen["independent" if independent else "dependent"] += 1
+        tracker = solitons._SpanTracker()
+        kept = []  # the fields insert adjoined, numbered as in its coordinates
+        for member in basis:
+            seen["dependent" if _insert_checked(tracker, kept, member) else "independent"] += 1
+        assert tracker.size == span_oracle(VectorField.zero(n), basis)[0]
         for field in (rand_field(rng, n, **shape), combination, VectorField.zero(n)):
-            _, coords = span_oracle(field, basis)
-            seen["outside" if coords is None else "in_span"] += 1
-            assert in_span(field, basis) == (coords is not None)
-            if independent:
-                assert span_coefficients(field, basis) == coords
-            else:
-                with pytest.raises(ValueError, match="not linearly independent"):
-                    span_coefficients(field, basis)
+            seen["in_span" if _insert_checked(tracker, kept, field) else "outside"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def _insert_checked(tracker, kept: list, field) -> bool:
+    """Insert a field, checking what insert returns against ``span_oracle``
+    over the kept fields; True when the field lay in their span."""
+    _, coords = span_oracle(field, kept)
+    expected = None if coords is None else {k: c for k, c in enumerate(coords) if c}
+    assert tracker.insert(field) == expected
+    if coords is None:
+        kept.append(field)
+    return coords is not None
 
 
 def test_closure_plane_already_closed():
@@ -284,7 +288,7 @@ def test_escaping_bracket_is_the_rotation():
     rotation = lie_bracket(generator("T2", 3), generator("G1", 3))
     assert rotation == V(3, {(0, 1, 0): -1}, {(1, 0, 0): 1}, {})
     seeds = [generator(name, 3) for name in ("G1", "G2", "D", "T1", "T2")]
-    assert not in_span(rotation, seeds)
+    assert span_oracle(rotation, seeds)[1] is None
 
 
 def test_closure_monotone_in_seeds():
@@ -307,6 +311,17 @@ def test_closure_respects_cap():
     assert report.added == (((0, 1), V(2, {(4, 0): 1}, {})),)
 
 
+def test_closure_stops_at_first_escape_when_seeds_exceed_cap():
+    # four affine plane seeds d1, x1 d2, x2 d1, x2 d2 already exceed the cap 3,
+    # and their first bracket [d1, x1 d2] = d2 escapes their span
+    seeds = [V(2, {(0, 0): 1}, {}), V(2, {}, {(1, 0): 1}), V(2, {(0, 1): 1}, {}), V(2, {}, {(0, 1): 1})]
+    span, report = algebra_closure(seeds)
+    assert (report.dimension, report.seed_dimension, report.cap) == (4, 4, 3)
+    assert report.cap_exceeded and not report.already_closed
+    assert report.added == ()
+    assert span.brackets == (((0, 1), V(2, {}, {(0, 0): 1}), None),)
+
+
 def test_closure_records_each_bracket_with_its_coordinates():
     # bracketing and solving over the final basis is the oracle
     seed_sets = [
@@ -326,7 +341,7 @@ def test_closure_records_each_bracket_with_its_coordinates():
         expected = {}
         for (i, j), field, coords in span.brackets:
             assert field == lie_bracket(basis[i], basis[j])
-            oracle = {k: c for k, c in enumerate(span_coefficients(field, basis)) if c}
+            oracle = {k: c for k, c in enumerate(span_oracle(field, basis)[1]) if c}
             assert dict(coords) == oracle
             for k, c in oracle.items():
                 expected[(i + 1, j + 1, k + 1)] = c
