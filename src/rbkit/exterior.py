@@ -2,7 +2,13 @@
 
 Both are ``ratlaurent.SparseMap``s.  A vector field maps the 1-based index
 i of each nonzero component to X^i; ``components`` is the dense tuple of
-all n, zeros included.  A grade-k form is stored sparsely: strictly increasing index tuples
+all n, zeros included.  ``jacobian`` is the field's one table of first
+derivatives d[j][i] = d_(i+1) X^(j+1), built on first read and kept; the
+Lie bracket, L_X g and the direct L_X w all read it, so a field is
+differentiated once.  A sum, negation or multiple is a new field that
+builds its own table.
+
+A grade-k form is stored sparsely: strictly increasing index tuples
 (i1 < ... < ik, 1-based) map to nonzero coefficient polynomials.  Grade-0
 forms use the empty tuple.  Tuples longer than the ambient dimension cannot
 be strictly increasing inside 1..n, so forms of grade > n are automatically
@@ -28,7 +34,7 @@ IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
 class VectorField(SparseMap):
     """n contravariant components, each a LaurentPoly in x1..xn, stored by 1-based index."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_jacobian")
 
     def __init__(self, components: Sequence[LaurentPoly]):
         components = tuple(components)
@@ -61,6 +67,14 @@ class VectorField(SparseMap):
         """All n components X^1..X^n, zeros included."""
         zero = LaurentPoly.zero(self.n)
         return tuple(self._terms.get(i, zero) for i in range(1, self.n + 1))
+
+    @property
+    def jacobian(self) -> tuple:
+        """The table d[j][i] = d_(i+1) X^(j+1) of the n^2 first derivatives, built on first read."""
+        if not hasattr(self, "_jacobian"):
+            coords = range(1, self.n + 1)
+            self._jacobian = tuple(tuple(comp.deriv(i) for i in coords) for comp in self.components)
+        return self._jacobian
 
     def text(self) -> str:
         return "(" + ", ".join(p.text() for p in self.components) + ")"
@@ -197,13 +211,13 @@ def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
     n = omega.n
     coords = range(1, n + 1)
     w = [omega.coeff((i,)) for i in coords]
-    X = field.components
+    X, dX = field.components, field.jacobian
     groups = {}
     for i in coords:
         products = groups[(i,)] = []
         for j in coords:
             products.append((1, X[j - 1], w[i - 1].deriv(j)))
-            products.append((1, w[j - 1], X[j - 1].deriv(i)))
+            products.append((1, w[j - 1], dX[j - 1][i - 1]))
     return omega._like(_sum_grouped(n, groups))
 
 

@@ -10,6 +10,7 @@ Closed forms:
                       where z = x_k + i r, r^2 = sum_{j != k} x_j^2; the
                       transverse coordinates rescale by r(t)/r0 (fixed angles)
     rotation G (n=2)  z(t) = -1/(t + e + i f), e + i f = -1/z0   [no 1/2 factor]
+                      or, where -1/z0 overflows, z(t) = z0 / (1 - t z0)
 
 The boost uses the half-coefficient convention (the field is G_k with the
 1/2 in front of the quadratic term); the plane rotation "G" omits it.  Which
@@ -34,15 +35,15 @@ thousands of coordinates) still compiles.
 
 Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
 and works out every constant of the start point (r0, -2/(x_k + i r0),
--1/z0, the fixed points and the axis-bound branch) once per trajectory,
-and returns ``t -> coords``.  The float operations that depend on t, and
-their order, are those of a closed form worked out from scratch at each t,
-so the two agree bit for bit.  ``write_trajectory_csv`` is the one pass
-that puts a trajectory beside its closed form: it reads the states as any
-iterable whose first item is the start point, checks each coordinate tuple
-the way ``FlowState`` does (finite, last coordinate nonnegative, finite
-time) and builds the FlowState only when a tuple fails, for the exact
-error it raises.
+-1/z0 and whether it is finite, the fixed points and the axis-bound
+branch) once per trajectory, and returns ``t -> coords``.  The float
+operations that depend on t, and their order, are those of a closed form
+worked out from scratch at each t, so the two agree bit for bit.
+``write_trajectory_csv`` is the one pass that puts a trajectory beside its
+closed form: it reads the states as any iterable whose first item is the
+start point, checks each coordinate tuple the way ``FlowState`` does
+(finite, last coordinate nonnegative, finite time) and builds the
+FlowState only when a tuple fails, for the exact error it raises.
 """
 
 from __future__ import annotations
@@ -287,9 +288,12 @@ def _reference(spec: FlowSpec, p0: FlowState):
             # the origin is a zero of the field: the flow stays there
             return lambda t: coords
         e_f = -1.0 / z0
+        # within about 1e-308 of the origin -1/z0 overflows; the same flow
+        # z0 / (1 - t z0) does not, and a finite -1/z0 keeps its float operations
+        finite = math.isfinite(e_f.real) and math.isfinite(e_f.imag)
 
         def rotation(t):
-            z = -1.0 / (t + e_f)
+            z = -1.0 / (t + e_f) if finite else z0 / (1 - t * z0)
             return z.real, z.imag
 
         return rotation

@@ -196,15 +196,15 @@ def _metric_table(n: int) -> tuple:
 def lie_derivative_metric(field: VectorField) -> SymTensor2:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k.
 
-    The metric entries and their derivatives come from a per-n cache, each
-    d_i X^k is taken once, and each (i, j) entry is one sum of products.
+    The metric entries and their derivatives come from a per-n cache, the
+    d_i X^k from the field's ``jacobian``, and each (i, j) entry is one sum
+    of products.
     """
     n = field.n
     g, g_dense, dg = _metric_table(n)  # dg[(i, j)][k-1] = d_k g_ij
     coords = range(1, n + 1)
     zeros = [LaurentPoly.zero(n)] * n
-    X = field.components
-    dX = [[Xk.deriv(i) for i in coords] for Xk in X]  # dX[k-1][i-1] = d_i X^k
+    X, dX = field.components, field.jacobian  # dX[k-1][i-1] = d_i X^k
     groups = {}
     for i in coords:
         for j in range(i, n + 1):

@@ -15,8 +15,10 @@ matrix, O(k^3)) and the top form w ^ (dw)^m.
 Subalgebra sizes are *measured*, never asserted: ``algebra_closure`` adjoins
 escaping brackets until the span stabilizes and reports what it found.  It
 is the one place where a span's brackets are computed: each basis pair is
-bracketed and reduced once, and the span records the bracket with its
-coordinates over the basis, so structure constants come from that pass.
+bracketed by ``lie_bracket``, the one bracket, and reduced once, and the
+span records the bracket with its coordinates over the basis, so structure
+constants come from that pass.  A bracket reads each field's derivatives
+from its ``jacobian``, which a basis field builds on its first bracket.
 """
 
 from __future__ import annotations
@@ -96,23 +98,16 @@ def generator(name: str, n: int) -> VectorField:
 
 
 def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
-    """[A, B]_j = sum_i (A_i d_i B_j - B_i d_i A_j), one sum of products per j."""
+    """[A, B]_j = sum_i (A_i d_i B_j - B_i d_i A_j), one sum of products per j.
+
+    The derivatives d_i A_j and d_i B_j are read from the fields' ``jacobian``.
+    """
     if A.n != B.n:
         raise DimensionMismatch(f"fields in dimensions {A.n} and {B.n}")
-    return _bracket(A, _derivatives(A), B, _derivatives(B))
-
-
-def _derivatives(field: VectorField) -> tuple:
-    """The table d[j][i] = d_(i+1) X^(j+1) of a field's n^2 first derivatives."""
-    coords = range(1, field.n + 1)
-    return tuple(tuple(comp.deriv(i) for i in coords) for comp in field.components)
-
-
-def _bracket(A: VectorField, dA: tuple, B: VectorField, dB: tuple) -> VectorField:
-    """[A, B] from the fields and their ``_derivatives`` tables, in ``lie_bracket``'s product order."""
     n = A.n
     coords = range(n)
     Ac, Bc = A.components, B.components
+    dA, dB = A.jacobian, B.jacobian
     comps = {}
     for j in coords:
         products = []
@@ -225,14 +220,13 @@ def algebra_closure(seeds: Sequence[VectorField]):
             basis.append(f)
     seed_dim = len(basis)
 
-    tables = [_derivatives(f) for f in basis]  # each basis field's derivatives, taken once
     added = []
     brackets = []
     cap_exceeded = False
     j = 1
     while j < len(basis) and not cap_exceeded:
         for i in range(j):
-            br = _bracket(basis[i], tables[i], basis[j], tables[j])
+            br = lie_bracket(basis[i], basis[j])
             comb = tracker.insert(br)
             if comb is not None:
                 coords = tuple(sorted(comb.items()))
@@ -244,7 +238,6 @@ def algebra_closure(seeds: Sequence[VectorField]):
             else:
                 coords = ((len(basis), Fraction(1)),)
                 basis.append(br)
-                tables.append(_derivatives(br))
                 added.append(((i, j), br))
             brackets.append(((i, j), br, coords))
         j += 1

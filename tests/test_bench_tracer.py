@@ -1,4 +1,4 @@
-"""The benchmark tracer's hooks on ``flow`` and ``verify``.
+"""The benchmark tracer's hooks on ``flow``, ``verify`` and ``algebra``.
 
 ``bench/tracer.py`` wraps the public functions of rbkit and counts work
 through hooks on ``flows.integrate`` (``len(states)``) and
@@ -55,3 +55,9 @@ def test_tracer_counts_the_polynomials_of_verify(tmp_path):
     trace, _ = _traced_and_plain(tmp_path, ["verify", "--params", "params.json", "--trials", "1"])
     assert trace["calls"]["ratlaurent.init"] > 0
     assert trace["counts"]["flows.rk4_steps"] == 0
+
+
+def test_tracer_counts_the_brackets_of_the_closure(tmp_path):
+    trace, _ = _traced_and_plain(tmp_path, ["algebra", "--n", "3"])
+    # the closure brackets each pair of the 6-dimensional so(3,1) once, through lie_bracket
+    assert trace["calls"]["solitons.lie_bracket"] == 15

@@ -727,6 +727,48 @@ def test_flow_closed_form_pole_is_an_escape(tmp_path, capsys):
     assert len(out_path.read_text().splitlines()) == 2  # header and the start row
 
 
+def test_flow_rotation_from_a_start_near_the_origin(tmp_path, capsys):
+    # -1/z0 overflows this close to the origin; the closed form z0 / (1 - t z0) does not
+    out_path = tmp_path / "t.csv"
+    argv = ["flow", "--gen", "G", "--n", "2", "--point", "1e-320,1e-320", "--t-max", "0.01", "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PASS, err
+    assert out.splitlines()[1] == "max_deviation_vs_closed_form: 0.0"
+    assert len(out_path.read_text().splitlines()) == 12  # header and 11 rows
+    # a closed form with no finite value at the start still writes the header alone
+    argv[6] = "1e308,1e308"
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_ESCAPE
+    assert len(out_path.read_text().splitlines()) == 1
+
+
+def test_verify_differentiates_each_field_once(monkeypatch):
+    fields, calls = [], []
+    build, deriv = cli.build_field, LaurentPoly.deriv
+
+    def built(params):
+        fields.append(build(params))
+        return fields[-1]
+
+    def counted(poly, i):
+        calls.append(poly)
+        return deriv(poly, i)
+
+    monkeypatch.setattr(cli, "build_field", built)
+    monkeypatch.setattr(LaurentPoly, "deriv", counted)
+    for n in (3, 4):
+        params = cli.SolitonParams(n=n, a=(1,) * (n - 1), b=1, c=(1,) * (n - 1))
+        fields.clear()
+        calls.clear()
+        cli.cmd_verify(params, 2, 0)
+        assert len(fields) == 3
+        for field in fields:
+            assert len(field.terms) == n  # every component is nonzero, so each is one object
+            on_field = [p for p in calls if any(p is comp for comp in field.terms.values())]
+            # L_X g and the direct L_X w share the field's jacobian: n^2 derivatives, not 2 n^2
+            assert len(on_field) == n * n
+
+
 def test_algebra_plane(capsys):
     code, out, err = run(capsys, ["algebra", "--n", "2"])
     assert code == EXIT_PASS
@@ -760,13 +802,13 @@ def test_algebra_brackets_each_basis_pair_once(monkeypatch):
     from rbkit.cli import cmd_algebra
 
     calls = []
-    bracket = solitons._bracket  # what lie_bracket and the closure both call
+    bracket = solitons.lie_bracket  # the one bracket, which the closure calls too
 
-    def counted(A, dA, B, dB):
+    def counted(A, B):
         calls.append((A, B))
-        return bracket(A, dA, B, dB)
+        return bracket(A, B)
 
-    monkeypatch.setattr(solitons, "_bracket", counted)
+    monkeypatch.setattr(solitons, "lie_bracket", counted)
     for n in range(2, 7):
         calls.clear()
         cmd_algebra(n)

@@ -265,6 +265,25 @@ def test_power_wedge_split_route_builds_each_power_once(monkeypatch):
         power_wedge(alpha, 2)
 
 
+def _fresh_table(field):
+    coords = range(1, field.n + 1)
+    return tuple(tuple(comp.deriv(i) for i in coords) for comp in field.components)
+
+
+def test_jacobian_is_each_fields_own_table():
+    rng = random.Random(22)
+    for n in (2, 3, 4):
+        A, B = rand_field(rng, n), rand_field(rng, n, laurent=True)
+        # both tables are cached before the derived fields are made
+        assert A.jacobian == _fresh_table(A) and B.jacobian == _fresh_table(B)
+        assert A.jacobian[0][n - 1] == A.component(1).deriv(n)  # d[j][i] = d_(i+1) X^(j+1)
+        for field in (A + B, A - B, -A, 2 * A, A * Fraction(1, 3)):
+            assert field.jacobian == _fresh_table(field)
+        assert (A * 0).jacobian == ((LaurentPoly.zero(n),) * n,) * n
+        with pytest.raises(AttributeError):
+            A.jacobian = B.jacobian
+
+
 def test_kform_rejects_bad_index_tuples():
     with pytest.raises(ValueError):
         KForm(3, 2, {(2, 2): LaurentPoly.const(3, 1)})

@@ -360,11 +360,29 @@ def test_closure_takes_each_basis_fields_derivatives_once(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "deriv", counted)
     for n in (2, 3, 4):
+        # fresh fields: the cached generators(n) may carry tables an earlier test built
+        seeds = [generator(name, n) for name in generator_names(n)]
         calls.clear()
-        span, report = algebra_closure(generators(n))
+        span, report = algebra_closure(seeds)
         assert not report.cap_exceeded
         # n^2 derivatives per basis field; a bracket per pair took 2 n^2
         assert len(calls) == report.dimension * n * n
+
+
+def test_lie_bracket_reads_each_fields_table_once(monkeypatch):
+    A, B = generator("G1", 3), generator("D", 3) + generator("T2", 3)
+    first = lie_bracket(A, B)
+    calls = []
+    deriv = LaurentPoly.deriv
+
+    def counted(poly, i):
+        calls.append(i)
+        return deriv(poly, i)
+
+    monkeypatch.setattr(LaurentPoly, "deriv", counted)
+    assert lie_bracket(A, B) == first
+    assert lie_bracket(B, A) == -first
+    assert calls == []
 
 
 def test_structure_constants_plane_table():
