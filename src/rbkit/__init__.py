@@ -50,7 +50,6 @@ from .halfspace import (
 from .ratlaurent import LaurentPoly, parse_rational
 from .solitons import (
     AlgebraSpan,
-    ClosureReport,
     ContactReport,
     algebra_closure,
     build_field,

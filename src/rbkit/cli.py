@@ -21,13 +21,15 @@ coordinates (steps + 1) * n (at most ``flows.MAX_STORED_COORDS``) by
 64.  Values of ``--point``, ``--dt`` and ``--t-max`` may start with "-".
 A start at the origin, a zero of D, of every boost and of the plane
 rotation, stays fixed, at any horizon.  A state at which the closed form
-has no finite value (its pole) ends the CSV and exits 2, like an escape;
+has no finite value (its pole, or a dilation x e^t beyond the float range)
+ends the CSV and exits 2, like an escape;
 if an RK4 step also overflowed, that overflow is the escape printed.  An
 RK4 escape writes the rows before it, at least the start row; a closed
 form with no finite value at the start writes the header alone.
 
-``verify`` builds each instance's field once, and its checks share the
-objects derived from it: L_X g, the dual form w and dw.  Under
+``verify`` builds each instance's field once and runs its checks in one
+pass (``_checks``), which builds L_X g, the dual form w and dw just before
+the first check that reads them and keeps them for the later ones.  Under
 ``--timings`` a shared object's time counts toward the first check that
 builds it.  A witness is formatted only for the record that keeps it (the
 file's instance, or a more severe status), and that formatting is not
@@ -56,7 +58,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import FlowEscape, NonFinite, OddSize, ParseError, RBKitError
 from .exterior import ext_d, lie_derivative_form
@@ -155,76 +156,49 @@ def load_params(path: str) -> SolitonParams:
 # -- verify ------------------------------------------------------------------
 
 
-class _Instance:
-    """One parameter set, its field, and the objects the checks derive from it.
+def _checks(params: SolitonParams, field):
+    """Yield (name, status, witness) for each check of one instance, in record order.
 
-    Each derived object is built by the first check that reads it and
-    shared with the later ones.
+    L_X g, the dual form w and dw are built just before the first check
+    that reads them and kept for the later ones.  A witness may be a
+    function that formats it, for ``cmd_verify`` to call only when a record
+    keeps it.  The contact check runs at odd n only.
     """
+    lie_g = lie_derivative_metric(field)
+    if lie_g.is_zero():
+        yield "killing_residual", "pass", "L_X g = 0"
+    else:
+        yield "killing_residual", "fail", lambda: f"L_X g = {lie_g.text()}"
 
-    def __init__(self, params: SolitonParams, field):
-        self.params, self.field = params, field
-
-    @cached_property
-    def lie_g(self):
-        return lie_derivative_metric(self.field)
-
-    @cached_property
-    def omega(self):
-        return flat(self.field)
-
-    @cached_property
-    def domega(self):
-        return ext_d(self.omega)
-
-
-def _check_killing(inst: _Instance):
-    residual = inst.lie_g
-    if residual.is_zero():
-        return "pass", "L_X g = 0"
-    return "fail", f"L_X g = {residual.text()}"
-
-
-def _check_rb(inst: _Instance):
-    params = inst.params
     lam = params.soliton_constant()
-    residual = rb_residual(inst.lie_g, params)
+    residual = rb_residual(lie_g, params)
     if residual.is_zero():
-        return "pass", f"residual = 0 at lambda = {lam} (rho = {params.rho})"
-    return "fail", f"residual = {residual.text()} at lambda = {lam}"
+        yield "rb_residual", "pass", f"residual = 0 at lambda = {lam} (rho = {params.rho})"
+    else:
+        yield "rb_residual", "fail", lambda: f"residual = {residual.text()} at lambda = {lam}"
 
+    omega = flat(field)
+    domega = ext_d(omega)
+    if not domega.is_zero():
+        yield "dual_form_not_closed", "pass", lambda: f"dw = {domega.text()}"
+    elif params.degenerate:
+        yield "dual_form_not_closed", "degenerate", "dw = 0 (constant field)"
+    else:
+        yield "dual_form_not_closed", "fail", "dw = 0"
 
-def _check_not_closed(inst: _Instance):
-    domega, params = inst.domega, inst.params
-    if domega.is_zero():
-        status = "degenerate" if params.degenerate else "fail"
-        return status, "dw = 0 (constant field)" if params.degenerate else "dw = 0"
-    return "pass", lambda: f"dw = {domega.text()}"
-
-
-def _check_preserved(inst: _Instance):
-    result = lie_derivative_form(inst.field, inst.omega, inst.domega)
+    result = lie_derivative_form(field, omega, domega)
     if result.is_zero():
-        return "pass", "L_X w = 0 (homotopy identity and direct formula agree)"
-    return "fail", f"L_X w = {result.text()}"
+        yield "dual_form_preserved", "pass", "L_X w = 0 (homotopy identity and direct formula agree)"
+    else:
+        yield "dual_form_preserved", "fail", lambda: f"L_X w = {result.text()}"
 
-
-def _check_contact(inst: _Instance):
-    report = contact_report(inst.params, inst.omega, inst.domega)
-    return ("pass" if report.consistent else "fail"), lambda: (
-        f"Pf = {report.pf}; det = {report.det}; "
-        f"top*xn^{inst.params.n} = {report.cleared.text()}; "
-        f"contact = {'true' if report.is_contact else 'false'}; {MATRIX_CONVENTION}"
-    )
-
-
-_VERIFY_CHECKS = (
-    ("killing_residual", _check_killing),
-    ("rb_residual", _check_rb),
-    ("dual_form_not_closed", _check_not_closed),
-    ("dual_form_preserved", _check_preserved),
-    ("contact_consistency", _check_contact),
-)
+    if params.n % 2:
+        report = contact_report(params, omega, domega)
+        yield "contact_consistency", ("pass" if report.consistent else "fail"), lambda: (
+            f"Pf = {report.pf}; det = {report.det}; "
+            f"top*xn^{params.n} = {report.cleared.text()}; "
+            f"contact = {'true' if report.is_contact else 'false'}; {MATRIX_CONVENTION}"
+        )
 
 
 # a running status gives way only to a more severe one: the first fail is
@@ -235,26 +209,27 @@ _SEVERITY = {"pass": 0, "degenerate": 1, "fail": 2}
 def cmd_verify(params: SolitonParams, trials: int, seed: int):
     """Check the file's parameters, then each trial, one instance at a time.
 
-    Each check keeps one running record, its ms summed over the instances.
-    The checks of an instance share its derived objects (``_Instance``).
-    A check may return its witness as a function that formats it, called
-    only when the record keeps the witness and outside the timed interval.
+    Each check keeps one running record, its ms summed over the instances:
+    the time of the ``next`` of ``_checks`` that yields it.  A witness
+    given as a function is called only when the record keeps it, outside
+    the timed interval.
     """
     rng = random.Random(seed)
-    checks = [c for c in _VERIFY_CHECKS if c[0] != "contact_consistency" or params.n % 2]
-    records = [[name, "pass", None, 0.0] for name, _ in checks]
+    records = {}  # name -> [status, witness, ms]
     for k in range(trials + 1):
         label = f"trial {k}" if k else "params"
         instance = random_params(rng, params.n) if k else params
-        inst = _Instance(instance, build_field(instance))
-        for record, (_, check) in zip(records, checks):
-            start = time.perf_counter()
-            status, witness = check(inst)
-            record[3] += _ms_since(start)
-            if k == 0 or _SEVERITY[status] > _SEVERITY[record[1]]:
+        checks = _checks(instance, build_field(instance))
+        start = time.perf_counter()
+        for name, status, witness in checks:
+            ms = _ms_since(start)
+            record = records.setdefault(name, ["pass", None, 0.0])
+            record[2] += ms
+            if k == 0 or _SEVERITY[status] > _SEVERITY[record[0]]:
                 witness = witness() if callable(witness) else witness
-                record[1:3] = status, witness if status == "pass" else f"{label}: {witness}"
-    return [tuple(record) for record in records]
+                record[:2] = status, witness if status == "pass" else f"{label}: {witness}"
+            start = time.perf_counter()
+    return [(name, *record) for name, record in records.items()]
 
 
 # -- contact -----------------------------------------------------------------
@@ -326,8 +301,9 @@ def cmd_algebra(n: int):
         raise _UsageError(f"algebra command supports 2 <= n <= {MAX_ALGEBRA_N}, got {n}")
     start = time.perf_counter()
     names, seeds = generator_names(n), generators(n)
-    span, report = algebra_closure(seeds)
-    basis_names = list(names) + [f"B{i}" for i in range(len(names) + 1, report.dimension + 1)]
+    span = algebra_closure(seeds)
+    dimension = len(span.basis)
+    basis_names = list(names) + [f"B{i}" for i in range(len(names) + 1, dimension + 1)]
     brackets = {pair: field for pair, field, _ in span.brackets}
     table = "; ".join(
         f"[{names[i]},{names[j]}] = {brackets[i, j].text()}"
@@ -335,23 +311,24 @@ def cmd_algebra(n: int):
         for i in range(j)
     )
     added = "; ".join(
-        f"[{basis_names[i]},{basis_names[j]}] = {field.text()}" for (i, j), field in report.added
+        f"[{basis_names[i]},{basis_names[j]}] = {field.text()}" for (i, j), field in span.added
     )
+    already_closed = not span.added and not span.cap_exceeded
     closure_witness = (
-        f"dimension = {report.dimension}; seed_dimension = {report.seed_dimension}; "
-        f"cap = {report.cap}; already_closed = {'true' if report.already_closed else 'false'}; "
-        f"cap_exceeded = {'true' if report.cap_exceeded else 'false'}; "
+        f"dimension = {dimension}; seed_dimension = {span.seed_dimension}; "
+        f"cap = {span.cap}; already_closed = {'true' if already_closed else 'false'}; "
+        f"cap_exceeded = {'true' if span.cap_exceeded else 'false'}; "
         f"adjoined = [{added}]"
     )
     gens = "; ".join(f"{nm} = {f.text()}" for nm, f in zip(names, seeds))
-    closure_status = "degenerate" if report.cap_exceeded else "pass"
+    closure_status = "degenerate" if span.cap_exceeded else "pass"
     # each time is cumulative since the command started
     records = [
         ("generators", "pass", gens, _ms_since(start)),
         ("bracket_table", "pass", table, _ms_since(start)),
         ("closure", closure_status, closure_witness, _ms_since(start)),
     ]
-    if not report.cap_exceeded:
+    if not span.cap_exceeded:
         constants = structure_constants(span)
         text = "; ".join(
             f"c[{basis_names[i - 1]},{basis_names[j - 1]},{basis_names[k - 1]}] = {v}"

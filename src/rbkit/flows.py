@@ -5,7 +5,8 @@ clean fourth-order convergence check matter more here than adaptive speed.
 Closed forms:
 
     translation T_k   x_k(t) = x_k(0) + t
-    dilation D        x(t)   = e^t x(0)
+    dilation D        x(t)   = e^t x(0), or, where e^t overflows,
+                      ((x(0) e^(t/3)) e^(t/3)) e^(t/3)
     boost G_k         z(t) = -2/(t + s0 + i e0), s0 + i e0 = -2/(x_k(0) + i r0)
                       where z = x_k + i r, r^2 = sum_{j != k} x_j^2; the
                       transverse coordinates rescale by r(t)/r0 (fixed angles)
@@ -19,7 +20,8 @@ convention a run used is part of its report.
 Each input is checked once, by its owner: ``FlowSpec`` the generator name,
 ``FlowState`` the start point, ``integrate`` the step, horizon, step count,
 arity and stored size.  A closed form with no finite value (the pole of a
-start on the boundary plane) raises NonFinite.
+start on the boundary plane, or a dilation beyond the float range) raises
+NonFinite.
 
 Compiled step.  ``integrate`` compiles its field once per call into one
 straight-line Python function for a whole RK4 step (``_compile_step``,
@@ -262,7 +264,7 @@ def _reference(spec: FlowSpec, p0: FlowState):
     What depends on p0 alone is worked out here, once; the function does
     only the float operations that depend on t.  It returns the coordinates
     unchecked and raises ArithmeticError where the closed form has no
-    finite value (a pole hit exactly, ``exp`` overflowing).
+    finite value (a pole hit exactly, x e^t overflowing).
     """
     coords = p0.coords
     n = len(coords)
@@ -275,7 +277,17 @@ def _reference(spec: FlowSpec, p0: FlowState):
             return lambda t: coords
 
         def dilation(t):
-            scale = math.exp(t)
+            try:
+                scale = math.exp(t)
+            except OverflowError:
+                # e^t overflows past t = 709.78 though x e^t may not; e^(t/3)
+                # overflows only past t = 2129, where x e^t does too (every
+                # nonzero |x| is at least 2^-1074)
+                third = math.exp(t / 3)
+                moved = tuple(x * third * third * third for x in coords)
+                if not all(map(math.isfinite, moved)):
+                    raise
+                return moved
             return tuple(scale * x for x in coords)
 
         return dilation

@@ -49,9 +49,12 @@ one subtract and mask per key (``_overflow``), and nothing ever wraps.
 Tuples are made only at the readers: the constructor packs them (its
 ``_check``; ``var`` packs its one key directly), and ``terms`` unpacks
 them, together with the ``Fraction`` each coefficient needs.  ``terms`` is
-also read as ``_terms`` by the generic ``SparseMap`` code and ``flows``,
-and by ``items``, ``text`` and ``evaluate``; the span tracker of
-``solitons`` reads ``nums`` and ``den`` directly.
+also read as ``_terms`` by ``items``, ``text`` and ``evaluate`` and by
+``flows``, which compiles each term into its RK4 step.  No generic
+``SparseMap`` code reads it, as ``LaurentPoly`` overrides every inherited
+method that reads ``_terms``; the alias stays because ``bench/tracer.py``
+reads it for the peak term count and coefficient height.  The span
+tracker of ``solitons`` reads ``nums`` and ``den`` directly.
 
 Trusted construction.  Internal results of all four types are built with
 ``_like``, which wraps a clean term map as is in the shape of an existing
@@ -293,7 +296,7 @@ class LaurentPoly(SparseMap):
             for key, num in self.nums.items()
         }
 
-    _terms = terms  # what the generic SparseMap code and flows read
+    _terms = terms  # read by items, text, evaluate, flows and bench/tracer.py
 
     def _check(self, exps, coeff) -> tuple:
         if not isinstance(exps, tuple):

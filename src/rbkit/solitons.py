@@ -13,8 +13,9 @@ its Pfaffian and determinant (fraction-free eliminations on one integer
 matrix, O(k^3)) and the top form w ^ (dw)^m.
 
 Subalgebra sizes are *measured*, never asserted: ``algebra_closure`` adjoins
-escaping brackets until the span stabilizes and reports what it found.  It
-is the one place where a span's brackets are computed: each basis pair is
+escaping brackets until the span stabilizes and returns one ``AlgebraSpan``
+that holds the basis, the brackets and what the closure found.  It is the
+one place where a span's brackets are computed: each basis pair is
 bracketed by ``lie_bracket``, the one bracket, and reduced once, and the
 span records the bracket with its coordinates over the basis, so structure
 constants come from that pass.  A bracket reads each field's derivatives
@@ -175,28 +176,23 @@ class _SpanTracker:
         return None
 
 
-class AlgebraSpan(namedtuple("AlgebraSpan", "basis brackets")):
+class AlgebraSpan(namedtuple("AlgebraSpan", "basis brackets seed_dimension added cap cap_exceeded")):
     """A rational span of vector fields with the brackets of its basis.
 
     ``brackets`` holds one ``((i, j), field, coords)`` record per bracket
     the closure computed, for 0-based basis indices i < j: ``coords`` is the
     sparse tuple of ``(k, c)`` with ``field = sum c e_k``, or None for the
-    bracket that escaped when the closure stopped at its cap.
+    bracket that escaped when the closure stopped at its cap.  The basis
+    starts with the ``seed_dimension`` independent seeds; ``added`` holds
+    ``((i, j), field)`` per adjoined bracket, and ``cap_exceeded`` says that
+    the closure stopped at ``cap``.  The dimension is ``len(basis)``.
     """
 
     __slots__ = ()
 
 
-class ClosureReport(
-    namedtuple("ClosureReport", "dimension seed_dimension already_closed added cap cap_exceeded")
-):
-    """What ``algebra_closure`` found; ``added`` holds ((i, j), field) per adjoined bracket."""
-
-    __slots__ = ()
-
-
-def algebra_closure(seeds: Sequence[VectorField]):
-    """Close a span under brackets; returns (AlgebraSpan, ClosureReport).
+def algebra_closure(seeds: Sequence[VectorField]) -> AlgebraSpan:
+    """Close a span under brackets and return it with what the closure found.
 
     Brackets of basis pairs are adjoined whenever they escape the current
     span, until a pass adds nothing.  The cap is n(n+1)/2, the dimension of
@@ -242,16 +238,7 @@ def algebra_closure(seeds: Sequence[VectorField]):
             brackets.append(((i, j), br, coords))
         j += 1
 
-    span = AlgebraSpan(basis=tuple(basis), brackets=tuple(brackets))
-    report = ClosureReport(
-        dimension=len(basis),
-        seed_dimension=seed_dim,
-        already_closed=not added and not cap_exceeded,
-        added=tuple(added),
-        cap=cap,
-        cap_exceeded=cap_exceeded,
-    )
-    return span, report
+    return AlgebraSpan(tuple(basis), tuple(brackets), seed_dim, tuple(added), cap, cap_exceeded)
 
 
 def structure_constants(span: AlgebraSpan) -> dict:

@@ -181,17 +181,17 @@ def test_c07_five_dim_degeneracy_report():
 
 
 def test_c08_lie_algebra_structure():
-    _, rep2 = algebra_closure([generator(name, 2) for name in ("T1", "D", "G1")])
-    ok = rep2.dimension == 3 and rep2.already_closed and sl2_check()
+    span2 = algebra_closure([generator(name, 2) for name in ("T1", "D", "G1")])
+    ok = len(span2.basis) == 3 and not span2.added and not span2.cap_exceeded and sl2_check()
 
     names = ["T1", "T2", "D", "G1", "G2"]
     seeds = [generator(name, 3) for name in names]
     rotation = lie_bracket(generator("T2", 3), generator("G1", 3))
     ok = ok and span_oracle(rotation, seeds)[1] is None
-    _, rep3 = algebra_closure(seeds)
-    ok = ok and rep3.dimension <= rep3.cap == 6
+    span3 = algebra_closure(seeds)
+    ok = ok and len(span3.basis) <= span3.cap == 6
     ok = ok and any(
-        (names[i], names[j]) == ("T2", "G1") and f == rotation for (i, j), f in rep3.added
+        (names[i], names[j]) == ("T2", "G1") and f == rotation for (i, j), f in span3.added
     )
 
     rng = random.Random(108)
@@ -205,7 +205,7 @@ def test_c08_lie_algebra_structure():
         )
         ok = ok and total.is_zero()
     _report(8, "closure dimensions, escaping bracket, Jacobi on 200 triples", ok,
-            f"n=3 closure dimension {rep3.dimension}")
+            f"n=3 closure dimension {len(span3.basis)}")
 
 
 def test_c09_flow_accuracy_and_convergence(tmp_path):

@@ -144,9 +144,9 @@ def scripted_verify(monkeypatch, scripts, trials, n=3):
     ``scripts`` maps a check name to {instance: (status, witness)}, where
     instance 0 is the file's parameter set and k the k-th trial; an
     instance missing from a script passes with the witness "ok <k>".  The
-    fields are the instance numbers, each check reads the number as the
-    field of the ``cli._Instance`` it is given, and ``calls`` records every
-    build and check in call order.
+    fields are the instance numbers, the scripted ``cli._checks`` reads the
+    number from the field it is given and yields the checks of n in record
+    order, and ``calls`` records every build and check in call order.
     """
     calls, built = [], iter(range(trials + 1))
 
@@ -155,17 +155,13 @@ def scripted_verify(monkeypatch, scripts, trials, n=3):
         calls.append(("build", k))
         return k
 
-    def scripted(name):
-        def check(inst):
-            k = inst.field
+    def scripted(params, k):
+        for name in CHECK_NAMES[: 4 + params.n % 2]:
             calls.append((name, k))
-            return scripts.get(name, {}).get(k, ("pass", f"ok {k}"))
+            yield (name, *scripts.get(name, {}).get(k, ("pass", f"ok {k}")))
 
-        return check
-
-    names = [name for name, _ in cli._VERIFY_CHECKS]
     monkeypatch.setattr(cli, "build_field", build)
-    monkeypatch.setattr(cli, "_VERIFY_CHECKS", tuple((nm, scripted(nm)) for nm in names))
+    monkeypatch.setattr(cli, "_checks", scripted)
     params = cli.SolitonParams(n=n, a=(1,) * (n - 1), b=0, c=(0,) * (n - 1), rho=1)
     records = cli.cmd_verify(params, trials, seed=0)
     return [(name, status, witness) for name, status, witness, _ in records], calls
@@ -199,6 +195,32 @@ def test_verify_non_passing_file_is_labelled_params(monkeypatch):
     records, _ = scripted_verify(monkeypatch, scripts, trials=2)
     assert records[2] == ("dual_form_not_closed", "degenerate", "params: dw = 0")
     assert records[4] == ("contact_consistency", "fail", "params: bad")
+
+
+@pytest.mark.parametrize(
+    "slowed, charged, spared",
+    [
+        ("lie_derivative_metric", "killing_residual", "rb_residual"),
+        ("flat", "dual_form_not_closed", "dual_form_preserved"),
+    ],
+)
+def test_verify_timings_charge_a_shared_object_to_its_first_reader(tmp_path, capsys, monkeypatch, slowed, charged, spared):
+    # L_X g is read by the Killing and RB checks, w by every dual-form check:
+    # each is built once per instance, in the time of the first check that reads it
+    original = getattr(cli, slowed)
+
+    def slow(*args):
+        time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(cli, slowed, slow)
+    instances = 3
+    path = write_params(tmp_path)
+    code, out, err = run(capsys, ["verify", "--params", path, "--trials", str(instances - 1), "--timings"])
+    assert code == EXIT_PASS
+    timing = {r["name"]: r["timing"] for r in records_of(out)}
+    assert timing[charged] >= 50.0 * instances
+    assert timing[spared] < 50.0
 
 
 def test_verify_checks_one_instance_at_a_time(monkeypatch):
@@ -740,6 +762,20 @@ def test_flow_rotation_from_a_start_near_the_origin(tmp_path, capsys):
     code, out, err = run(capsys, argv)
     assert code == EXIT_ESCAPE
     assert len(out_path.read_text().splitlines()) == 1
+
+
+def test_flow_dilation_from_a_start_near_the_origin(tmp_path, capsys):
+    # e^t overflows past t = 709.78, but the closed form 1e-320 e^740, about 23.9, is finite
+    out_path = tmp_path / "t.csv"
+    argv = ["flow", "--gen", "D", "--n", "2", "--point", "1e-320,1e-320", "--t-max", "740", "--dt", "0.5",
+            "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PASS, out
+    header, *rows = out_path.read_text().splitlines()
+    assert len(rows) == 1481
+    cx = [i for i, name in enumerate(header.split(",")) if name.startswith("cx")]
+    assert all(math.isfinite(float(row.split(",")[i])) for row in rows for i in cx)
+    assert math.isclose(float(rows[-1].split(",")[cx[0]]), 1e-320 * math.exp(370) * math.exp(370))
 
 
 def test_verify_differentiates_each_field_once(monkeypatch):

@@ -390,6 +390,21 @@ def test_closed_form_pole_raises_non_finite(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_dilation_closed_form_past_the_overflow_of_exp():
+    # e^t overflows past t = 709.78; x e^t is returned wherever it is a float
+    tiny, unit = FlowState((1e-320, 5e-324)), FlowState((1.25, 0.0))
+    reference = flows._reference(FlowSpec("D", 2), tiny)
+    assert reference(709.0) == (math.exp(709.0) * 1e-320, math.exp(709.0) * 5e-324)
+    x, y = reference(740.0)
+    assert math.isclose(x, 1e-320 * math.exp(370) * math.exp(370))
+    assert math.isclose(y, 5e-324 * math.exp(370) * math.exp(370))
+    assert all(map(math.isfinite, flows._reference(FlowSpec("D", 2), FlowState((5e-324, 5e-324)))(1450.0)))
+    # where x e^t is no float, the closed form still has no finite value
+    for state, t in ((tiny, 1460.0), (tiny, 2200.0), (unit, 710.0)):
+        with pytest.raises(ArithmeticError):
+            flows._reference(FlowSpec("D", 2), state)(t)
+
+
 def test_time_overflow_raises_non_finite():
     # the origin is fixed by D, so only the time stamp can overflow
     p0 = FlowState((0.0, 0.0), 1.7976931348623157e308)

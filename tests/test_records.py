@@ -22,7 +22,6 @@ from helpers import dual_forms
 from rbkit import (
     AlgebraSpan,
     BoundaryPoint,
-    ClosureReport,
     ContactReport,
     FlowSpec,
     FlowState,
@@ -38,7 +37,8 @@ PARAMS = {"n": 3, "a": ("1", "-2"), "b": "1/2", "c": (3, 1), "rho": "1/3"}
 
 def _span_values():
     T, D = generator("T1", 2), generator("D", 2)
-    return {"basis": (T, D), "brackets": (((0, 1), T, ((0, Fraction(1)),)),)}
+    return {"basis": (T, D), "brackets": (((0, 1), T, ((0, Fraction(1)),)),), "seed_dimension": 2,
+            "added": (), "cap": 3, "cap_exceeded": False}
 
 
 def _report_values():
@@ -53,11 +53,6 @@ RECORDS = {
     "FlowState": (FlowState, lambda: {"coords": (0.5, -1, 2), "t": 0.25}),
     "FlowSpec": (FlowSpec, lambda: {"kind": "G1", "n": 3}),
     "AlgebraSpan": (AlgebraSpan, _span_values),
-    "ClosureReport": (
-        ClosureReport,
-        lambda: {"dimension": 3, "seed_dimension": 3, "already_closed": True, "added": (),
-                 "cap": 3, "cap_exceeded": False},
-    ),
     "ContactReport": (ContactReport, _report_values),
 }
 
@@ -65,8 +60,7 @@ FIELDS = {
     "SolitonParams": ("n", "a", "b", "c", "rho", "lam"),
     "FlowState": ("coords", "t"),
     "FlowSpec": ("kind", "n"),
-    "AlgebraSpan": ("basis", "brackets"),
-    "ClosureReport": ("dimension", "seed_dimension", "already_closed", "added", "cap", "cap_exceeded"),
+    "AlgebraSpan": ("basis", "brackets", "seed_dimension", "added", "cap", "cap_exceeded"),
     "ContactReport": ("matrix", "pf", "det", "top_coeff", "cleared", "consistent", "is_contact"),
 }
 

@@ -257,29 +257,34 @@ def _insert_checked(tracker, kept: list, field) -> bool:
     return coords is not None
 
 
+def already_closed(span) -> bool:
+    """What ``rbkit algebra`` prints as already_closed: no bracket adjoined, cap not hit."""
+    return not span.added and not span.cap_exceeded
+
+
 def test_closure_plane_already_closed():
     seeds = [generator(name, 2) for name in ("T1", "D", "G1")]
-    span, report = algebra_closure(seeds)
-    assert report.dimension == 3
-    assert report.already_closed
-    assert report.cap == 3
-    assert not report.cap_exceeded
+    span = algebra_closure(seeds)
+    assert len(span.basis) == 3
+    assert already_closed(span)
+    assert span.cap == 3
+    assert not span.cap_exceeded
 
 
 def test_closure_single_translation():
-    span, report = algebra_closure([generator("T1", 4)])
-    assert report.dimension == 1 and report.already_closed
+    span = algebra_closure([generator("T1", 4)])
+    assert len(span.basis) == 1 and already_closed(span)
 
 
 def test_closure_three_dim_adjoins_rotation():
     names = ["T1", "T2", "D", "G1", "G2"]
     seeds = [generator(name, 3) for name in names]
-    span, report = algebra_closure(seeds)
-    assert report.seed_dimension == 5
-    assert report.dimension == 6
-    assert report.cap == 6
-    assert not report.cap_exceeded
-    ((i, j), adjoined), = report.added
+    span = algebra_closure(seeds)
+    assert span.seed_dimension == 5
+    assert len(span.basis) == 6
+    assert span.cap == 6
+    assert not span.cap_exceeded
+    ((i, j), adjoined), = span.added
     assert (names[i], names[j]) == ("T2", "G1")
     assert adjoined == V(3, {(0, 1, 0): -1}, {(1, 0, 0): 1}, {})
 
@@ -293,9 +298,9 @@ def test_escaping_bracket_is_the_rotation():
 
 def test_closure_monotone_in_seeds():
     base = [generator(name, 3) for name in ("T1", "D")]
-    _, small = algebra_closure(base)
-    _, large = algebra_closure(base + [generator("G1", 3)])
-    assert large.dimension >= small.dimension
+    small = algebra_closure(base)
+    large = algebra_closure(base + [generator("G1", 3)])
+    assert len(large.basis) >= len(small.basis)
 
 
 def _unending_seeds():
@@ -305,20 +310,20 @@ def _unending_seeds():
 
 
 def test_closure_respects_cap():
-    span, report = algebra_closure(_unending_seeds())
-    assert report.cap_exceeded
-    assert report.dimension == report.cap == 3
-    assert report.added == (((0, 1), V(2, {(4, 0): 1}, {})),)
+    span = algebra_closure(_unending_seeds())
+    assert span.cap_exceeded
+    assert len(span.basis) == span.cap == 3
+    assert span.added == (((0, 1), V(2, {(4, 0): 1}, {})),)
 
 
 def test_closure_stops_at_first_escape_when_seeds_exceed_cap():
     # four affine plane seeds d1, x1 d2, x2 d1, x2 d2 already exceed the cap 3,
     # and their first bracket [d1, x1 d2] = d2 escapes their span
     seeds = [V(2, {(0, 0): 1}, {}), V(2, {}, {(1, 0): 1}), V(2, {(0, 1): 1}, {}), V(2, {}, {(0, 1): 1})]
-    span, report = algebra_closure(seeds)
-    assert (report.dimension, report.seed_dimension, report.cap) == (4, 4, 3)
-    assert report.cap_exceeded and not report.already_closed
-    assert report.added == ()
+    span = algebra_closure(seeds)
+    assert (len(span.basis), span.seed_dimension, span.cap) == (4, 4, 3)
+    assert span.cap_exceeded and not already_closed(span)
+    assert span.added == ()
     assert span.brackets == (((0, 1), V(2, {}, {(0, 0): 1}), None),)
 
 
@@ -332,7 +337,7 @@ def test_closure_records_each_bracket_with_its_coordinates():
     ]
     seed_sets.append([generator("T2", 3), generator("G1", 3)])
     for seeds in seed_sets:
-        span, _ = algebra_closure(seeds)
+        span = algebra_closure(seeds)
         basis = list(span.basis)
         dim = len(basis)
         assert [pair for pair, _, _ in span.brackets] == [
@@ -363,10 +368,10 @@ def test_closure_takes_each_basis_fields_derivatives_once(monkeypatch):
         # fresh fields: the cached generators(n) may carry tables an earlier test built
         seeds = [generator(name, n) for name in generator_names(n)]
         calls.clear()
-        span, report = algebra_closure(seeds)
-        assert not report.cap_exceeded
+        span = algebra_closure(seeds)
+        assert not span.cap_exceeded
         # n^2 derivatives per basis field; a bracket per pair took 2 n^2
-        assert len(calls) == report.dimension * n * n
+        assert len(calls) == len(span.basis) * n * n
 
 
 def test_lie_bracket_reads_each_fields_table_once(monkeypatch):
@@ -387,8 +392,8 @@ def test_lie_bracket_reads_each_fields_table_once(monkeypatch):
 
 def test_structure_constants_plane_table():
     T, D, G = generator("T1", 2), generator("D", 2), generator("G", 2)
-    span, report = algebra_closure([T, D, G])
-    assert report.already_closed
+    span = algebra_closure([T, D, G])
+    assert already_closed(span)
     constants = structure_constants(span)
     # [T,D] = T, [T,G] = 2D, [D,G] = G
     assert constants[(1, 2, 1)] == 1
@@ -398,14 +403,14 @@ def test_structure_constants_plane_table():
 
 
 def test_structure_constants_abelian_pair():
-    span, _ = algebra_closure([generator("T1", 3), generator("T2", 3)])
+    span = algebra_closure([generator("T1", 3), generator("T2", 3)])
     assert structure_constants(span) == {}
 
 
 def test_structure_constants_not_closed():
     # [e1, e3] = 2 x1^5 d1 escapes after the cap 3 is reached
-    span, report = algebra_closure(_unending_seeds())
-    assert report.cap_exceeded
+    span = algebra_closure(_unending_seeds())
+    assert span.cap_exceeded
     with pytest.raises(NotClosed, match="elements 1 and 3"):
         structure_constants(span)
 
