@@ -68,6 +68,7 @@ from .halfspace import (
     lie_derivative_metric,
     random_params,
     rb_residual,
+    soliton_lambda,
 )
 from .ratlaurent import parse_rational
 from .solitons import (
@@ -170,7 +171,7 @@ def _checks(params: SolitonParams, field):
     else:
         yield "killing_residual", "fail", lambda: f"L_X g = {lie_g.text()}"
 
-    lam = params.soliton_constant()
+    lam = soliton_lambda(params.n, params.rho)
     residual = rb_residual(lie_g, params)
     if residual.is_zero():
         yield "rb_residual", "pass", f"residual = 0 at lambda = {lam} (rho = {params.rho})"

@@ -377,8 +377,11 @@ def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> f
             try:
                 gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, coords)))
             except OverflowError:
-                # a gap above 1e154 squares past the float limit; hypot scales
-                # instead (only here, so every other gap keeps its bytes)
+                gap = math.inf
+            if gap == math.inf:
+                # near 1e154 a square, or the sum of the squares, passes the
+                # float limit; hypot scales instead (only here, so every
+                # other gap keeps its bytes)
                 gap = math.hypot(*(a - b for a, b in zip(state.coords, coords)))
             handle.write(",".join(map(repr, (state.t, *state.coords, *coords, gap))) + "\n")
             worst = max(worst, gap)

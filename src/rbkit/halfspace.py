@@ -52,30 +52,29 @@ class SymTensor2(SparseMap):
         return "; ".join(f"[{i},{j}] {p.text()}" for (i, j), p in self.items())
 
 
-class SolitonParams(namedtuple("SolitonParams", "n a b c rho lam")):
-    """Parameters (a_1..a_{n-1}, b, c_1..c_{n-1}, rho, lam) of a soliton field.
+class SolitonParams(namedtuple("SolitonParams", "n a b c rho")):
+    """Parameters (a_1..a_{n-1}, b, c_1..c_{n-1}, rho) of a soliton field.
 
-    Every value is stored as Fraction (a and c as tuples).  ``lam`` is
-    optional: when omitted, the soliton constant forced by the trace
-    identities, (n-1)(n*rho - 1), is used.  A parameter set with all a_k = 0
-    and b = 0 gives a constant (possibly zero) field; it is accepted but
-    flagged ``degenerate`` so callers can report it instead of silently
-    treating it as a generic family member.
+    Every value is stored as Fraction (a and c as tuples).  The soliton
+    constant is not a parameter: it is forced by the trace identities,
+    ``soliton_lambda(n, rho)`` = (n-1)(n*rho - 1).  A parameter set with
+    all a_k = 0 and b = 0 gives a constant (possibly zero) field; it is
+    accepted but flagged ``degenerate`` so callers can report it instead
+    of silently treating it as a generic family member.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n, a, b, c, rho=1, lam=None):
+    def __new__(cls, n, a, b, c, rho=1):
         if n < 2:
             raise ValueError(f"dimension must be >= 2, got {n}")
         a, c = tuple(map(Fraction, a)), tuple(map(Fraction, c))
         b, rho = Fraction(b), Fraction(rho)
-        lam = None if lam is None else Fraction(lam)
         if len(a) != n - 1 or len(c) != n - 1:
             raise ValueError(f"a and c must have length n-1 = {n - 1}")
         if rho == 0:
             raise ValueError("rho must be nonzero")
-        return super().__new__(cls, n, a, b, c, rho, lam)
+        return super().__new__(cls, n, a, b, c, rho)
 
     @classmethod
     def _make(cls, values):
@@ -85,9 +84,6 @@ class SolitonParams(namedtuple("SolitonParams", "n a b c rho lam")):
     def degenerate(self) -> bool:
         """True when the field is constant (all a_k and b vanish)."""
         return self.b == 0 and all(x == 0 for x in self.a)
-
-    def soliton_constant(self) -> Fraction:
-        return self.lam if self.lam is not None else soliton_lambda(self.n, self.rho)
 
 
 def random_params(rng, n: int) -> SolitonParams:
@@ -270,10 +266,11 @@ def soliton_lambda(n: int, rho) -> Fraction:
 def rb_residual(lie_g: SymTensor2, params: SolitonParams) -> SymTensor2:
     """Defect of the soliton equation, L_X g + 2 Ric - 2(lam + rho r) g.
 
-    ``lie_g`` is L_X g, ``lie_derivative_metric`` of the field of ``params``.
+    ``lie_g`` is L_X g, ``lie_derivative_metric`` of the field of ``params``,
+    and lam is ``soliton_lambda(n, rho)``.
     """
     n = params.n
-    lam = params.soliton_constant()
+    lam = soliton_lambda(n, params.rho)
     r = scalar_curvature(n)
     factor = LaurentPoly.const(n, 2 * lam) + LaurentPoly.const(n, 2) * params.rho * r
     return lie_g + 2 * ricci(n) - metric(n) * factor

@@ -24,8 +24,12 @@ shape (n, and for forms the grade).  All four inherit from ``SparseMap``
 the validating copy of their public constructors; the three maps with
 ``LaurentPoly`` values also inherit ``+``, ``-``, negation, coefficient
 scaling, ``==``, hashing and the zero test, which ``LaurentPoly`` does
-on its stored form instead (below).  Adding maps of different shapes
-raises ``DimensionMismatch``.
+on its stored form instead (below).  A map adds only to a map of its own
+type and shape: a number is never promoted to a constant polynomial, so
+``p + 1`` raises ``TypeError``, and adding maps of different shapes
+raises ``DimensionMismatch``.  Scaling takes an ``int`` or a ``Fraction``
+(and, for the maps with ``LaurentPoly`` values, a polynomial of the same
+n); a power is a product, or ``LaurentPoly.monomial``.
 
 Stored form.  A ``LaurentPoly`` keeps one denominator ``den`` and a map
 ``nums`` from packed monomial keys to nonzero ``int`` numerators (the
@@ -183,15 +187,10 @@ class SparseMap:
         """What two maps must share to be added or compared."""
         return self.n
 
-    def _promote(self, other):
-        """A non-map operand as a map of this shape, or None."""
-        return None
-
     def _coerce(self, other):
+        """``other`` when it is a map of this type and shape, else None; raises on a shape mismatch."""
         if type(other) is not type(self):
-            other = self._promote(other)
-            if other is None:
-                return None
+            return None
         if other._shape() != self._shape():
             raise DimensionMismatch(
                 f"{type(self).__name__} operands of shapes {self._shape()} and {other._shape()}"
@@ -229,8 +228,6 @@ class SparseMap:
             _accumulate(out, key, value)
         return self._like(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._like({key: -value for key, value in self._terms.items()})
 
@@ -239,12 +236,6 @@ class SparseMap:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def _scale(self, scale):
         """Every coefficient times a scalar; without zero divisors, no new zero appears."""
@@ -354,11 +345,6 @@ class LaurentPoly(SparseMap):
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def _promote(self, other) -> "LaurentPoly | None":
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(self.n, other)
-        return None
-
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
@@ -375,7 +361,7 @@ class LaurentPoly(SparseMap):
                 del out[exps]
         return self._like(out, den)
 
-    __radd__ = __add__
+    __radd__ = __add__  # no other type adds to a polynomial; the name stays for bench/tracer.py
 
     def __neg__(self) -> "LaurentPoly":
         return self._like({exps: -num for exps, num in self.nums.items()}, self.den)
@@ -395,14 +381,6 @@ class LaurentPoly(SparseMap):
         return _sum_products(self.n, ((1, self, other),))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers: build the monomial directly")
-        out = LaurentPoly.const(self.n, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- calculus ----------------------------------------------------------
 

@@ -33,7 +33,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, IndexOutOfRange, NotClosed, OddSize
 from .exterior import KForm, VectorField, power_wedge, wedge
 from .halfspace import SolitonParams
-from .ratlaurent import LaurentPoly, _accumulate, _sum_products
+from .ratlaurent import LaurentPoly, _accumulate, _sum_grouped, _sum_products
 
 # Convention note emitted with every contact report: the antisymmetric
 # parameter matrix uses entries a_i*c_j - a_j*c_i.
@@ -109,16 +109,13 @@ def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
     coords = range(n)
     Ac, Bc = A.components, B.components
     dA, dB = A.jacobian, B.jacobian
-    comps = {}
+    groups = {}
     for j in coords:
-        products = []
+        products = groups[j + 1] = []
         for i in coords:
             products.append((1, Ac[i], dB[j][i]))
             products.append((-1, Bc[i], dA[j][i]))
-        comp = _sum_products(n, products)
-        if comp:
-            comps[j + 1] = comp
-    return A._like(comps)
+    return A._like(_sum_grouped(n, groups))
 
 
 # -- exact linear algebra over a shared monomial frame ----------------------

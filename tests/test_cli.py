@@ -69,6 +69,22 @@ def test_verify_even_dimension_has_no_contact_check(tmp_path, capsys):
     assert [r["name"] for r in records_of(out)] == CHECK_NAMES[:-1]
 
 
+def test_verify_rb_residual_fail_witness_at_a_shifted_lambda(tmp_path, capsys, monkeypatch):
+    # the real check and its SymTensor2 witness, with lambda one above the forced 4
+    forced = halfspace.soliton_lambda
+    for module in (cli, halfspace):
+        monkeypatch.setattr(module, "soliton_lambda", lambda n, rho: forced(n, rho) + 1)
+    path = write_params(tmp_path)
+    code, out, err = run(capsys, ["verify", "--params", path, "--trials", "0"])
+    assert code == EXIT_FAIL
+    by_name = {r["name"]: r for r in records_of(out)}
+    assert by_name["killing_residual"]["status"] == "pass"
+    assert by_name["rb_residual"]["status"] == "fail"
+    assert by_name["rb_residual"]["witness"] == (
+        "params: residual = [1,1] -2*x3^-2; [2,2] -2*x3^-2; [3,3] -2*x3^-2 at lambda = 5"
+    )
+
+
 def test_verify_zero_field_reports_degenerate(tmp_path, capsys):
     path = write_params(
         tmp_path, **{"n": 2, "a": ["0"], "b": "0", "c": ["0"], "rho": "1"}
@@ -776,6 +792,19 @@ def test_flow_dilation_from_a_start_near_the_origin(tmp_path, capsys):
     cx = [i for i, name in enumerate(header.split(",")) if name.startswith("cx")]
     assert all(math.isfinite(float(row.split(",")[i])) for row in rows for i in cx)
     assert math.isclose(float(rows[-1].split(",")[cx[0]]), 1e-320 * math.exp(370) * math.exp(370))
+
+
+def test_flow_error_is_finite_when_only_the_sum_of_squares_overflows(tmp_path, capsys):
+    # at t=1099 each squared coordinate gap, about 9.3e307, is finite, but their sum is not
+    out_path = tmp_path / "d.csv"
+    argv = ["flow", "--gen", "D", "--n", "2", "--point", "5e-324,5e-324", "--t-max", "1450", "--dt", "0.5",
+            "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PASS, out
+    assert "max_deviation_vs_closed_form: 3.726476736953142e+306\n" in out
+    rows = {row.split(",")[0]: row.split(",") for row in out_path.read_text().splitlines()[1:]}
+    assert rows["1099.0"][-1] == "1.361241767934375e+154"
+    assert not any(row[-1] == "inf" for row in rows.values())
 
 
 def test_verify_differentiates_each_field_once(monkeypatch):

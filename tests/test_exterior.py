@@ -93,7 +93,7 @@ def test_ext_d_plane_family_dual_form():
         y3 = LaurentPoly.monomial(2, (0, -3))
         x = LaurentPoly.var(2, 1)
         y = LaurentPoly.var(2, 2)
-        expected = (a * y * y + a * x * x + 2 * b * x + 2 * c) * y3
+        expected = (a * y * y + a * x * x + 2 * b * x + LaurentPoly.const(2, 2 * c)) * y3
         assert domega.coeff((1, 2)) == expected
 
 
@@ -107,10 +107,10 @@ def test_ext_d_three_dim_family_dual_form():
         inv3 = LaurentPoly.monomial(3, (0, 0, -3))
         assert domega.coeff((1, 2)) == 2 * (a1 * x2 - a2 * x1) * inv2
         assert domega.coeff((1, 3)) == (
-            a1 * x3 * x3 + a1 * (x1 * x1 - x2 * x2) + 2 * a2 * x1 * x2 + 2 * b * x1 + 2 * c1
+            a1 * x3 * x3 + a1 * (x1 * x1 - x2 * x2) + 2 * a2 * x1 * x2 + 2 * b * x1 + LaurentPoly.const(3, 2 * c1)
         ) * inv3
         assert domega.coeff((2, 3)) == (
-            a2 * x3 * x3 + a2 * (x2 * x2 - x1 * x1) + 2 * a1 * x1 * x2 + 2 * b * x2 + 2 * c2
+            a2 * x3 * x3 + a2 * (x2 * x2 - x1 * x1) + 2 * a1 * x1 * x2 + 2 * b * x2 + LaurentPoly.const(3, 2 * c2)
         ) * inv3
 
 

@@ -194,7 +194,7 @@ def test_product_past_the_limit_raises():
     bottom = LaurentPoly.monomial(2, (0, -_L))
     inv = LaurentPoly.monomial(2, (0, -1))
     for overflow in (lambda: top * x1, lambda: bottom * inv, lambda: x2 * top * x1, lambda: bottom.deriv(2),
-                     lambda: top * top, lambda: bottom * bottom, lambda: x1**_L,
+                     lambda: top * top, lambda: bottom * bottom,
                      lambda: _sum_products(2, [(1, x2, x2), (-1, top, x1)])):
         with pytest.raises(ExponentOverflow):
             overflow()
@@ -210,7 +210,6 @@ def test_product_exactly_at_the_limit_is_kept():
     assert bottom.terms == {(0, -_L): Fraction(1, 2)}
     assert LaurentPoly.monomial(2, (0, 1 - _L)).deriv(2).terms == {(0, -_L): 1 - _L}
     assert (top * bottom).terms == {(_L - 1, -_L): Fraction(3, 2)}
-    assert x1 ** (_L - 1) == LaurentPoly.monomial(2, (_L - 1, 0))
     for p in (top, bottom, top * bottom):
         _assert_normalised(p)
 

@@ -49,7 +49,7 @@ def _report_values():
 
 # record type, field values (in field order) built afresh on each call
 RECORDS = {
-    "SolitonParams": (SolitonParams, lambda: dict(PARAMS, lam="-4")),
+    "SolitonParams": (SolitonParams, lambda: dict(PARAMS)),
     "FlowState": (FlowState, lambda: {"coords": (0.5, -1, 2), "t": 0.25}),
     "FlowSpec": (FlowSpec, lambda: {"kind": "G1", "n": 3}),
     "AlgebraSpan": (AlgebraSpan, _span_values),
@@ -57,7 +57,7 @@ RECORDS = {
 }
 
 FIELDS = {
-    "SolitonParams": ("n", "a", "b", "c", "rho", "lam"),
+    "SolitonParams": ("n", "a", "b", "c", "rho"),
     "FlowState": ("coords", "t"),
     "FlowSpec": ("kind", "n"),
     "AlgebraSpan": ("basis", "brackets", "seed_dimension", "added", "cap", "cap_exceeded"),
@@ -105,17 +105,17 @@ def test_records_are_immutable(name):
 
 def test_defaults():
     params = SolitonParams(n=2, a=[1], b=0, c=[0])
-    assert (params.rho, params.lam) == (Fraction(1), None)
+    assert params.rho == Fraction(1)
     assert type(params.rho) is Fraction and type(params.a) is tuple
     state = FlowState([1, 2])
     assert state.t == 0.0 and type(state.t) is float and state.coords == (1.0, 2.0)
 
 
 def test_values_are_coerced():
-    params = SolitonParams(**dict(PARAMS, lam=2))
+    params = SolitonParams(**PARAMS)
     assert params.a == (Fraction(1), Fraction(-2)) and params.c == (Fraction(3), Fraction(1))
-    assert (params.b, params.rho, params.lam) == (Fraction(1, 2), Fraction(1, 3), Fraction(2))
-    assert all(type(v) is Fraction for v in params.a + params.c + (params.b, params.rho, params.lam))
+    assert (params.b, params.rho) == (Fraction(1, 2), Fraction(1, 3))
+    assert all(type(v) is Fraction for v in params.a + params.c + (params.b, params.rho))
     state = FlowState((1, 0), 3)
     assert state == ((1.0, 0.0), 3.0) and all(type(x) is float for x in state.coords + (state.t,))
 
