@@ -365,20 +365,30 @@ def _emit(records, timings: bool) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="rbkit", description=__doc__, add_help=True)
+    parser = _Parser(
+        prog="rbkit",
+        description="Exact checks of the Killing fields that make hyperbolic space H^n a\n"
+        "Ricci-Bourguignon soliton, and float flows of its generators.",
+        epilog="exit codes:\n"
+        f"  {EXIT_PASS:<3} every check passed\n"
+        f"  {EXIT_FAIL:<3} some check failed\n"
+        f"  {EXIT_ESCAPE:<3} a flow trajectory escaped at runtime\n"
+        f"  {EXIT_USAGE:<3} usage or parse error",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the identity suite for a parameter file")
+    p_verify = sub.add_parser("verify", help="check the soliton identities of a parameter file")
     p_verify.add_argument("--params", required=True, help="JSON parameter file")
     p_verify.add_argument("--trials", type=int, default=25, help="random parameter sets to sweep")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the random sweep")
     p_verify.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
-    p_contact = sub.add_parser("contact", help="contact diagnostics for odd dimension")
+    p_contact = sub.add_parser("contact", help="decide if the dual 1-form of an odd-n field is contact")
     p_contact.add_argument("--params", required=True)
     p_contact.add_argument("--timings", action="store_true")
 
-    p_flow = sub.add_parser("flow", help="integrate a generator flow and write CSV")
+    p_flow = sub.add_parser("flow", help="RK4 flow of a generator beside its closed form, as CSV")
     p_flow.add_argument("--gen", required=True, help="generator name: D, Tk, Gk, or G (n=2)")
     p_flow.add_argument("--n", type=int, required=True)
     p_flow.add_argument("--point", required=True, help="comma-separated start coordinates")
@@ -386,7 +396,7 @@ def _build_parser() -> _Parser:
     p_flow.add_argument("--dt", type=float, default=1e-3)
     p_flow.add_argument("--out", required=True, help="trajectory CSV path")
 
-    p_algebra = sub.add_parser("algebra", help="bracket table and closure report")
+    p_algebra = sub.add_parser("algebra", help="bracket table and closure report of the Killing generators")
     p_algebra.add_argument("--n", type=int, required=True)
     p_algebra.add_argument("--timings", action="store_true")
     return parser

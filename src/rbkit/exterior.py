@@ -56,12 +56,6 @@ class VectorField(SparseMap):
     def zero(cls, n: int) -> "VectorField":
         return cls([LaurentPoly.zero(n)] * n)
 
-    def component(self, i: int) -> LaurentPoly:
-        """Component X^i, 1-based."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"component index {i} outside 1..{self.n}")
-        return self._terms.get(i, LaurentPoly.zero(self.n))
-
     @property
     def components(self) -> tuple:
         """All n components X^1..X^n, zeros included."""
@@ -117,19 +111,6 @@ class KForm(SparseMap):
     def _shape(self):
         return (self.n, self.grade)
 
-    @classmethod
-    def zero(cls, n: int, grade: int) -> "KForm":
-        return cls(n, grade)
-
-    @classmethod
-    def scalar(cls, n: int, poly: LaurentPoly) -> "KForm":
-        """Wrap a polynomial as a grade-0 form."""
-        return cls(n, 0, {(): poly})
-
-    @classmethod
-    def dx(cls, n: int, i: int) -> "KForm":
-        return cls(n, 1, {(i,): LaurentPoly.const(n, 1)})
-
     def coeff(self, idx: Iterable[int]) -> LaurentPoly:
         return self._terms.get(tuple(idx), LaurentPoly.zero(self.n))
 
@@ -165,7 +146,7 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
         for ib, pb in beta._terms.items():
             if not seen.intersection(ib):
                 groups.setdefault(tuple(sorted(ia + ib)), []).append((_merge_sign(ia, ib), pa, pb))
-    return alpha._like(_sum_grouped(alpha.n, groups), alpha.grade + beta.grade)
+    return alpha._like(_sum_grouped(groups), alpha.grade + beta.grade)
 
 
 def ext_d(alpha: KForm) -> KForm:
@@ -203,13 +184,12 @@ def interior(field: VectorField, alpha: KForm) -> KForm:
             groups.setdefault(idx[:pos] + idx[pos + 1 :], []).append(
                 (-1 if pos % 2 else 1, poly, components[i - 1])
             )
-    return alpha._like(_sum_grouped(alpha.n, groups), alpha.grade - 1)
+    return alpha._like(_sum_grouped(groups), alpha.grade - 1)
 
 
 def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
     # (L_X w)_i = sum_j X^j d_j w_i + w_j d_i X^j, valid on 1-forms only
-    n = omega.n
-    coords = range(1, n + 1)
+    coords = range(1, omega.n + 1)
     w = [omega.coeff((i,)) for i in coords]
     X, dX = field.components, field.jacobian
     groups = {}
@@ -218,7 +198,7 @@ def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
         for j in coords:
             products.append((1, X[j - 1], w[i - 1].deriv(j)))
             products.append((1, w[j - 1], dX[j - 1][i - 1]))
-    return omega._like(_sum_grouped(n, groups))
+    return omega._like(_sum_grouped(groups))
 
 
 def lie_derivative_form(field: VectorField, alpha: KForm, d_alpha: KForm) -> KForm:

@@ -60,7 +60,7 @@ from .exterior import VectorField
 from .halfspace import hyp_distance
 from .solitons import _parse_generator, generator
 
-BOUNDARY_EPS = 1e-9  # stop before xn^-2 evaluations overflow
+BOUNDARY_EPS = 1e-9  # an interior trajectory whose xn falls to this level has escaped
 COORD_LIMIT = 1e9  # rotation flows blow up in finite time near the pole
 MAX_STEPS = 10**6  # integrate keeps every state; this bounds how many
 MAX_STORED_COORDS = 10**7  # and this their coordinates, (steps + 1) * n: under 500 MB
@@ -204,7 +204,10 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     """Fixed-step RK4 trajectory from p0; raises BoundaryEscape/NonFinite.
 
     Either escape carries the valid prefix of the trajectory, at least p0; a
-    float overflow inside a step is reported as NonFinite.  A dt that is not
+    float overflow or a division by zero inside a step (a negative power of
+    xn at xn = 0) is reported as NonFinite.  A horizon that is not a whole
+    number of steps, to within 1e-12 * t_max, ends with one shorter step,
+    landing on t_max.  A dt that is not
     positive and finite, a negative t_max, a step count t_max / dt that is
     not finite or exceeds MAX_STEPS, a field whose dimension differs from
     the arity of p0, or more than MAX_STORED_COORDS stored coordinates
@@ -220,11 +223,11 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         raise ValueError(f"t_max / dt = {ratio!r} exceeds the limit of {MAX_STEPS} steps")
     if field.n != p0.n:
         raise ValueError(f"field dimension {field.n} differs from state arity {p0.n}")
-    nsteps = int(round(ratio))
-    if abs(nsteps * dt - t_max) > 1e-12 * max(1.0, t_max):
+    nsteps = steps = round(ratio)
+    if abs(nsteps * dt - t_max) > 1e-12 * t_max:
         nsteps = int(ratio)
+        steps = nsteps + 1  # the last step, t_max - nsteps * dt, is then positive
     leftover = t_max - nsteps * dt
-    steps = nsteps + 1 if leftover > 1e-15 else nsteps
     stored = (steps + 1) * p0.n
     if stored > MAX_STORED_COORDS:
         raise ValueError(
@@ -245,6 +248,9 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         except OverflowError as exc:
             # float ** raises where * would give inf
             raise NonFinite(f"float overflow in the RK4 step from t={t}", states) from exc
+        except ZeroDivisionError as exc:
+            # 0.0 ** -k: a negative power of xn on the unwatched boundary plane
+            raise NonFinite(f"division by zero in the RK4 step from t={t}", states) from exc
         t += h
         if not all(map(isfinite, y)):
             raise NonFinite(f"non-finite coordinates at t={t}", states)

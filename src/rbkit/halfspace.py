@@ -210,7 +210,7 @@ def lie_derivative_metric(field: VectorField) -> SymTensor2:
                 products.append((1, X[k - 1], dg_ij[k - 1]))
                 products.append((1, g_dense[k - 1][j - 1], dX[k - 1][i - 1]))
                 products.append((1, g_dense[i - 1][k - 1], dX[k - 1][j - 1]))
-    return g._like(_sum_grouped(n, groups))
+    return g._like(_sum_grouped(groups))
 
 
 def ricci(n: int) -> SymTensor2:

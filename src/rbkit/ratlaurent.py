@@ -53,12 +53,13 @@ one subtract and mask per key (``_overflow``), and nothing ever wraps.
 Tuples are made only at the readers: the constructor packs them (its
 ``_check``; ``var`` packs its one key directly), and ``terms`` unpacks
 them, together with the ``Fraction`` each coefficient needs.  ``terms`` is
-also read as ``_terms`` by ``items``, ``text`` and ``evaluate`` and by
-``flows``, which compiles each term into its RK4 step.  No generic
-``SparseMap`` code reads it, as ``LaurentPoly`` overrides every inherited
-method that reads ``_terms``; the alias stays because ``bench/tracer.py``
-reads it for the peak term count and coefficient height.  The span
-tracker of ``solitons`` reads ``nums`` and ``den`` directly.
+also read as ``_terms`` by ``text`` and ``evaluate`` and by ``flows``,
+which compiles each term into its RK4 step.  Of the inherited
+``SparseMap`` methods only ``items`` reads it (terms in ascending
+exponent-tuple order); ``LaurentPoly`` overrides every other one that
+reads ``_terms``.  ``bench/tracer.py`` reads the alias for the peak term
+count and coefficient height.  The span tracker of ``solitons`` reads
+``nums`` and ``den`` directly.
 
 Trusted construction.  Internal results of all four types are built with
 ``_like``, which wraps a clean term map as is in the shape of an existing
@@ -79,8 +80,9 @@ over (sign, a, b) triples, and one private kernel, ``_sum_products``,
 computes each of them exactly: ``p * q`` is its one-pair case, and the
 wedge and interior products, the Lie bracket and the direct Lie
 derivatives of a form and of the metric group their products by output
-key and make one kernel call per output coefficient (``_sum_grouped``).
-Its invariants:
+key and make one kernel call per output coefficient (``_sum_grouped``,
+which reads the arity of each call from the group's first factor).  Its
+invariants:
 
 - each pair costs one ``int`` add for its key (``ka - zero`` is taken once
   per term of ``a``) and one multiply of numerators, accumulated into one
@@ -287,7 +289,7 @@ class LaurentPoly(SparseMap):
             for key, num in self.nums.items()
         }
 
-    _terms = terms  # read by items, text, evaluate, flows and bench/tracer.py
+    _terms = terms  # read by SparseMap.items, text, evaluate, flows and bench/tracer.py
 
     def _check(self, exps, coeff) -> tuple:
         if not isinstance(exps, tuple):
@@ -323,14 +325,9 @@ class LaurentPoly(SparseMap):
         return cls.zero(n)._like({_layout(n)[0] + (1 << _WIDTH * (n - i)): 1})
 
     @classmethod
-    def monomial(cls, n: int, exps: Sequence[int], coeff=1) -> "LaurentPoly":
-        return cls(n, {tuple(exps): Fraction(coeff)})
-
-    # -- inspection --------------------------------------------------------
-
-    def items(self) -> Iterator[tuple[Exponents, Fraction]]:
-        """Terms in ascending graded-lex order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0])))
+    def monomial(cls, n: int, exps: Sequence[int]) -> "LaurentPoly":
+        """The monomial x^exps with coefficient 1; scale it for another coefficient."""
+        return cls(n, {tuple(exps): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -476,11 +473,14 @@ def _sum_products(n: int, products) -> LaurentPoly:
     return LaurentPoly.zero(n)._like(nums, den)
 
 
-def _sum_grouped(n: int, groups: dict) -> dict:
-    """{key: _sum_products(n, products)} over groups, keeping the nonzero sums."""
+def _sum_grouped(groups: dict) -> dict:
+    """{key: sum of products} over groups, keeping the nonzero sums.
+
+    Every group is nonempty, so its arity is that of its first factor.
+    """
     out = {}
     for key, products in groups.items():
-        total = _sum_products(n, products)
+        total = _sum_products(products[0][1].n, products)
         if total:
             out[key] = total
     return out

@@ -105,8 +105,7 @@ def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
     """
     if A.n != B.n:
         raise DimensionMismatch(f"fields in dimensions {A.n} and {B.n}")
-    n = A.n
-    coords = range(n)
+    coords = range(A.n)
     Ac, Bc = A.components, B.components
     dA, dB = A.jacobian, B.jacobian
     groups = {}
@@ -115,7 +114,7 @@ def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
         for i in coords:
             products.append((1, Ac[i], dB[j][i]))
             products.append((-1, Bc[i], dA[j][i]))
-    return A._like(_sum_grouped(n, groups))
+    return A._like(_sum_grouped(groups))
 
 
 # -- exact linear algebra over a shared monomial frame ----------------------

@@ -219,7 +219,7 @@ def decompose(v: Sequence, params: SolitonParams, point: Sequence):
     if pt[-1] <= 0:
         raise BoundaryPoint("point not in the open half-space")
     field = build_field(params)
-    xp = [field.component(i).evaluate(pt) for i in range(1, n + 1)]
+    xp = [comp.evaluate(pt) for comp in field.components]
     weight = pt[-1] ** -2
     omega_x = sum(x * x for x in xp) * weight
     if omega_x == 0:
@@ -244,9 +244,7 @@ def rhs_oracle(field: VectorField):
     right; the compiled right-hand side and RK4 step of ``rbkit.flows``
     must give the same floats, bit for bit.
     """
-    comps = []
-    for i in range(1, field.n + 1):
-        comps.append([(float(c), exps) for exps, c in field.component(i).terms.items()])
+    comps = [[(float(c), exps) for exps, c in comp.terms.items()] for comp in field.components]
 
     def rhs(y) -> list:
         out = []
@@ -370,7 +368,7 @@ def interior_oracle(field: VectorField, alpha: KForm) -> KForm:
     out = {}
     for idx, poly in alpha.terms.items():
         for pos, i in enumerate(idx):
-            term = mul_oracle(poly, field.component(i))
+            term = mul_oracle(poly, field.components[i - 1])
             if term:
                 _accumulate(out, idx[:pos] + idx[pos + 1 :], -term if pos % 2 else term)
     return KForm(alpha.n, alpha.grade - 1, out)
@@ -383,8 +381,8 @@ def lie_derivative_direct_oracle(field: VectorField, omega: KForm) -> KForm:
     for i in range(1, n + 1):
         total = LaurentPoly.zero(n)
         for j in range(1, n + 1):
-            total = total + mul_oracle(field.component(j), omega.coeff((i,)).deriv(j))
-            total = total + mul_oracle(omega.coeff((j,)), field.component(j).deriv(i))
+            total = total + mul_oracle(field.components[j - 1], omega.coeff((i,)).deriv(j))
+            total = total + mul_oracle(omega.coeff((j,)), field.components[j - 1].deriv(i))
         out[(i,)] = total
     return KForm(n, 1, out)
 
@@ -398,9 +396,9 @@ def lie_derivative_metric_oracle(field: VectorField) -> SymTensor2:
         for j in range(i, n + 1):
             total = LaurentPoly.zero(n)
             for k in range(1, n + 1):
-                total = total + mul_oracle(field.component(k), g.get(i, j).deriv(k))
-                total = total + mul_oracle(g.get(k, j), field.component(k).deriv(i))
-                total = total + mul_oracle(g.get(i, k), field.component(k).deriv(j))
+                total = total + mul_oracle(field.components[k - 1], g.get(i, j).deriv(k))
+                total = total + mul_oracle(g.get(k, j), field.components[k - 1].deriv(i))
+                total = total + mul_oracle(g.get(i, k), field.components[k - 1].deriv(j))
             out[(i, j)] = total
     return SymTensor2(n, out)
 
@@ -412,8 +410,8 @@ def lie_bracket_oracle(A: VectorField, B: VectorField) -> VectorField:
     for j in range(1, n + 1):
         total = LaurentPoly.zero(n)
         for i in range(1, n + 1):
-            total = total + mul_oracle(A.component(i), B.component(j).deriv(i))
-            total = total - mul_oracle(B.component(i), A.component(j).deriv(i))
+            total = total + mul_oracle(A.components[i - 1], B.components[j - 1].deriv(i))
+            total = total - mul_oracle(B.components[i - 1], A.components[j - 1].deriv(i))
         comps.append(total)
     return VectorField(comps)
 

@@ -89,8 +89,8 @@ def _direct_lie_oracle(X, omega):
     for i in range(1, n + 1):
         total = LaurentPoly.zero(n)
         for j in range(1, n + 1):
-            total = total + X.component(j) * omega.coeff((i,)).deriv(j)
-            total = total + omega.coeff((j,)) * X.component(j).deriv(i)
+            total = total + X.components[j - 1] * omega.coeff((i,)).deriv(j)
+            total = total + omega.coeff((j,)) * X.components[j - 1].deriv(i)
         if total:
             out[(i,)] = total
     return KForm(n, 1, out)

@@ -901,6 +901,18 @@ def test_algebra_closes_up_to_the_limit(n, capsys):
     assert by_name["structure_constants"]["status"] == "pass"
 
 
+def test_help_is_written_for_users(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("verify", "contact", "flow", "algebra"):
+        assert f"    {command} " in out
+    for code, meaning in ((0, "every check passed"), (1, "some check failed"), (2, "escaped"), (64, "usage")):
+        assert any(line.split()[:1] == [str(code)] and meaning in line for line in out.splitlines())
+    assert "``" not in out and "_emit" not in out
+
+
 def test_usage_error_on_unknown_command(capsys):
     code, _, err = run(capsys, ["frobnicate"])
     assert code == EXIT_USAGE

@@ -410,3 +410,20 @@ def test_time_overflow_raises_non_finite():
     p0 = FlowState((0.0, 0.0), 1.7976931348623157e308)
     with pytest.raises(NonFinite, match="at t=inf"):
         integrate(generator("D", 2), p0, 3e295, 1e295)
+
+
+@pytest.mark.parametrize("t_max,dt,steps", [(1.6e-13, 1e-13, 2), (3.5e-13, 1e-13, 4), (1e-20, 0.1, 1)])
+def test_short_horizon_ends_on_t_max(t_max, dt, steps):
+    # a horizon that is not a whole number of steps ends with one shorter step
+    states = integrate(generator("T1", 2), FlowState((0.0, 1.0)), t_max, dt)
+    assert len(states) == steps + 1
+    assert states[-1] == FlowState((t_max, 1.0), t_max)
+
+
+def test_division_by_zero_in_a_step_raises_non_finite():
+    # xn^-2 at a start on the boundary plane, which is not watched
+    inverse = VectorField([LaurentPoly.zero(2), LaurentPoly.monomial(2, (0, -2))])
+    p0 = FlowState((0.0, 0.0))
+    with pytest.raises(NonFinite, match="division by zero in the RK4 step from t=0.0") as exc:
+        integrate(inverse, p0, 1.0, 0.1)
+    assert exc.value.trajectory == [p0]

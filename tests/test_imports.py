@@ -1,11 +1,13 @@
-"""Every module of the package uses each name it imports, and imports only
-the standard library and its own modules.
+"""Every module of the package uses each name it imports, imports only
+the standard library and its own modules, and holds no ``assert``.
 
 ``rbkit/__init__.py`` is left out of the first check: its imports are the
 package's re-exports.  A name counts as used when it is read anywhere in
 the module, in a quoted annotation too.  The run time stays stdlib-only, so
 every absolute import of every module, ``__init__.py`` included, must name
-a module of ``sys.stdlib_module_names``.
+a module of ``sys.stdlib_module_names``.  The in-library cross-checks
+raise ``AssertionError`` themselves, so they also run under ``python -O``,
+which drops every ``assert`` statement.
 """
 
 import ast
@@ -74,3 +76,9 @@ def test_absolute_imports_are_read_from_every_import_form():
 def test_module_imports_only_the_standard_library(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert sorted(absolute_imports(tree) - sys.stdlib_module_names) == []
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_module_holds_no_assert_statement(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

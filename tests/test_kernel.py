@@ -92,12 +92,12 @@ def test_sum_of_products_matches_fraction_loop(case):
 
 
 def test_cancelling_sum_is_the_zero_polynomial():
-    x = LaurentPoly.monomial(2, (1, -1), Fraction(-2, 3))
+    x = Fraction(-2, 3) * LaurentPoly.monomial(2, (1, -1))
     y = LaurentPoly(2, {(0, 1): Fraction(3, 4), (1, 0): Fraction(-5, 2)})
     total = _sum_products(2, [(1, x, y), (-1, y, x), (1, x, x), (1, -x, x)])
     assert total.is_zero() and total.terms == {}
     # a key cancels in the sum while its neighbours survive
-    partial = _sum_products(2, [(1, x, y), (-1, x, LaurentPoly.monomial(2, (0, 1), Fraction(3, 4)))])
+    partial = _sum_products(2, [(1, x, y), (-1, x, Fraction(3, 4) * LaurentPoly.monomial(2, (0, 1)))])
     assert partial.terms == {(2, -1): Fraction(5, 3)}
 
 
@@ -204,9 +204,9 @@ def test_product_past_the_limit_raises():
 
 def test_product_exactly_at_the_limit_is_kept():
     x1 = LaurentPoly.var(2, 1)
-    top = LaurentPoly.monomial(2, (_L - 2, 0), 3) * x1
+    top = 3 * LaurentPoly.monomial(2, (_L - 2, 0)) * x1
     assert top.terms == {(_L - 1, 0): 3}
-    bottom = LaurentPoly.monomial(2, (0, -(_L - 1))) * LaurentPoly.monomial(2, (0, -1), Fraction(1, 2))
+    bottom = LaurentPoly.monomial(2, (0, -(_L - 1))) * (Fraction(1, 2) * LaurentPoly.monomial(2, (0, -1)))
     assert bottom.terms == {(0, -_L): Fraction(1, 2)}
     assert LaurentPoly.monomial(2, (0, 1 - _L)).deriv(2).terms == {(0, -_L): 1 - _L}
     assert (top * bottom).terms == {(_L - 1, -_L): Fraction(3, 2)}

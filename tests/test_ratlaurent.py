@@ -92,8 +92,8 @@ def test_deriv_power_rule():
 def test_deriv_laurent_power_rule():
     # c * xn^-2 -> -2c * xn^-3
     c = Fraction(3, 7)
-    p = LaurentPoly.monomial(3, (0, 0, -2), c)
-    assert p.deriv(3) == LaurentPoly.monomial(3, (0, 0, -3), -2 * c)
+    p = c * LaurentPoly.monomial(3, (0, 0, -2))
+    assert p.deriv(3) == -2 * c * LaurentPoly.monomial(3, (0, 0, -3))
 
 
 def test_deriv_kills_constant_terms():
@@ -133,7 +133,7 @@ def test_evaluate_rejects_boundary():
 
 
 def test_is_zero_detects_tiny_nonzero():
-    p = LaurentPoly.monomial(3, (0, 0, -3), Fraction(1, 10**12))
+    p = Fraction(1, 10**12) * LaurentPoly.monomial(3, (0, 0, -3))
     assert not p.is_zero()
 
 
@@ -208,8 +208,8 @@ def test_numbers_are_not_promoted_to_polynomials():
     ):
         with pytest.raises(TypeError):
             operation()
-    assert 2 * p == LaurentPoly.monomial(2, (1, 0), 2)
-    assert p * Fraction(1, 2) == LaurentPoly.monomial(2, (1, 0), Fraction(1, 2))
+    assert 2 * p == LaurentPoly(2, {(1, 0): 2})
+    assert p * Fraction(1, 2) == LaurentPoly(2, {(1, 0): Fraction(1, 2)})
 
 
 def test_parse_rational():
@@ -379,7 +379,7 @@ def test_field_results_are_clean(operands):
 
 
 def test_zero_maps_are_falsy_and_hashable():
-    zeros = [LaurentPoly.zero(3), VectorField.zero(3), KForm.zero(3, 2), SymTensor2(3)]
+    zeros = [LaurentPoly.zero(3), VectorField.zero(3), KForm(3, 2), SymTensor2(3)]
     for zero in zeros:
         assert zero.is_zero() and not zero
         assert hash(zero) == hash(zero + zero)
@@ -389,10 +389,13 @@ def test_zero_maps_are_falsy_and_hashable():
 
 
 def test_mixed_shape_addition_is_a_dimension_mismatch():
+    def dx(n, i):
+        return KForm(n, 1, {(i,): LaurentPoly.const(n, 1)})
+
     pairs = [
         (LaurentPoly.var(2, 1), LaurentPoly.var(3, 1)),
-        (KForm.dx(2, 1), KForm.dx(3, 1)),
-        (KForm.dx(3, 1), wedge(KForm.dx(3, 1), KForm.dx(3, 2))),
+        (dx(2, 1), dx(3, 1)),
+        (dx(3, 1), wedge(dx(3, 1), dx(3, 2))),
         (SymTensor2(2), SymTensor2(3)),
         (VectorField([LaurentPoly.var(2, 1)] * 2), VectorField([LaurentPoly.var(3, 1)] * 3)),
     ]

@@ -86,7 +86,7 @@ def test_build_field_three_dim_boost():
 def test_build_field_mixed_term_couples_components():
     # the a_2 parameter contributes a_2 x_2 x_1 to the first component
     X = build_field(SolitonParams(n=3, a=(0, 1), b=0, c=(0, 0)))
-    assert X.component(1) == LaurentPoly(3, {(1, 1, 0): 1})
+    assert X.components[0] == LaurentPoly(3, {(1, 1, 0): 1})
 
 
 def test_build_field_linearity():
@@ -559,7 +559,7 @@ def test_pfaffian_plucker_identity_for_rank_two_matrices():
 def test_contact_report_three_dim_contact_case():
     params = SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1))
     report = contact_report(params, *dual_forms(params))
-    assert report.top_coeff == LaurentPoly.monomial(3, (0, 0, -3), -2)
+    assert report.top_coeff == -2 * LaurentPoly.monomial(3, (0, 0, -3))
     assert report.pf == 1
     assert report.consistent
     assert report.is_contact
@@ -658,7 +658,7 @@ def test_decompose_field_direction():
     params = SolitonParams(n=3, a=(1, 0), b=0, c=(0, 1))
     point = (0, 0, 1)
     X = build_field(params)
-    xp = [X.component(i).evaluate(point) for i in (1, 2, 3)]
+    xp = [comp.evaluate(point) for comp in X.components]
     s, v_ker = decompose(xp, params, point)
     assert s == 1
     assert all(v == 0 for v in v_ker)
@@ -681,7 +681,7 @@ def test_decompose_splitting_property():
         point = (rand_fraction(rng), rand_fraction(rng), abs(rand_fraction(rng)) + 1)
         v = tuple(rand_fraction(rng) for _ in range(3))
         s, v_ker = decompose(v, params, point)
-        xp = [X.component(i).evaluate(point) for i in (1, 2, 3)]
+        xp = [comp.evaluate(point) for comp in X.components]
         assert tuple(k + s * x for k, x in zip(v_ker, xp)) == v
         assert sum(k * x for k, x in zip(v_ker, xp)) == 0  # w_p(v_ker) = 0
 
