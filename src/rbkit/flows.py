@@ -31,9 +31,18 @@ float operations of that step and their order are part of the byte
 contract of the trajectory CSV: a component is 0.0 plus its terms in
 ``terms`` order, a term is its coefficient times ``x**e`` left to right,
 stage inputs are y + 0.5 * h * k (y + h * k for the last stage), and the
-update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  Each term is one
-statement, so a component with thousands of terms (the boost G1 in
-thousands of coordinates) still compiles.
+update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The step leaves
+out only what is the identity bit for bit in IEEE 754: ``x**1`` is
+written as ``x`` (it can neither overflow nor divide by zero, so the same
+errors are raised), and a coefficient 1.0 before a factor is dropped
+(``1.0 * x`` is ``x``).  ``x**2`` stays a ``pow``, whose rounding ``x * x``
+need not share.  Each term is one statement, so a component with
+thousands of terms (the boost G1 in thousands of coordinates) still
+compiles.  After each step one test covers the common case: the last
+coordinate is inside, the sum of the ``|y_j|`` is at most COORD_LIMIT
+(finite and within the limit only when every coordinate is) and t is
+finite.  Only when it fails do the separate checks run, in their order,
+so each escape keeps its type and message.
 
 Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
 and works out every constant of the start point (r0, -2/(x_k + i r0),
@@ -135,22 +144,27 @@ class FlowSpec(namedtuple("FlowSpec", "kind n")):
 
 
 def _terms(field: VectorField, constants: dict) -> list:
-    """Each component of field as a list of (coefficient name, [(j, e), ...]).
+    """Each component of field as a list of terms, each a list of factor texts.
 
-    The terms keep their ``terms`` order, and a term lists the coordinate
-    index j and exponent e of each nonzero exponent, left to right.  Each
-    coefficient is bound in constants as a float under its generated name,
-    so the source text built from this holds only generated names and
-    integer exponents.
+    The terms keep their ``terms`` order.  A term is its coefficient, then
+    ``@j`` or ``@j**e`` for each coordinate index j of nonzero exponent e,
+    left to right, where ``@`` stands for the name of the coordinates it is
+    evaluated at.  Each coefficient is bound in constants as a float under
+    its generated name, so the source text built from this holds only
+    generated names and integer exponents.  Two factors are left out, as
+    each is the identity bit for bit: the exponent 1 (x**1 is x, and it can
+    neither overflow nor divide by zero) and a coefficient whose float is
+    1.0 when a factor follows it (1.0 * x is x).
     """
     components = []
     for i, poly in enumerate(field.components):
         terms = []
         for t, (exps, coeff) in enumerate(poly._terms.items()):
+            # LaurentPoly admits only int exponents, so the source holds integer literals
+            factors = [f"@{j}" if e == 1 else f"@{j}**{e}" for j, e in enumerate(exps) if e]
             name = f"K{i}_{t}"
             constants[name] = float(coeff)
-            # LaurentPoly admits only int exponents, so the source holds integer literals
-            terms.append((name, [(j, e) for j, e in enumerate(exps) if e]))
+            terms.append(factors if factors and constants[name] == 1.0 else [name, *factors])
         components.append(terms)
     return components
 
@@ -159,16 +173,16 @@ def _sum_lines(dest: str, terms: list, var: str) -> list:
     """Statements that set dest to one component at the coordinates var0, var1, ...
 
     The component is 0.0 plus its terms in order (the 0.0 keeps the sign of
-    a zero sum), one statement per term, and a term is its coefficient times
-    var_j**e left to right: the float operations and their order are part
-    of the byte contract of the trajectory CSV.  ``**`` stays, so that a
-    float overflow raises OverflowError.  One statement per term keeps the
-    nesting of the source at the factor count of one term, whatever the
-    number of terms.
+    a zero sum), one statement per term, and a term is the product of its
+    factors left to right: the float operations and their order are part of
+    the byte contract of the trajectory CSV.  Every power but x**1 keeps
+    ``**``, so that a float overflow raises OverflowError and x**2 keeps the
+    rounding of ``pow``.  One statement per term keeps the nesting of the
+    source at the factor count of one term, whatever the number of terms.
     """
     lines, total = [], "0.0"
-    for name, factors in terms:
-        lines.append(f"{dest} = {total} + {name}" + "".join(f" * {var}{j}**{e}" for j, e in factors))
+    for term in terms:
+        lines.append(f"{dest} = {total} + " + " * ".join(term).replace("@", var))
         total = dest
     return lines or [f"{dest} = 0.0"]
 
@@ -235,6 +249,7 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         )
     step = _compile_step(field)
     states = [p0]
+    append, trusted = states.append, FlowState._trusted
     y = p0.coords
     # a start on the boundary plane stays there exactly; only interior
     # trajectories can "escape" through the xn threshold
@@ -252,15 +267,18 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
             # 0.0 ** -k: a negative power of xn on the unwatched boundary plane
             raise NonFinite(f"division by zero in the RK4 step from t={t}", states) from exc
         t += h
-        if not all(map(isfinite, y)):
-            raise NonFinite(f"non-finite coordinates at t={t}", states)
-        escaped = y[-1] <= BOUNDARY_EPS if watch_boundary else y[-1] < 0.0
-        if escaped or max(map(abs, y)) > COORD_LIMIT:
-            raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
-        if not isfinite(t):
-            # only from a start time near the float limit
-            raise NonFinite(f"non-finite state {y} at t={t}", states)
-        states.append(FlowState._trusted(y, t))
+        # the sum of the |y_j| is finite and within the limit only when every
+        # |y_j| is; when the test fails, the checks below raise the escape
+        inside = y[-1] > BOUNDARY_EPS if watch_boundary else y[-1] >= 0.0
+        if not (inside and sum(map(abs, y)) <= COORD_LIMIT and isfinite(t)):
+            if not all(map(isfinite, y)):
+                raise NonFinite(f"non-finite coordinates at t={t}", states)
+            if not inside or max(map(abs, y)) > COORD_LIMIT:
+                raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
+            if not isfinite(t):
+                # only from a start time near the float limit
+                raise NonFinite(f"non-finite state {y} at t={t}", states)
+        append(trusted(y, t))
     return states
 
 
@@ -317,7 +335,13 @@ def _reference(spec: FlowSpec, p0: FlowState):
         return rotation
     # boost Gk, the only kind left
     xk = coords[k - 1]
-    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
+    transverse = coords[: k - 1] + coords[k:]
+    r0 = math.sqrt(sum(x * x for x in transverse))
+    if r0 == math.inf:
+        # past about 1.34e154 a square, or the sum of the squares, passes the
+        # float limit; hypot scales instead (only here, so every other r0
+        # keeps its bytes)
+        r0 = math.hypot(*transverse)
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open
         # half-space, where r0 >= xn > 0
@@ -361,6 +385,7 @@ def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> f
     """
     n = spec.n
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"cx{i}" for i in range(1, n + 1)] + ["err"]
+    row = ",".join(["%r"] * len(header)) + "\n"  # %r is repr: the bytes of ",".join(map(repr, ...))
     worst = 0.0
     isfinite = math.isfinite
     with open(path, "w", encoding="utf-8") as handle:
@@ -381,7 +406,7 @@ def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> f
                 # the checks of FlowState failed; it raises their exact error
                 FlowState(coords, p0.t + t)
             try:
-                gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(state.coords, coords)))
+                gap = math.sqrt(sum([(a - b) ** 2 for a, b in zip(state.coords, coords)]))
             except OverflowError:
                 gap = math.inf
             if gap == math.inf:
@@ -389,6 +414,6 @@ def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> f
                 # float limit; hypot scales instead (only here, so every
                 # other gap keeps its bytes)
                 gap = math.hypot(*(a - b for a, b in zip(state.coords, coords)))
-            handle.write(",".join(map(repr, (state.t, *state.coords, *coords, gap))) + "\n")
+            handle.write(row % (state.t, *state.coords, *coords, gap))
             worst = max(worst, gap)
     return worst

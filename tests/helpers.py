@@ -293,7 +293,11 @@ def closed_flow_oracle(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
         z = -1.0 / (t + (-1.0 / z0))
         return FlowState((z.real, z.imag), p0.t + t)
     # boost Gk, the only kind left
-    r0 = math.sqrt(sum(x * x for i, x in enumerate(coords) if i != k - 1))
+    transverse = [x for i, x in enumerate(coords) if i != k - 1]
+    r0 = math.sqrt(sum(x * x for x in transverse))
+    if r0 == math.inf:
+        # a square, or the sum of the squares, passed the float limit
+        r0 = math.hypot(*transverse)
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open
         # half-space, where r0 >= xn > 0

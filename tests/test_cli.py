@@ -605,6 +605,17 @@ def test_flow_escape_overwrites_a_stale_csv(tmp_path, capsys):
     assert tmp_path.is_dir()
 
 
+def test_flow_boost_start_row_survives_a_radius_overflow(tmp_path, capsys):
+    # r0^2 = 1e400 passes the float limit; r0 falls back to hypot, so the
+    # closed form is finite at t=0 and the start row is written
+    out_path = tmp_path / "o.csv"
+    argv = ["flow", "--gen", "G1", "--n", "2", "--point", "1,1e200", "--t-max", "0.001", "--dt", "0.001"]
+    code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+    assert code == EXIT_ESCAPE
+    assert out.splitlines()[1] == "escape: float overflow in the RK4 step from t=0.0"
+    assert out_path.read_text().splitlines() == ["t,x1,x2,cx1,cx2,err", "0.0,1.0,1e+200,0.0,1e+200,1.0"]
+
+
 def test_flow_gap_whose_square_overflows_is_finite(tmp_path, capsys):
     # at x1 = 1e300 the closed form of G1 is off by about 1e284 in the last
     # bit; that gap is finite although its square is not

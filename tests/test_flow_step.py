@@ -9,14 +9,18 @@ values included, must give the oracle's floats by ``float.hex``, so that
 from ``**``, ZeroDivisionError from ``0.0**-e``) on the same inputs.
 """
 
+import itertools
+import math
+import re
+import struct
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rhs_oracle, rk4_step_oracle
-from rbkit import FlowSpec, FlowState, LaurentPoly, VectorField, generator, integrate
-from rbkit.flows import _compile_step
+from rbkit import FlowSpec, FlowState, LaurentPoly, VectorField, generator, generator_names, integrate
+from rbkit.flows import _compile_step, _sum_lines, _terms
 
 
 @st.composite
@@ -68,6 +72,35 @@ def test_overflow_and_zero_division_are_reached():
     zero, y = VectorField.zero(3), (-0.0, -2.0, 0.0)
     expected = ["-0x0.0p+0", "-0x1.0000000000000p+1", "0x0.0p+0"]
     assert outcome(_compile_step(zero), y, -1.0) == outcome(rk4_step_oracle, rhs_oracle(zero), y, -1.0) == expected
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_unit_power_and_unit_coefficient_keep_every_bit():
+    # the compiled step writes x**1 as x and drops a coefficient 1.0 before
+    # a factor; both must hold for every class of float, signs included
+    powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values = [0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan] + powers
+    for x in values + [-v for v in values]:
+        assert _bits(x**1) == _bits(x) and _bits(1.0 * x) == _bits(x), x
+
+
+def test_compiled_generator_steps_match_the_oracle_with_the_elisions():
+    # every generator but a translation (a constant 1.0) has a unit
+    # coefficient or exponent to elide, and so a bare coordinate in its step
+    grid = (-0.0, 0.0, 0.5, -1.25, 3.0)
+    for n in range(2, 8):
+        for name in generator_names(n) + (("G",) if n == 2 else ()):
+            field = generator(name, n)
+            source = [line for terms in _terms(field, {}) for line in _sum_lines("a", terms, "y")]
+            assert any(re.search(r"y\d+(?![\d*])", line) for line in source) == (name[0] != "T"), name
+            step, rhs = _compile_step(field), rhs_oracle(field)
+            points = itertools.islice(itertools.product(grid, repeat=n), 0, None, 1 + 5**n // 400)
+            for y in points:
+                for h in (1e-3, -0.5):
+                    assert outcome(step, y, h) == outcome(rk4_step_oracle, rhs, y, h), (name, y, h)
 
 
 def test_step_of_a_component_with_thousands_of_terms():

@@ -355,6 +355,17 @@ def test_coordinate_blowup_detected():
         integrate(field, FlowState((1.0, 1.0)), 1.2, 1e-3)
 
 
+def test_coordinate_limit_is_per_coordinate():
+    # the first state with some |x_j| past COORD_LIMIT ends the trajectory
+    with pytest.raises(BoundaryEscape, match=r"at t=3\.0$") as exc:
+        integrate(generator("T1", 2), FlowState((flows.COORD_LIMIT - 2.5, 1.0)), 5.0, 1.0)
+    assert [state.t for state in exc.value.trajectory] == [0.0, 1.0, 2.0]
+    # a sum of |x_j| past the limit, with each one within it, is no escape
+    big = 0.75 * flows.COORD_LIMIT
+    states = integrate(generator("T1", 3), FlowState((big, -big, big)), 1e3, 1.0)
+    assert len(states) == 1001 and states[-1].coords == (big + 1e3, -big, big)
+
+
 def test_trajectory_csv_format(tmp_path):
     spec = FlowSpec(kind="D", n=2)
     p0 = FlowState((0.0, 1.0))

@@ -70,6 +70,9 @@ CASES = {
                 "--t-max", "3", "--dt", "0.01", "--out", "{csv}"],
     "flow_G2": ["flow", "--gen", "G2", "--n", "5", "--point", "0.2,-0.5,0.7,-0.1,0.9",
                 "--t-max", "3", "--dt", "0.01", "--out", "{csv}"],
+    # the heaviest operation of the benchmark: 30000 RK4 steps and CSV rows
+    "flow_G2_long": ["flow", "--gen", "G2", "--n", "5", "--point", "0.2,-0.5,0.7,-0.1,0.9",
+                     "--t-max", "30", "--dt", "0.001", "--out", "{csv}"],
     # the dilation's closed form is the one that calls math.exp
     "flow_D": ["flow", "--gen", "D", "--n", "3", "--point", "0.2,0.1,0.7",
                "--t-max", "1", "--dt", "0.01", "--out", "{csv}"],
@@ -117,6 +120,7 @@ GOLDEN = {
     "flow_G1": (0, "82a5b4df596a27ccd63607858b3427d0240301e5d4f7c7c5960a0ba896108fc9", "85abb8c246b1eb21079dc5ab656baa95fd3643a0d835aa8d6f835385f3827341"),
     "flow_G1_axis": (0, "af06faf0b959dbffd8b235419a087241847ad9ba2abca5b5d481186604d26c1b", "d13f4ff01549556c6e3f193e0aba01698dd195351663beec33bebdc82d9cbb53"),
     "flow_G2": (0, "07ad162d9fa8b6fa2aa1b9c788bdf7f106afe9366e3e1f7f605e0182c62e0201", "26b94527e6d02f811a3c279ffe5ba8a1b46714bf54e41455ab9179e362e4853d"),
+    "flow_G2_long": (0, "e77fc99fa02595135268ea360b7c750b43aea532a09b75be55cf87372a72946a", "1992448bd9cab1c39736dcd7c7c9f00096ccb3f637e2b5095b0a955a41e99c13"),
     "flow_G_origin": (0, "affc973ecc3129402fae4efd5de21b26c85f7944f42467a292b04b1061f91e3d", "2fcc4d88460754e33c0f4a1f53fce2f0ed0282ba5585b31f76166640b1d160e3"),
     "flow_T1": (0, "08dbee142f9469cfd2dd24381727f94a1c8c845c4c43f2b5580334f6298661a0", "a9566ded2e028e678b1d5045bc8abee6f4f5f084066edd21cd256cd76260b260"),
     "usage_arity": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
