@@ -86,7 +86,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ESCAPE = 2
 EXIT_USAGE = 64
-MAX_TRIALS = 10**4  # a time budget: one n = 15 instance takes about 0.24 s, so about 40 minutes
+MAX_TRIALS = 10**4  # a time budget: one n = 15 instance takes about 0.09 s, so about 15 minutes
 MAX_ALGEBRA_N = 9  # the closure brackets every pair of its n(n+1)/2 basis fields
 MAX_PARAMS_N = 15  # contact's top form w ^ (dw)^m: about 0.08 s at n = 15, 0.5 s at n = 21
 MAX_FLOW_N = 1000  # a boost Gk holds about 2n^2 exponents; n = 8000 took 995 MB

@@ -46,8 +46,9 @@ so each escape keeps its type and message.
 
 Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
 and works out every constant of the start point (r0, -2/(x_k + i r0),
--1/z0 and whether it is finite, the fixed points and the axis-bound
-branch) once per trajectory, and returns ``t -> coords``.  The float
+-1/z0 and whether it is finite, the fixed points, the axis-bound
+branch, and the power-of-two scale of a boost whose radius passes the
+float range) once per trajectory, and returns ``t -> coords``.  The float
 operations that depend on t, and their order, are those of a closed form
 worked out from scratch at each t, so the two agree bit for bit.
 ``write_trajectory_csv`` is the one pass that puts a trajectory beside its
@@ -342,6 +343,14 @@ def _reference(spec: FlowSpec, p0: FlowState):
         # float limit; hypot scales instead (only here, so every other r0
         # keeps its bytes)
         r0 = math.hypot(*transverse)
+    if r0 == math.inf:
+        # the radius itself passes the float limit.  A boost is quadratic, so
+        # its flow is x(t) = s phi_(s t)(x / s) for every s > 0; with s the
+        # power of two at the largest |x_j| the scaled radius is finite, and
+        # the scaling of the start is exact
+        s = math.ldexp(1.0, math.frexp(max(map(abs, coords)))[1] - 1)
+        scaled = _reference(spec, FlowState(tuple(x / s for x in coords)))
+        return lambda t: tuple(s * x for x in scaled(s * t))
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open
         # half-space, where r0 >= xn > 0

@@ -15,7 +15,9 @@ interpreter of a field and its RK4 step used as the oracle for the
 compiled flow step, and the product-by-product ``Fraction`` loops of the
 polynomial product, the wedge and interior products, the Lie bracket and
 the direct Lie derivatives, used as oracles for the integer
-sum-of-products kernel in ``rbkit.ratlaurent``, the closed-form flow
+sum-of-products kernel in ``rbkit.ratlaurent``, the dense index-cube loops
+of the Christoffel symbols, Ricci tensor and scalar curvature, used as
+oracles for the stored-entry contractions of ``rbkit.halfspace``, the closed-form flow
 worked out from its start point at each call, used as the oracle for the
 per-trajectory closed form of ``rbkit.flows``, and that closed form at one
 time (``closed_state``) and the largest gap of the trajectory CSV pass
@@ -43,6 +45,7 @@ from rbkit import (
     flat,
     integrate,
     interior,
+    inverse_metric,
     metric,
     RBKitError,
     pfaffian,
@@ -298,6 +301,16 @@ def closed_flow_oracle(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
     if r0 == math.inf:
         # a square, or the sum of the squares, passed the float limit
         r0 = math.hypot(*transverse)
+    if r0 == math.inf:
+        # the radius passes the float limit too: the boost is quadratic, so
+        # x(t) = s phi_(s t)(x / s), here with s = 2^(e-1) for the largest |x_j| < 2^e
+        s = 2.0 ** (math.frexp(max(abs(x) for x in coords))[1] - 1)
+        y = [x / s for x in coords]
+        ry = math.sqrt(sum(x * x for i, x in enumerate(y) if i != k - 1))
+        z = -2.0 / (s * t + (-2.0 / complex(y[k - 1], ry)))
+        out = [s * (x * (z.imag / ry)) for x in y]
+        out[k - 1] = s * z.real
+        return FlowState(tuple(out), p0.t + t)
     if r0 == 0.0:
         # axis-bound Riccati solution; unreachable from the open
         # half-space, where r0 >= xn > 0
@@ -405,6 +418,60 @@ def lie_derivative_metric_oracle(field: VectorField) -> SymTensor2:
                 total = total + mul_oracle(g.get(i, k), field.components[k - 1].deriv(j))
             out[(i, j)] = total
     return SymTensor2(n, out)
+
+
+# -- dense index-cube oracles of the metric layer --------------------------------
+
+
+def christoffel_oracle(n: int) -> dict:
+    """(1/2) g^kl (d_j g_il + d_i g_jl - d_l g_ij) summed over every k, i, j, l, zeros dropped."""
+    g, ginv = metric(n), inverse_metric(n)
+    half = Fraction(1, 2)
+    out = {}
+    for k in range(1, n + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                total = LaurentPoly.zero(n)
+                for l in range(1, n + 1):
+                    gkl = ginv.get(k, l)
+                    if not gkl:
+                        continue
+                    total = total + half * gkl * (
+                        g.get(j, l).deriv(i) + g.get(i, l).deriv(j) - g.get(i, j).deriv(l)
+                    )
+                if total:
+                    out[(k, i, j)] = total
+    return out
+
+
+def ricci_oracle(n: int) -> SymTensor2:
+    """R_ij = d_k G^k_ij - d_i G^k_kj + G^k_kl G^l_ij - G^k_il G^l_kj over every k, l, from ``christoffel_oracle``."""
+    gam = christoffel_oracle(n)
+    zero = LaurentPoly.zero(n)
+
+    def G(k, i, j):
+        return gam.get((k, i, j), zero)
+
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            total = LaurentPoly.zero(n)
+            for k in range(1, n + 1):
+                total = total + G(k, i, j).deriv(k) - G(k, k, j).deriv(i)
+                for l in range(1, n + 1):
+                    total = total + G(k, k, l) * G(l, i, j) - G(k, i, l) * G(l, k, j)
+            out[(i, j)] = total
+    return SymTensor2(n, out)
+
+
+def scalar_curvature_oracle(n: int) -> LaurentPoly:
+    """g^ij R_ij over every i, j, from ``ricci_oracle``."""
+    ginv, ric = inverse_metric(n), ricci_oracle(n)
+    total = LaurentPoly.zero(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            total = total + ginv.get(i, j) * ric.get(i, j)
+    return total
 
 
 def lie_bracket_oracle(A: VectorField, B: VectorField) -> VectorField:

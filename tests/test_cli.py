@@ -616,6 +616,21 @@ def test_flow_boost_start_row_survives_a_radius_overflow(tmp_path, capsys):
     assert out_path.read_text().splitlines() == ["t,x1,x2,cx1,cx2,err", "0.0,1.0,1e+200,0.0,1e+200,1.0"]
 
 
+def test_flow_boost_start_row_survives_a_radius_past_the_float_limit(tmp_path, capsys):
+    # hypot(1.7e308, 1.7e308) is inf as well; the closed form scales the
+    # start by a power of two instead, so the start row is written
+    out_path = tmp_path / "o.csv"
+    argv = ["flow", "--gen", "G1", "--n", "3", "--point", "1,1.7e308,1.7e308", "--t-max", "0.001", "--dt", "0.001"]
+    code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+    assert code == EXIT_ESCAPE
+    assert out.splitlines()[1] == "escape: float overflow in the RK4 step from t=0.0"
+    header, start = out_path.read_text().splitlines()
+    assert header == "t,x1,x2,x3,cx1,cx2,cx3,err"
+    row = [float(v) for v in start.split(",")]
+    assert row[:4] == [0.0, 1.0, 1.7e308, 1.7e308]
+    assert row[5:7] == [1.7e308, 1.7e308] and abs(row[4] - 1.0) < 1e-15 and row[7] < 1e-15
+
+
 def test_flow_gap_whose_square_overflows_is_finite(tmp_path, capsys):
     # at x1 = 1e300 the closed form of G1 is off by about 1e284 in the last
     # bit; that gap is finite although its square is not
@@ -843,6 +858,34 @@ def test_verify_differentiates_each_field_once(monkeypatch):
             on_field = [p for p in calls if any(p is comp for comp in field.terms.values())]
             # L_X g and the direct L_X w share the field's jacobian: n^2 derivatives, not 2 n^2
             assert len(on_field) == n * n
+
+
+def test_verify_differentiates_each_dual_form_once(monkeypatch):
+    # dw and the direct L_X w both read the 1-form's derivative table, built
+    # once per instance: n^2 derivatives of w, not n(n-1) + n^2
+    forms, calls = [], []
+    flat, deriv = cli.flat, LaurentPoly.deriv
+
+    def made(field):
+        forms.append(flat(field))
+        return forms[-1]
+
+    def counted(poly, i):
+        calls.append(poly)
+        return deriv(poly, i)
+
+    monkeypatch.setattr(cli, "flat", made)
+    monkeypatch.setattr(LaurentPoly, "deriv", counted)
+    for n in (3, 4, 6):
+        params = cli.SolitonParams(n=n, a=(1,) * (n - 1), b=1, c=(1,) * (n - 1))
+        forms.clear()
+        calls.clear()
+        cli.cmd_verify(params, 2, 0)
+        assert len(forms) == 3
+        for omega in forms:
+            assert len(omega.terms) == n  # every coefficient is nonzero, so each is one object
+            on_form = [p for p in calls if any(p is coeff for coeff in omega.terms.values())]
+            assert len(on_form) == n * n
 
 
 def test_algebra_plane(capsys):

@@ -286,6 +286,44 @@ def test_jacobian_is_each_fields_own_table():
             A.jacobian = B.jacobian
 
 
+def _fresh_form_table(omega):
+    coords = range(1, omega.n + 1)
+    return tuple(tuple(omega.coeff((i,)).deriv(j) for j in coords) for i in coords)
+
+
+def test_jacobian_is_each_one_forms_own_table(monkeypatch):
+    rng = random.Random(27)
+    for n in (2, 3, 4, 5):
+        w, v = rand_kform(rng, n, 1, terms=n), rand_kform(rng, n, 1, terms=n)
+        assert w.jacobian == _fresh_form_table(w)
+        assert w.jacobian[0][n - 1] == w.coeff((1,)).deriv(n)  # d[i][j] = d_(j+1) w_(i+1)
+        for form in (w + v, w - v, -w, 3 * w, KForm(n, 1, w.terms)):
+            assert form.jacobian == _fresh_form_table(form)
+        dw = ext_d(w)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert dw.coeff((i, j)) == w.coeff((j,)).deriv(i) - w.coeff((i,)).deriv(j)
+        with pytest.raises(ValueError, match="1-forms"):
+            dw.jacobian
+        with pytest.raises(AttributeError):
+            w.jacobian = v.jacobian
+    # once the table is built, ext_d and the direct Lie derivative differentiate nothing of w
+    X, w = rand_field(rng, 4), rand_kform(rng, 4, 1, terms=4)
+    X.jacobian, w.jacobian
+    from rbkit import exterior
+
+    calls, deriv = [], LaurentPoly.deriv
+
+    def counted(poly, i):
+        calls.append(poly)
+        return deriv(poly, i)
+
+    monkeypatch.setattr(LaurentPoly, "deriv", counted)
+    ext_d(w)
+    exterior._lie_derivative_direct(X, w)
+    assert not [p for p in calls if any(p is c for c in w.terms.values())]
+
+
 def test_kform_rejects_bad_index_tuples():
     with pytest.raises(ValueError):
         KForm(3, 2, {(2, 2): LaurentPoly.const(3, 1)})

@@ -242,6 +242,8 @@ def _closed_form_cases(rng):
     cases += [(FlowSpec("G", 2), (2.0, 0.0)), (FlowSpec("G", 2), (-2.0, -0.0))]
     cases += [(FlowSpec("G1", 2), (4.0, 0.0)), (FlowSpec("G2", 3), (0.0, -4.0, 0.0))]
     cases += [(FlowSpec("G1", 3), (0.5, 0.0, -0.0)), (FlowSpec("G1", 3), (0.0, 0.0, 0.0))]
+    # boosts whose transverse radius passes the float limit even under hypot
+    cases += [(FlowSpec("G1", 3), (1.0, 1.7e308, 1.7e308)), (FlowSpec("G2", 4), (-1e308, 0.5, -1.7e308, 1e308))]
     # the translation reaching the float limit, the dilation overflowing
     cases += [(FlowSpec("T1", 2), (1.7e308, 1.0)), (FlowSpec("D", 2), (1e10, 1.0))]
     return cases

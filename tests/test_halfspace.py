@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import lie_derivative_metric_oracle, rand_field
+from helpers import (
+    christoffel_oracle,
+    lie_derivative_metric_oracle,
+    rand_field,
+    ricci_oracle,
+    scalar_curvature_oracle,
+)
 from rbkit import (
     BoundaryPoint,
     LaurentPoly,
@@ -128,6 +134,15 @@ def test_failed_christoffel_cross_check_is_not_cached(monkeypatch):
     monkeypatch.undo()
     assert christoffel(3) == halfspace._christoffel_closed(3)
     assert ricci(3) == -2 * metric(3)
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 15])
+def test_stored_entry_contractions_match_the_dense_loops(n):
+    # the metric formula, Ric and r contract over stored entries only; the
+    # oracles sum every index of the cube
+    assert halfspace._christoffel_from_metric(n) == christoffel_oracle(n)
+    assert ricci(n) == ricci_oracle(n)
+    assert scalar_curvature(n) == scalar_curvature_oracle(n)
 
 
 def test_ricci_proportional_to_metric():
