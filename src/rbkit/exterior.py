@@ -2,13 +2,12 @@
 
 Both are ``ratlaurent.SparseMap``s.  A vector field maps the 1-based index
 i of each nonzero component to X^i; ``components`` is the dense tuple of
-all n, zeros included.  ``jacobian`` is the field's one table of first
-derivatives d[j][i] = d_(i+1) X^(j+1), built on first read and kept; the
-Lie bracket, L_X g and the direct L_X w all read it, so a field is
-differentiated once.  A 1-form keeps the same kind of table, d[i][j] =
-d_(j+1) w_(i+1), which its exterior derivative and the direct L_X w both
-read.  A sum, negation or multiple is a new field or form that builds its
-own table.
+all n, zeros included.  Every first derivative is read from one cached
+``partials`` per polynomial, so the Lie bracket, L_X g, the exterior
+derivative and the direct L_X w share the partials of a component or
+coefficient, and a polynomial held by several fields or forms is
+differentiated once.  A sum, negation or multiple is a new field or form
+whose new coefficients build their own partials.
 
 A grade-k form is stored sparsely: strictly increasing index tuples
 (i1 < ... < ik, 1-based) map to nonzero coefficient polynomials.  Grade-0
@@ -36,7 +35,7 @@ IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
 class VectorField(SparseMap):
     """n contravariant components, each a LaurentPoly in x1..xn, stored by 1-based index."""
 
-    __slots__ = ("_terms", "_jacobian")
+    __slots__ = ("_terms",)
 
     def __init__(self, components: Sequence[LaurentPoly]):
         components = tuple(components)
@@ -64,13 +63,6 @@ class VectorField(SparseMap):
         zero = LaurentPoly.zero(self.n)
         return tuple(self._terms.get(i, zero) for i in range(1, self.n + 1))
 
-    @property
-    def jacobian(self) -> tuple:
-        """The table d[j][i] = d_(i+1) X^(j+1) of the n^2 first derivatives, built on first read."""
-        if not hasattr(self, "_jacobian"):
-            self._jacobian = _first_derivatives(self.components)
-        return self._jacobian
-
     def text(self) -> str:
         return "(" + ", ".join(p.text() for p in self.components) + ")"
 
@@ -78,16 +70,10 @@ class VectorField(SparseMap):
         return f"VectorField{self.text()}"
 
 
-def _first_derivatives(polys: tuple) -> tuple:
-    """The table d[j][i] = d_(i+1) polys[j], every polynomial in len(polys) coordinates."""
-    coords = range(1, len(polys) + 1)
-    return tuple(tuple(p.deriv(i) for i in coords) for p in polys)
-
-
 class KForm(SparseMap):
     """Grade-k differential form in dimension n, sparsely stored."""
 
-    __slots__ = ("grade", "_terms", "_jacobian")
+    __slots__ = ("grade", "_terms")
 
     def __init__(self, n: int, grade: int, terms=None):
         if grade < 0:
@@ -120,15 +106,6 @@ class KForm(SparseMap):
 
     def coeff(self, idx: Iterable[int]) -> LaurentPoly:
         return self._terms.get(tuple(idx), LaurentPoly.zero(self.n))
-
-    @property
-    def jacobian(self) -> tuple:
-        """On a 1-form, the table d[i][j] = d_(j+1) w_(i+1) of the n^2 first derivatives, built on first read."""
-        if self.grade != 1:
-            raise ValueError(f"the derivative table is kept for 1-forms, not grade {self.grade}")
-        if not hasattr(self, "_jacobian"):
-            self._jacobian = _first_derivatives(tuple(self.coeff((i,)) for i in range(1, self.n + 1)))
-        return self._jacobian
 
     def text(self) -> str:
         if not self._terms:
@@ -168,19 +145,14 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
 def ext_d(alpha: KForm) -> KForm:
     """Exterior derivative.
 
-    On 1-forms the (i, j) coefficient is dw_j/dx_i - dw_i/dx_j for i < j,
-    read from the form's ``jacobian``; the general grade uses the same
-    insert-with-sign rule per coordinate.
+    Each coefficient's d_i is read from its ``partials`` and inserted at
+    coordinate i with the sign of the move; on 1-forms the (i, j)
+    coefficient is dw_j/dx_i - dw_i/dx_j for i < j.
     """
-    n = alpha.n
-    table = alpha.jacobian if alpha.grade == 1 else None
     out: dict[IndexTuple, LaurentPoly] = {}
     for idx, poly in alpha._terms.items():
-        for i in range(1, n + 1):
-            if i in idx:
-                continue
-            dpoly = table[idx[0] - 1][i - 1] if table else poly.deriv(i)
-            if not dpoly:
+        for i, dpoly in enumerate(poly.partials, 1):
+            if i in idx or not dpoly:
                 continue
             pos = bisect_left(idx, i)
             if pos % 2:
@@ -207,15 +179,16 @@ def interior(field: VectorField, alpha: KForm) -> KForm:
 
 def _lie_derivative_direct(field: VectorField, omega: KForm) -> KForm:
     # (L_X w)_i = sum_j X^j d_j w_i + w_j d_i X^j, valid on 1-forms only
-    coords = range(1, omega.n + 1)
-    w = [omega.coeff((i,)) for i in coords]
-    X, dX, dw = field.components, field.jacobian, omega.jacobian
+    coords = range(omega.n)
+    X = field.components
+    w = [omega.coeff((i + 1,)) for i in coords]
+    dX, dw = [p.partials for p in X], [p.partials for p in w]  # dX[j][i] = d_(i+1) X^(j+1)
     groups = {}
     for i in coords:
-        products = groups[(i,)] = []
+        products = groups[(i + 1,)] = []
         for j in coords:
-            products.append((1, X[j - 1], dw[i - 1][j - 1]))
-            products.append((1, w[j - 1], dX[j - 1][i - 1]))
+            products.append((1, X[j], dw[i][j]))
+            products.append((1, w[j], dX[j][i]))
     return omega._like(_sum_grouped(groups))
 
 

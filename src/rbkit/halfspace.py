@@ -11,7 +11,9 @@ the cross-check are cached.
 Every contraction runs over stored entries only: the metric formula over
 the stored g^kl and the nonzero d_m g_ab, the Ricci tensor over the stored
 Gamma^k_ij (3n - 2 of the n^3), r over the stored g^ij, and L_X g over the
-nonzero g_kj and d_k g_ij of a per-n table.  Each sum is exact and
+nonzero g_kj and d_k g_ij of a per-n table.  The d_k g_ij and the d_i X^k
+are read from one cached ``partials`` per polynomial, so the metric's one
+shared diagonal entry is differentiated once.  Each sum is exact and
 order-free, so the results are those of the sums over the whole index
 cube, which the test suite keeps as oracles.
 
@@ -202,10 +204,7 @@ def _metric_table(n: int) -> tuple:
     columns = {j: [] for j in range(1, n + 1)}
     for (i, j), p in _both_orders(g._terms):
         columns[j].append((i, p))
-    dg = {}
-    for key, p in g._terms.items():
-        derivatives = [(k, p.deriv(k)) for k in range(1, n + 1)]
-        dg[key] = tuple((k, d) for k, d in derivatives if d)
+    dg = {key: tuple((k, d) for k, d in enumerate(p.partials, 1) if d) for key, p in g._terms.items()}
     return g, columns, dg
 
 
@@ -213,12 +212,13 @@ def lie_derivative_metric(field: VectorField) -> SymTensor2:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k.
 
     The nonzero metric entries and derivatives come from a per-n cache, the
-    d_i X^k from the field's ``jacobian``, and each (i, j) entry is one sum
-    of the products whose metric factor is nonzero.
+    d_i X^k from the components' ``partials``, and each (i, j) entry is one
+    sum of the products whose metric factor is nonzero.
     """
     n = field.n
     g, columns, dg = _metric_table(n)
-    X, dX = field.components, field.jacobian  # dX[k-1][i-1] = d_i X^k
+    X = field.components
+    dX = [p.partials for p in X]  # dX[k-1][i-1] = d_i X^k
     groups = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):

@@ -39,6 +39,15 @@ form: ``den > 0``, ``gcd(den, *nums.values()) == 1``, and zero is
 compare it directly, and ``+``, negation, scaling and ``deriv`` are
 integer loops with one ``gcd`` per result.
 
+Derivatives.  ``partials`` is a polynomial's one tuple of first partials
+(d_1 p, ..., d_n p), built through ``deriv`` on first read and kept in the
+``_partials`` slot, which ``==`` and hashing ignore.  Every first
+derivative of ``exterior``, ``halfspace`` and ``solitons`` is read from it
+(only the Ricci tensor, once per n, calls ``deriv`` itself), so a
+polynomial shared between fields, forms or tensors is differentiated once,
+and it is the one place that maps a coordinate i to its variable.  A new
+polynomial, ``_like``'s results included, builds its own.
+
 A key is one ``int`` holding the n exponents in fixed-width fields of
 ``_WIDTH`` = 16 bits, x1 in the highest field.  Each field holds the
 exponent plus the bias 2^15, so the key of x^0 is ``zero`` (every field at
@@ -258,7 +267,7 @@ class LaurentPoly(SparseMap):
     normal form (module docstring).
     """
 
-    __slots__ = ("den", "nums")
+    __slots__ = ("den", "nums", "_partials")
 
     def __init__(self, n: int, terms: Mapping[Exponents, object] | None = None):
         if n < 1:
@@ -401,6 +410,13 @@ class LaurentPoly(SparseMap):
         if i == n:  # only the last exponent can be negative, and fall below the range
             _overflow(n, out)
         return self._like(out, self.den)
+
+    @property
+    def partials(self) -> tuple:
+        """The n first partials (d_1 p, ..., d_n p), built through ``deriv`` on first read and kept."""
+        if not hasattr(self, "_partials"):
+            self._partials = tuple(map(self.deriv, range(1, self.n + 1)))
+        return self._partials
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact substitution at a rational point with point[n] != 0."""

@@ -18,8 +18,9 @@ that holds the basis, the brackets and what the closure found.  It is the
 one place where a span's brackets are computed: each basis pair is
 bracketed by ``lie_bracket``, the one bracket, and reduced once, and the
 span records the bracket with its coordinates over the basis, so structure
-constants come from that pass.  A bracket reads each field's derivatives
-from its ``jacobian``, which a basis field builds on its first bracket.
+constants come from that pass.  A bracket reads each component's
+derivatives from its one cached ``partials``, which a basis field's
+components build on its first bracket.
 """
 
 from __future__ import annotations
@@ -101,19 +102,19 @@ def generator(name: str, n: int) -> VectorField:
 def lie_bracket(A: VectorField, B: VectorField) -> VectorField:
     """[A, B]_j = sum_i (A_i d_i B_j - B_i d_i A_j), one sum of products per j.
 
-    The derivatives d_i A_j and d_i B_j are read from the fields' ``jacobian``.
+    The derivatives d_i A_j and d_i B_j are read from the components' ``partials``.
     """
     if A.n != B.n:
         raise DimensionMismatch(f"fields in dimensions {A.n} and {B.n}")
     coords = range(A.n)
     Ac, Bc = A.components, B.components
-    dA, dB = A.jacobian, B.jacobian
     groups = {}
     for j in coords:
         products = groups[j + 1] = []
+        dA, dB = Ac[j].partials, Bc[j].partials
         for i in coords:
-            products.append((1, Ac[i], dB[j][i]))
-            products.append((-1, Bc[i], dA[j][i]))
+            products.append((1, Ac[i], dB[i]))
+            products.append((-1, Bc[i], dA[i]))
     return A._like(_sum_grouped(groups))
 
 

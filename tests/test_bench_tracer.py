@@ -61,3 +61,6 @@ def test_tracer_counts_the_brackets_of_the_closure(tmp_path):
     trace, _ = _traced_and_plain(tmp_path, ["algebra", "--n", "3"])
     # the closure brackets each pair of the 6-dimensional so(3,1) once, through lie_bracket
     assert trace["calls"]["solitons.lie_bracket"] == 15
+    # each of the 14 distinct component objects of the basis builds its 3 partials
+    # through LaurentPoly.deriv, the method the tracer wraps
+    assert trace["calls"]["ratlaurent.deriv"] == 42

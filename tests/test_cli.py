@@ -85,6 +85,47 @@ def test_verify_rb_residual_fail_witness_at_a_shifted_lambda(tmp_path, capsys, m
     )
 
 
+def _verify_by_name(tmp_path, capsys, **params):
+    code, out, err = run(capsys, ["verify", "--params", write_params(tmp_path, **params), "--trials", "2"])
+    assert code == EXIT_FAIL and err == ""
+    return {r["name"]: r for r in records_of(out)}
+
+
+def test_verify_killing_residual_fail_witness(tmp_path, capsys, monkeypatch):
+    # L_X g replaced by g itself: the Killing check fails with the tensor's text
+    monkeypatch.setattr(cli, "lie_derivative_metric", lambda field: halfspace.metric(field.n))
+    by_name = _verify_by_name(tmp_path, capsys)
+    assert by_name["killing_residual"]["status"] == "fail"
+    assert by_name["killing_residual"]["witness"] == "params: L_X g = [1,1] x3^-2; [2,2] x3^-2; [3,3] x3^-2"
+    assert by_name["rb_residual"]["status"] == "fail"
+
+
+def test_verify_dual_form_not_closed_fail_on_a_non_degenerate_field(tmp_path, capsys, monkeypatch):
+    # dw replaced by the zero 2-form for a nonzero field; the Lie derivative
+    # still gets the true dw, so only the closedness check fails
+    true_lie_derivative = cli.lie_derivative_form
+    monkeypatch.setattr(cli, "ext_d", lambda alpha: exterior.KForm(alpha.n, alpha.grade + 1))
+    monkeypatch.setattr(
+        cli, "lie_derivative_form", lambda X, alpha, _: true_lie_derivative(X, alpha, exterior.ext_d(alpha))
+    )
+    by_name = _verify_by_name(tmp_path, capsys, n=4, a=["1", "0", "0"], c=["0", "0", "1"])
+    assert by_name["dual_form_not_closed"]["status"] == "fail"
+    assert by_name["dual_form_not_closed"]["witness"] == "params: dw = 0"
+    assert [r["status"] for r in by_name.values()].count("fail") == 1
+
+
+def test_verify_dual_form_preserved_fail_witness(tmp_path, capsys, monkeypatch):
+    # L_X w replaced by w itself: the witness is the text of w = flat(G1 + T2)
+    monkeypatch.setattr(cli, "lie_derivative_form", lambda X, alpha, d_alpha: alpha)
+    by_name = _verify_by_name(tmp_path, capsys)
+    assert by_name["dual_form_preserved"]["status"] == "fail"
+    assert by_name["dual_form_preserved"]["witness"] == (
+        "params: L_X w = (1/2*x1^2*x3^-2 - 1/2*x2^2*x3^-2 - 1/2)*dx1"
+        " + (x1*x2*x3^-2 + x3^-2)*dx2 + (x1*x3^-1)*dx3"
+    )
+    assert [r["status"] for r in by_name.values()].count("fail") == 1
+
+
 def test_verify_zero_field_reports_degenerate(tmp_path, capsys):
     path = write_params(
         tmp_path, **{"n": 2, "a": ["0"], "b": "0", "c": ["0"], "rho": "1"}
@@ -572,6 +613,19 @@ def test_flow_overflow_in_a_step_is_an_escape(tmp_path, capsys):
     assert out_path.read_text().splitlines() == ["t,x1,x2,cx1,cx2,err", "0.0,100000000.0,1.0,100000000.0,1.0,0.0"]
 
 
+def test_flow_non_finite_coordinates_are_an_escape(tmp_path, capsys):
+    # the RK4 step of D sums its stages to inf without raising; the start row is still written
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(
+        capsys,
+        ["flow", "--gen", "D", "--n", "2", "--point", "1.7e308,1",
+         "--t-max", "0.001", "--dt", "0.001", "--out", str(out_path)],
+    )
+    assert code == EXIT_ESCAPE
+    assert out.splitlines()[1] == "escape: non-finite coordinates at t=0.001"
+    assert out_path.read_text().splitlines() == ["t,x1,x2,cx1,cx2,err", "0.0,1.7e+308,1.0,1.7e+308,1.0,0.0"]
+
+
 def test_flow_overflow_after_valid_steps_keeps_them(tmp_path, capsys):
     # the state at t=1e52 and its closed form are finite; the next step overflows
     out_path = tmp_path / "o.csv"
@@ -895,6 +949,16 @@ def test_algebra_plane(capsys):
     assert "dimension = 3" in by_name["closure"]["witness"]
     assert "already_closed = true" in by_name["closure"]["witness"]
     assert by_name["sl2_fingerprint"]["status"] == "pass"
+
+
+def test_algebra_sl2_fingerprint_fail_witness(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sl2_check", lambda: False)
+    code, out, err = run(capsys, ["algebra", "--n", "2"])
+    assert code == EXIT_FAIL
+    by_name = {r["name"]: r for r in records_of(out)}
+    assert by_name["sl2_fingerprint"]["status"] == "fail"
+    assert by_name["sl2_fingerprint"]["witness"] == "sl2 bracket table not satisfied"
+    assert [r["status"] for r in by_name.values()].count("fail") == 1
 
 
 def test_algebra_three_dim_reports_escaping_bracket(capsys):

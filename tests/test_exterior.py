@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import lie_derivative_direct_oracle, rand_field, rand_kform, rand_poly
+from helpers import lie_derivative_direct_oracle, mul_oracle, rand_field, rand_kform, rand_poly
 from rbkit import (
     DimensionMismatch,
     GradeOverflow,
@@ -198,6 +198,31 @@ def test_cartan_matches_direct_formula_on_random_inputs():
         assert lie_derivative_form(X, omega, ext_d(omega)) == lie_derivative_direct_oracle(X, omega)
 
 
+def test_lie_derivative_cross_check_raises_on_disagreement(monkeypatch):
+    from rbkit import exterior
+
+    x1, x2 = LaurentPoly.var(2, 1), LaurentPoly.var(2, 2)
+    X, omega = VectorField([x1, x2]), KForm(2, 1, {(2,): x1})
+    assert lie_derivative_form(X, omega, ext_d(omega)) == 2 * omega
+    direct = exterior._lie_derivative_direct
+    bump = KForm(2, 1, {(1,): LaurentPoly.const(2, 1)})
+    monkeypatch.setattr(exterior, "_lie_derivative_direct", lambda field, form: direct(field, form) + bump)
+    with pytest.raises(AssertionError, match="disagree"):
+        lie_derivative_form(X, omega, ext_d(omega))
+
+
+def test_lie_derivative_of_a_function_is_its_directional_derivative():
+    # grade 0: L_X f = i_X df = sum_i X^i d_i f
+    rng = random.Random(29)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            X, f = rand_field(rng, n, laurent=True), rand_kform(rng, n, 0)
+            expected = LaurentPoly.zero(n)
+            for i, component in enumerate(X.components, 1):
+                expected = expected + mul_oracle(component, f.coeff(()).deriv(i))
+            assert lie_derivative_form(X, f, ext_d(f)) == KForm(n, 0, {(): expected})
+
+
 def test_lie_derivative_satisfies_leibniz():
     rng = random.Random(20)
     for _ in range(30):
@@ -272,18 +297,22 @@ def _fresh_table(field):
     return tuple(tuple(comp.deriv(i) for i in coords) for comp in field.components)
 
 
-def test_jacobian_is_each_fields_own_table():
+def _partials_table(field):
+    return tuple(comp.partials for comp in field.components)
+
+
+def test_partials_are_each_field_components_own():
     rng = random.Random(22)
     for n in (2, 3, 4):
         A, B = rand_field(rng, n), rand_field(rng, n, laurent=True)
-        # both tables are cached before the derived fields are made
-        assert A.jacobian == _fresh_table(A) and B.jacobian == _fresh_table(B)
-        assert A.jacobian[0][n - 1] == A.components[0].deriv(n)  # d[j][i] = d_(i+1) X^(j+1)
+        # the components' partials are cached before the derived fields are made
+        assert _partials_table(A) == _fresh_table(A) and _partials_table(B) == _fresh_table(B)
+        assert A.components[0].partials[n - 1] == A.components[0].deriv(n)  # partials[i] = d_(i+1)
         for field in (A + B, A - B, -A, 2 * A, A * Fraction(1, 3)):
-            assert field.jacobian == _fresh_table(field)
-        assert (A * 0).jacobian == ((LaurentPoly.zero(n),) * n,) * n
+            assert _partials_table(field) == _fresh_table(field)
+        assert _partials_table(A * 0) == ((LaurentPoly.zero(n),) * n,) * n
         with pytest.raises(AttributeError):
-            A.jacobian = B.jacobian
+            A.components[0].partials = B.components[0].partials
 
 
 def _fresh_form_table(omega):
@@ -291,25 +320,29 @@ def _fresh_form_table(omega):
     return tuple(tuple(omega.coeff((i,)).deriv(j) for j in coords) for i in coords)
 
 
-def test_jacobian_is_each_one_forms_own_table(monkeypatch):
+def _form_partials(omega):
+    return tuple(omega.coeff((i,)).partials for i in range(1, omega.n + 1))
+
+
+def test_partials_are_each_one_form_coefficients_own(monkeypatch):
     rng = random.Random(27)
     for n in (2, 3, 4, 5):
         w, v = rand_kform(rng, n, 1, terms=n), rand_kform(rng, n, 1, terms=n)
-        assert w.jacobian == _fresh_form_table(w)
-        assert w.jacobian[0][n - 1] == w.coeff((1,)).deriv(n)  # d[i][j] = d_(j+1) w_(i+1)
+        assert _form_partials(w) == _fresh_form_table(w)
+        assert w.coeff((1,)).partials[n - 1] == w.coeff((1,)).deriv(n)  # partials[j] = d_(j+1)
         for form in (w + v, w - v, -w, 3 * w, KForm(n, 1, w.terms)):
-            assert form.jacobian == _fresh_form_table(form)
+            assert _form_partials(form) == _fresh_form_table(form)
+        # a form built from w's coefficient objects shares their partials
+        assert all(p is q for p, q in zip(_form_partials(KForm(n, 1, w.terms)), _form_partials(w)))
         dw = ext_d(w)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 assert dw.coeff((i, j)) == w.coeff((j,)).deriv(i) - w.coeff((i,)).deriv(j)
-        with pytest.raises(ValueError, match="1-forms"):
-            dw.jacobian
         with pytest.raises(AttributeError):
-            w.jacobian = v.jacobian
-    # once the table is built, ext_d and the direct Lie derivative differentiate nothing of w
+            w.coeff((1,)).partials = v.coeff((1,)).partials
+    # once the partials are built, ext_d and the direct Lie derivative differentiate nothing of w
     X, w = rand_field(rng, 4), rand_kform(rng, 4, 1, terms=4)
-    X.jacobian, w.jacobian
+    _partials_table(X), _form_partials(w)
     from rbkit import exterior
 
     calls, deriv = [], LaurentPoly.deriv

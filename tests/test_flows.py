@@ -433,6 +433,15 @@ def test_short_horizon_ends_on_t_max(t_max, dt, steps):
     assert states[-1] == FlowState((t_max, 1.0), t_max)
 
 
+def test_non_finite_coordinates_after_a_step_raise_non_finite():
+    # the RK4 step of D sums its stages past the float maximum: float + gives
+    # inf without raising, and the check after the step names it
+    p0 = FlowState((1.7e308, 1.0))
+    with pytest.raises(NonFinite, match=r"^non-finite coordinates at t=0\.001$") as exc:
+        integrate(generator("D", 2), p0, 0.001, 0.001)
+    assert exc.value.trajectory == [p0]
+
+
 def test_division_by_zero_in_a_step_raises_non_finite():
     # xn^-2 at a start on the boundary plane, which is not watched
     inverse = VectorField([LaurentPoly.zero(2), LaurentPoly.monomial(2, (0, -2))])

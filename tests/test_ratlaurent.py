@@ -161,6 +161,32 @@ def test_deriv_commutes():
         assert p.deriv(i).deriv(j) == p.deriv(j).deriv(i)
 
 
+def test_partials_are_the_first_derivatives_built_once(monkeypatch):
+    rng = random.Random(28)
+    calls, deriv = [], LaurentPoly.deriv
+
+    def counted(poly, i):
+        calls.append(i)
+        return deriv(poly, i)
+
+    monkeypatch.setattr(LaurentPoly, "deriv", counted)
+    for n in (1, 2, 3, 5):
+        p = rand_poly(rng, n, laurent=True)
+        calls.clear()
+        partials = p.partials
+        assert calls == list(range(1, n + 1))  # built through deriv, once per coordinate
+        assert partials == tuple(deriv(p, i) for i in range(1, n + 1))
+        assert p.partials is partials and len(calls) == n
+        # the cache changes neither equality nor hashing
+        copy = LaurentPoly(n, p.terms)
+        assert copy == p and hash(copy) == hash(p)
+        # results of operations are new polynomials that build their own
+        for q in (p + p, -p, p * p, 3 * p, partials[-1]):
+            assert q.partials == tuple(deriv(q, i) for i in range(1, n + 1))
+        with pytest.raises(AttributeError):
+            p.partials = partials
+
+
 def test_evaluate_is_ring_homomorphism():
     rng = random.Random(99)
     for _ in range(300):

@@ -360,18 +360,24 @@ def test_closure_takes_each_basis_fields_derivatives_once(monkeypatch):
     deriv = LaurentPoly.deriv
 
     def counted(poly, i):
-        calls.append(i)
+        calls.append((poly, i))
         return deriv(poly, i)
 
     monkeypatch.setattr(LaurentPoly, "deriv", counted)
     for n in (2, 3, 4):
-        # fresh fields: the cached generators(n) may carry tables an earlier test built
+        # fresh fields: the cached generators(n) may carry partials an earlier test built;
+        # the one zero polynomial per n is shared by every field, so build its partials first
         seeds = [generator(name, n) for name in generator_names(n)]
+        zero = LaurentPoly.zero(n)
+        zero.partials
         calls.clear()
         span = algebra_closure(seeds)
         assert not span.cap_exceeded
-        # n^2 derivatives per basis field; a bracket per pair took 2 n^2
-        assert len(calls) == len(span.basis) * n * n
+        components = {id(p) for field in span.basis for p in field.components} - {id(zero)}
+        # no (polynomial, coordinate) pair twice: n derivatives per distinct component object
+        taken = [(id(p), i) for p, i in calls]
+        assert len(set(taken)) == len(taken) == n * len(components)
+        assert {key for key, _ in taken} == components
 
 
 def test_lie_bracket_reads_each_fields_table_once(monkeypatch):
