@@ -44,6 +44,13 @@ printed determinant has up to 8 times their digits.  ``algebra --n`` runs for
 n = 9); any other n exits 64.  ``flow --n`` is at most ``MAX_FLOW_N``,
 checked before any field is built; a larger n exits 64.
 
+This module binds the layer modules, not their names, and reads each name
+when a command runs (``halfspace.flat(field)``).  The layers load lazily
+(see the package docstring), so a call compiles and runs only the layers
+of its command: ``algebra`` ratlaurent, exterior and solitons; ``contact``
+and ``verify`` those three and halfspace; ``flow`` those three and flows.
+To replace one of those functions (in a test, say), patch it on its layer.
+
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
 never pass through floats.  Checks run serially in one thread: the
 environment variable RBKIT_THREADS, which once capped a thread pool, is
@@ -59,28 +66,8 @@ import sys
 import time
 from fractions import Fraction
 
+from . import exterior, flows, halfspace, ratlaurent, solitons
 from .errors import FlowEscape, NonFinite, OddSize, ParseError, RBKitError
-from .exterior import ext_d, lie_derivative_form
-from .flows import FlowSpec, FlowState, integrate, write_trajectory_csv
-from .halfspace import (
-    SolitonParams,
-    flat,
-    lie_derivative_metric,
-    random_params,
-    rb_residual,
-    soliton_lambda,
-)
-from .ratlaurent import parse_rational
-from .solitons import (
-    MATRIX_CONVENTION,
-    algebra_closure,
-    build_field,
-    contact_report,
-    generator_names,
-    generators,
-    sl2_check,
-    structure_constants,
-)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -101,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def load_params(path: str) -> SolitonParams:
+def load_params(path: str) -> halfspace.SolitonParams:
     """Read a parameter file: {"n": int, "a": [...], "b": str, "c": [...], "rho": str}."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -132,7 +119,7 @@ def load_params(path: str) -> SolitonParams:
 
     def rat(value, where: str) -> Fraction:
         try:
-            x = parse_rational(value)
+            x = ratlaurent.parse_rational(value)
         except ValueError as exc:
             raise ParseError(f"{path}: field '{where}': {exc}") from exc
         if limit and max(abs(x.numerator), x.denominator) >= 10**digits:
@@ -149,7 +136,7 @@ def load_params(path: str) -> SolitonParams:
     b = rat(raw["b"], "b")
     rho = rat(raw["rho"], "rho")
     try:
-        return SolitonParams(n=n, a=a, b=b, c=c, rho=rho)
+        return halfspace.SolitonParams(n=n, a=a, b=b, c=c, rho=rho)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -157,7 +144,7 @@ def load_params(path: str) -> SolitonParams:
 # -- verify ------------------------------------------------------------------
 
 
-def _checks(params: SolitonParams, field):
+def _checks(params: halfspace.SolitonParams, field):
     """Yield (name, status, witness) for each check of one instance, in record order.
 
     L_X g, the dual form w and dw are built just before the first check
@@ -165,21 +152,21 @@ def _checks(params: SolitonParams, field):
     function that formats it, for ``cmd_verify`` to call only when a record
     keeps it.  The contact check runs at odd n only.
     """
-    lie_g = lie_derivative_metric(field)
+    lie_g = halfspace.lie_derivative_metric(field)
     if lie_g.is_zero():
         yield "killing_residual", "pass", "L_X g = 0"
     else:
         yield "killing_residual", "fail", lambda: f"L_X g = {lie_g.text()}"
 
-    lam = soliton_lambda(params.n, params.rho)
-    residual = rb_residual(lie_g, params)
+    lam = halfspace.soliton_lambda(params.n, params.rho)
+    residual = halfspace.rb_residual(lie_g, params)
     if residual.is_zero():
         yield "rb_residual", "pass", f"residual = 0 at lambda = {lam} (rho = {params.rho})"
     else:
         yield "rb_residual", "fail", lambda: f"residual = {residual.text()} at lambda = {lam}"
 
-    omega = flat(field)
-    domega = ext_d(omega)
+    omega = halfspace.flat(field)
+    domega = exterior.ext_d(omega)
     if not domega.is_zero():
         yield "dual_form_not_closed", "pass", lambda: f"dw = {domega.text()}"
     elif params.degenerate:
@@ -187,18 +174,18 @@ def _checks(params: SolitonParams, field):
     else:
         yield "dual_form_not_closed", "fail", "dw = 0"
 
-    result = lie_derivative_form(field, omega, domega)
+    result = exterior.lie_derivative_form(field, omega, domega)
     if result.is_zero():
         yield "dual_form_preserved", "pass", "L_X w = 0 (homotopy identity and direct formula agree)"
     else:
         yield "dual_form_preserved", "fail", lambda: f"L_X w = {result.text()}"
 
     if params.n % 2:
-        report = contact_report(params, omega, domega)
+        report = solitons.contact_report(params, omega, domega)
         yield "contact_consistency", ("pass" if report.consistent else "fail"), lambda: (
             f"Pf = {report.pf}; det = {report.det}; "
             f"top*xn^{params.n} = {report.cleared.text()}; "
-            f"contact = {'true' if report.is_contact else 'false'}; {MATRIX_CONVENTION}"
+            f"contact = {'true' if report.is_contact else 'false'}; {solitons.MATRIX_CONVENTION}"
         )
 
 
@@ -207,7 +194,7 @@ def _checks(params: SolitonParams, field):
 _SEVERITY = {"pass": 0, "degenerate": 1, "fail": 2}
 
 
-def cmd_verify(params: SolitonParams, trials: int, seed: int):
+def cmd_verify(params: halfspace.SolitonParams, trials: int, seed: int):
     """Check the file's parameters, then each trial, one instance at a time.
 
     Each check keeps one running record, its ms summed over the instances:
@@ -219,8 +206,8 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int):
     records = {}  # name -> [status, witness, ms]
     for k in range(trials + 1):
         label = f"trial {k}" if k else "params"
-        instance = random_params(rng, params.n) if k else params
-        checks = _checks(instance, build_field(instance))
+        instance = halfspace.random_params(rng, params.n) if k else params
+        checks = _checks(instance, solitons.build_field(instance))
         start = time.perf_counter()
         for name, status, witness in checks:
             ms = _ms_since(start)
@@ -236,11 +223,11 @@ def cmd_verify(params: SolitonParams, trials: int, seed: int):
 # -- contact -----------------------------------------------------------------
 
 
-def cmd_contact(params: SolitonParams):
+def cmd_contact(params: halfspace.SolitonParams):
     start = time.perf_counter()
-    omega = flat(build_field(params))
+    omega = halfspace.flat(solitons.build_field(params))
     try:
-        report = contact_report(params, omega, ext_d(omega))
+        report = solitons.contact_report(params, omega, exterior.ext_d(omega))
     except OddSize as exc:
         raise _UsageError(str(exc)) from exc
     ms = _ms_since(start)  # one total, shared by the four records
@@ -252,7 +239,7 @@ def cmd_contact(params: SolitonParams):
         f"|cleared|/2^{(params.n - 1) // 2} == |Pf|: {consistent}"
     )
     return [
-        ("contact_matrix", "pass", f"{MATRIX_CONVENTION}; M = [{rows}]", ms),
+        ("contact_matrix", "pass", f"{solitons.MATRIX_CONVENTION}; M = [{rows}]", ms),
         ("pfaffian", "pass", f"Pf = {report.pf}; det = {report.det}", ms),
         ("top_form", "pass" if report.consistent else "fail", top_form, ms),
         ("contact_verdict", "pass", f"contact = {verdict}", ms),
@@ -268,17 +255,17 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
     # the start is checked here, not in the try below: a non-finite start
     # is a usage error, a non-finite step is an escape
     try:
-        spec, p0 = FlowSpec(kind=gen, n=n), FlowState(tuple(point))
+        spec, p0 = flows.FlowSpec(kind=gen, n=n), flows.FlowState(tuple(point))
     except (ValueError, RBKitError) as exc:
         raise _UsageError(str(exc)) from exc
     try:
-        states, escape = integrate(spec.field(), p0, t_max, dt), None
+        states, escape = flows.integrate(spec.field(), p0, t_max, dt), None
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     except FlowEscape as exc:
         states, escape = exc.trajectory, exc
     try:
-        worst = write_trajectory_csv(out_path, states, spec)
+        worst = flows.write_trajectory_csv(out_path, states, spec)
     except OSError as exc:
         raise _UsageError(f"--out: {exc}") from exc
     except NonFinite as exc:
@@ -301,8 +288,8 @@ def cmd_algebra(n: int):
     if not 2 <= n <= MAX_ALGEBRA_N:
         raise _UsageError(f"algebra command supports 2 <= n <= {MAX_ALGEBRA_N}, got {n}")
     start = time.perf_counter()
-    names, seeds = generator_names(n), generators(n)
-    span = algebra_closure(seeds)
+    names, seeds = solitons.generator_names(n), solitons.generators(n)
+    span = solitons.algebra_closure(seeds)
     dimension = len(span.basis)
     basis_names = list(names) + [f"B{i}" for i in range(len(names) + 1, dimension + 1)]
     brackets = {pair: field for pair, field, _ in span.brackets}
@@ -330,7 +317,7 @@ def cmd_algebra(n: int):
         ("closure", closure_status, closure_witness, _ms_since(start)),
     ]
     if not span.cap_exceeded:
-        constants = structure_constants(span)
+        constants = solitons.structure_constants(span)
         text = "; ".join(
             f"c[{basis_names[i - 1]},{basis_names[j - 1]},{basis_names[k - 1]}] = {v}"
             for (i, j, k), v in sorted(constants.items())
@@ -338,7 +325,7 @@ def cmd_algebra(n: int):
         )
         records.append(("structure_constants", "pass", text, _ms_since(start)))
     if n == 2:
-        ok = sl2_check()
+        ok = solitons.sl2_check()
         witness = "e = T1, f = -G, h = -2D satisfy [h,e]=2e, [h,f]=-2f, [e,f]=h"
         if not ok:
             witness = "sl2 bracket table not satisfied"

@@ -65,9 +65,9 @@ from collections import namedtuple
 from itertools import chain
 from typing import Iterable
 
+from . import halfspace
 from .errors import BoundaryEscape, BoundaryPoint, NonFinite
 from .exterior import VectorField
-from .halfspace import hyp_distance
 from .solitons import _parse_generator, generator
 
 BOUNDARY_EPS = 1e-9  # an interior trajectory whose xn falls to this level has escaped
@@ -376,10 +376,10 @@ def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float,
     """Max drift of the hyperbolic distance between two flowed points."""
     traj_p = integrate(field, p, t_max, dt)
     traj_q = integrate(field, q, t_max, dt)
-    base = hyp_distance(p.coords, q.coords)
+    base = halfspace.hyp_distance(p.coords, q.coords)
     worst = 0.0
     for sp, sq in zip(traj_p, traj_q):
-        worst = max(worst, abs(hyp_distance(sp.coords, sq.coords) - base))
+        worst = max(worst, abs(halfspace.hyp_distance(sp.coords, sq.coords) - base))
     return worst
 
 

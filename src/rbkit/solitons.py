@@ -31,9 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from . import halfspace
 from .errors import DimensionMismatch, IndexOutOfRange, NotClosed, OddSize
 from .exterior import KForm, VectorField, power_wedge, wedge
-from .halfspace import SolitonParams
 from .ratlaurent import LaurentPoly, _accumulate, _sum_grouped, _sum_products
 
 # Convention note emitted with every contact report: the antisymmetric
@@ -52,7 +52,7 @@ def generators(n: int) -> tuple:
     return tuple(generator(name, n) for name in generator_names(n))
 
 
-def build_field(params: SolitonParams) -> VectorField:
+def build_field(params: halfspace.SolitonParams) -> VectorField:
     """X = sum c_k T_k + b D + sum a_k G_k over ``generators(n)``, skipping zero coefficients."""
     field = VectorField.zero(params.n)
     for coeff, gen in zip((*params.c, params.b, *params.a), generators(params.n)):
@@ -269,7 +269,7 @@ def sl2_check() -> bool:
 # -- contact machinery (odd ambient dimension 2m+1) --------------------------
 
 
-def contact_matrix(params: SolitonParams) -> tuple:
+def contact_matrix(params: halfspace.SolitonParams) -> tuple:
     """The rows of M_ij = a_i c_j - a_j c_i over the 2m parameter indices."""
     if params.n % 2 == 0:
         raise OddSize(f"contact matrix needs odd ambient dimension, got n={params.n}")
@@ -378,7 +378,7 @@ class ContactReport(namedtuple("ContactReport", _CONTACT_FIELDS)):
     __slots__ = ()
 
 
-def contact_report(params: SolitonParams, omega: KForm, domega: KForm) -> ContactReport:
+def contact_report(params: halfspace.SolitonParams, omega: KForm, domega: KForm) -> ContactReport:
     """Compute the top form and compare it against the Pfaffian route.
 
     ``omega`` is flat(build_field(params)) and ``domega`` is ext_d(omega).

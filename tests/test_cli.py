@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rbkit import LaurentPoly, cli, exterior, flows, halfspace, solitons
+from rbkit import LaurentPoly, cli, exterior, flows, halfspace, ratlaurent, solitons
 from rbkit.cli import (
     EXIT_ESCAPE,
     EXIT_FAIL,
@@ -72,8 +72,7 @@ def test_verify_even_dimension_has_no_contact_check(tmp_path, capsys):
 def test_verify_rb_residual_fail_witness_at_a_shifted_lambda(tmp_path, capsys, monkeypatch):
     # the real check and its SymTensor2 witness, with lambda one above the forced 4
     forced = halfspace.soliton_lambda
-    for module in (cli, halfspace):
-        monkeypatch.setattr(module, "soliton_lambda", lambda n, rho: forced(n, rho) + 1)
+    monkeypatch.setattr(halfspace, "soliton_lambda", lambda n, rho: forced(n, rho) + 1)
     path = write_params(tmp_path)
     code, out, err = run(capsys, ["verify", "--params", path, "--trials", "0"])
     assert code == EXIT_FAIL
@@ -93,7 +92,7 @@ def _verify_by_name(tmp_path, capsys, **params):
 
 def test_verify_killing_residual_fail_witness(tmp_path, capsys, monkeypatch):
     # L_X g replaced by g itself: the Killing check fails with the tensor's text
-    monkeypatch.setattr(cli, "lie_derivative_metric", lambda field: halfspace.metric(field.n))
+    monkeypatch.setattr(halfspace, "lie_derivative_metric", lambda field: halfspace.metric(field.n))
     by_name = _verify_by_name(tmp_path, capsys)
     assert by_name["killing_residual"]["status"] == "fail"
     assert by_name["killing_residual"]["witness"] == "params: L_X g = [1,1] x3^-2; [2,2] x3^-2; [3,3] x3^-2"
@@ -103,10 +102,14 @@ def test_verify_killing_residual_fail_witness(tmp_path, capsys, monkeypatch):
 def test_verify_dual_form_not_closed_fail_on_a_non_degenerate_field(tmp_path, capsys, monkeypatch):
     # dw replaced by the zero 2-form for a nonzero field; the Lie derivative
     # still gets the true dw, so only the closedness check fails
-    true_lie_derivative = cli.lie_derivative_form
-    monkeypatch.setattr(cli, "ext_d", lambda alpha: exterior.KForm(alpha.n, alpha.grade + 1))
+    true_lie_derivative, true_d = exterior.lie_derivative_form, exterior.ext_d
+
+    def zero_dw(alpha):  # d of the 0-form i_X w, inside the Lie derivative, stays true
+        return exterior.KForm(alpha.n, alpha.grade + 1) if alpha.grade == 1 else true_d(alpha)
+
+    monkeypatch.setattr(exterior, "ext_d", zero_dw)
     monkeypatch.setattr(
-        cli, "lie_derivative_form", lambda X, alpha, _: true_lie_derivative(X, alpha, exterior.ext_d(alpha))
+        exterior, "lie_derivative_form", lambda X, alpha, _: true_lie_derivative(X, alpha, true_d(alpha))
     )
     by_name = _verify_by_name(tmp_path, capsys, n=4, a=["1", "0", "0"], c=["0", "0", "1"])
     assert by_name["dual_form_not_closed"]["status"] == "fail"
@@ -116,7 +119,7 @@ def test_verify_dual_form_not_closed_fail_on_a_non_degenerate_field(tmp_path, ca
 
 def test_verify_dual_form_preserved_fail_witness(tmp_path, capsys, monkeypatch):
     # L_X w replaced by w itself: the witness is the text of w = flat(G1 + T2)
-    monkeypatch.setattr(cli, "lie_derivative_form", lambda X, alpha, d_alpha: alpha)
+    monkeypatch.setattr(exterior, "lie_derivative_form", lambda X, alpha, d_alpha: alpha)
     by_name = _verify_by_name(tmp_path, capsys)
     assert by_name["dual_form_preserved"]["status"] == "fail"
     assert by_name["dual_form_preserved"]["witness"] == (
@@ -217,9 +220,9 @@ def scripted_verify(monkeypatch, scripts, trials, n=3):
             calls.append((name, k))
             yield (name, *scripts.get(name, {}).get(k, ("pass", f"ok {k}")))
 
-    monkeypatch.setattr(cli, "build_field", build)
+    monkeypatch.setattr(solitons, "build_field", build)
     monkeypatch.setattr(cli, "_checks", scripted)
-    params = cli.SolitonParams(n=n, a=(1,) * (n - 1), b=0, c=(0,) * (n - 1), rho=1)
+    params = halfspace.SolitonParams(n=n, a=(1,) * (n - 1), b=0, c=(0,) * (n - 1), rho=1)
     records = cli.cmd_verify(params, trials, seed=0)
     return [(name, status, witness) for name, status, witness, _ in records], calls
 
@@ -264,13 +267,13 @@ def test_verify_non_passing_file_is_labelled_params(monkeypatch):
 def test_verify_timings_charge_a_shared_object_to_its_first_reader(tmp_path, capsys, monkeypatch, slowed, charged, spared):
     # L_X g is read by the Killing and RB checks, w by every dual-form check:
     # each is built once per instance, in the time of the first check that reads it
-    original = getattr(cli, slowed)
+    original = getattr(halfspace, slowed)
 
     def slow(*args):
         time.sleep(0.05)
         return original(*args)
 
-    monkeypatch.setattr(cli, slowed, slow)
+    monkeypatch.setattr(halfspace, slowed, slow)
     instances = 3
     path = write_params(tmp_path)
     code, out, err = run(capsys, ["verify", "--params", path, "--trials", str(instances - 1), "--timings"])
@@ -296,7 +299,6 @@ def test_verify_builds_each_field_once(tmp_path, capsys, monkeypatch):
         calls.append(params)
         return build(params)
 
-    monkeypatch.setattr(cli, "build_field", counted)
     monkeypatch.setattr(solitons, "build_field", counted)
     for n, trials in ((3, 4), (5, 2), (4, 3)):
         params = {"n": n, "a": ["1"] * (n - 1), "c": ["0"] * (n - 2) + ["1"]}
@@ -319,7 +321,7 @@ def test_verify_derives_each_object_once_per_instance(tmp_path, capsys, monkeypa
             counts[name] += 1
             return original(*args)
 
-        for module in (cli, exterior, halfspace, solitons):
+        for module in (exterior, halfspace, solitons):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     halfspace._metric_table.cache_clear()
@@ -442,8 +444,8 @@ def test_verify_trials_cap_checked_before_any_work(tmp_path, capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("a parameter set was built")
 
-    monkeypatch.setattr(cli, "random_params", refuse)
-    monkeypatch.setattr(cli, "build_field", refuse)
+    monkeypatch.setattr(halfspace, "random_params", refuse)
+    monkeypatch.setattr(solitons, "build_field", refuse)
     path = write_params(tmp_path)
     for trials in (MAX_TRIALS + 1, 10**12):
         code, out, err = run(capsys, ["verify", "--params", path, "--trials", str(trials)])
@@ -458,8 +460,14 @@ def test_params_n_cap_checked_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work ran above the n limit")
 
-    for name in ("parse_rational", "SolitonParams", "random_params", "build_field", "contact_report"):
-        monkeypatch.setattr(cli, name, refuse)
+    for module, name in (
+        (ratlaurent, "parse_rational"),
+        (halfspace, "SolitonParams"),
+        (halfspace, "random_params"),
+        (solitons, "build_field"),
+        (solitons, "contact_report"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     assert MAX_PARAMS_N == 15
     for n in (MAX_PARAMS_N + 1, 10**6):
         # the lists are far too short: n is refused before they are read
@@ -889,7 +897,7 @@ def test_flow_error_is_finite_when_only_the_sum_of_squares_overflows(tmp_path, c
 
 def test_verify_differentiates_each_field_once(monkeypatch):
     fields, calls = [], []
-    build, deriv = cli.build_field, LaurentPoly.deriv
+    build, deriv = solitons.build_field, LaurentPoly.deriv
 
     def built(params):
         fields.append(build(params))
@@ -899,10 +907,10 @@ def test_verify_differentiates_each_field_once(monkeypatch):
         calls.append(poly)
         return deriv(poly, i)
 
-    monkeypatch.setattr(cli, "build_field", built)
+    monkeypatch.setattr(solitons, "build_field", built)
     monkeypatch.setattr(LaurentPoly, "deriv", counted)
     for n in (3, 4):
-        params = cli.SolitonParams(n=n, a=(1,) * (n - 1), b=1, c=(1,) * (n - 1))
+        params = halfspace.SolitonParams(n=n, a=(1,) * (n - 1), b=1, c=(1,) * (n - 1))
         fields.clear()
         calls.clear()
         cli.cmd_verify(params, 2, 0)
@@ -918,7 +926,7 @@ def test_verify_differentiates_each_dual_form_once(monkeypatch):
     # dw and the direct L_X w both read the 1-form's derivative table, built
     # once per instance: n^2 derivatives of w, not n(n-1) + n^2
     forms, calls = [], []
-    flat, deriv = cli.flat, LaurentPoly.deriv
+    flat, deriv = halfspace.flat, LaurentPoly.deriv
 
     def made(field):
         forms.append(flat(field))
@@ -928,10 +936,10 @@ def test_verify_differentiates_each_dual_form_once(monkeypatch):
         calls.append(poly)
         return deriv(poly, i)
 
-    monkeypatch.setattr(cli, "flat", made)
+    monkeypatch.setattr(halfspace, "flat", made)
     monkeypatch.setattr(LaurentPoly, "deriv", counted)
     for n in (3, 4, 6):
-        params = cli.SolitonParams(n=n, a=(1,) * (n - 1), b=1, c=(1,) * (n - 1))
+        params = halfspace.SolitonParams(n=n, a=(1,) * (n - 1), b=1, c=(1,) * (n - 1))
         forms.clear()
         calls.clear()
         cli.cmd_verify(params, 2, 0)
@@ -952,7 +960,7 @@ def test_algebra_plane(capsys):
 
 
 def test_algebra_sl2_fingerprint_fail_witness(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "sl2_check", lambda: False)
+    monkeypatch.setattr(solitons, "sl2_check", lambda: False)
     code, out, err = run(capsys, ["algebra", "--n", "2"])
     assert code == EXIT_FAIL
     by_name = {r["name"]: r for r in records_of(out)}

@@ -66,9 +66,13 @@ FIELDS = {
 
 
 def test_import_of_cli_loads_no_dataclasses():
-    # -S: no site hooks, so sys.modules holds only what the import loaded
+    # -S: no site hooks, so sys.modules holds only what the import loaded;
+    # the layers load lazily, and FlowSpec and flat load every one of them
     src = pathlib.Path(rbkit.__file__).resolve().parents[1]
-    probe = "import sys, rbkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys, rbkit.cli; from rbkit import FlowSpec, flat; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
