@@ -55,7 +55,7 @@ _OWNERS = {
     name: layer
     for layer, names in (
         (exterior, ("KForm", "VectorField", "ext_d", "interior", "lie_derivative_form", "power_wedge", "wedge")),
-        (flows, ("FlowSpec", "FlowState", "integrate", "isometry_check", "write_trajectory_csv")),
+        (flows, ("FlowSpec", "FlowState", "integrate", "write_trajectory_csv")),
         (
             halfspace,
             (
@@ -63,7 +63,6 @@ _OWNERS = {
                 "SymTensor2",
                 "christoffel",
                 "flat",
-                "hyp_distance",
                 "inverse_metric",
                 "lie_derivative_metric",
                 "metric",

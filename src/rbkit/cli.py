@@ -41,8 +41,9 @@ denominator longer than (L - 1) // 8 digits, L the int-string conversion
 limit of ``sys.get_int_max_str_digits`` (none when L is 0), since a
 printed determinant has up to 8 times their digits.  ``algebra --n`` runs for
 2 <= n <= ``MAX_ALGEBRA_N`` (the closure has dimension n(n+1)/2, 45 at
-n = 9); any other n exits 64.  ``flow --n`` is at most ``MAX_FLOW_N``,
-checked before any field is built; a larger n exits 64.
+n = 9); any other n exits 64.  ``flow --n`` is at most
+``flows.MAX_FLOW_N``, checked by ``FlowSpec`` before any field is built;
+a larger n exits 64.
 
 This module binds the layer modules, not their names, and reads each name
 when a command runs (``halfspace.flat(field)``).  The layers load lazily
@@ -76,7 +77,6 @@ EXIT_USAGE = 64
 MAX_TRIALS = 10**4  # a time budget: one n = 15 instance takes about 0.09 s, so about 15 minutes
 MAX_ALGEBRA_N = 9  # the closure brackets every pair of its n(n+1)/2 basis fields
 MAX_PARAMS_N = 15  # contact's top form w ^ (dw)^m: about 0.08 s at n = 15, 0.5 s at n = 21
-MAX_FLOW_N = 1000  # a boost Gk holds about 2n^2 exponents; n = 8000 took 995 MB
 
 
 class _UsageError(Exception):
@@ -250,8 +250,6 @@ def cmd_contact(params: halfspace.SolitonParams):
 
 
 def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) -> int:
-    if n > MAX_FLOW_N:
-        raise _UsageError(f"--n {n} exceeds the limit of {MAX_FLOW_N}")
     # the start is checked here, not in the try below: a non-finite start
     # is a usage error, a non-finite step is an escape
     try:

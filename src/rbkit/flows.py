@@ -17,7 +17,8 @@ The boost uses the half-coefficient convention (the field is G_k with the
 1/2 in front of the quadratic term); the plane rotation "G" omits it.  Which
 convention a run used is part of its report.
 
-Each input is checked once, by its owner: ``FlowSpec`` the generator name,
+Each input is checked once, by its owner: ``FlowSpec`` the generator name
+and n (at most MAX_FLOW_N, checked first, so no field is built above it),
 ``FlowState`` the start point, ``integrate`` the step, horizon, step count,
 arity and stored size.  A closed form with no finite value (the pole of a
 start on the boundary plane, or a dilation beyond the float range) raises
@@ -65,7 +66,6 @@ from collections import namedtuple
 from itertools import chain
 from typing import Iterable
 
-from . import halfspace
 from .errors import BoundaryEscape, BoundaryPoint, NonFinite
 from .exterior import VectorField
 from .solitons import _parse_generator, generator
@@ -74,6 +74,7 @@ BOUNDARY_EPS = 1e-9  # an interior trajectory whose xn falls to this level has e
 COORD_LIMIT = 1e9  # rotation flows blow up in finite time near the pole
 MAX_STEPS = 10**6  # integrate keeps every state; this bounds how many
 MAX_STORED_COORDS = 10**7  # and this their coordinates, (steps + 1) * n: under 500 MB
+MAX_FLOW_N = 1000  # a boost Gk holds about 2n^2 exponents; n = 8000 took 995 MB
 
 
 class FlowState(namedtuple("FlowState", "coords t")):
@@ -119,12 +120,15 @@ class FlowState(namedtuple("FlowState", "coords t")):
 class FlowSpec(namedtuple("FlowSpec", "kind n")):
     """What to flow: a generator name ("D", "Tk", "Gk", "G") in dimension n.
 
-    The name is checked, without building the field, when the spec is made.
+    n is checked against MAX_FLOW_N, then the name, without building the
+    field, when the spec is made.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, n):
+        if n > MAX_FLOW_N:
+            raise ValueError(f"n = {n} exceeds the limit of {MAX_FLOW_N}")
         _parse_generator(kind, n)
         return super().__new__(cls, kind, n)
 
@@ -370,17 +374,6 @@ def _reference(spec: FlowSpec, p0: FlowState):
         return tuple(out)
 
     return boost
-
-
-def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float, dt: float) -> float:
-    """Max drift of the hyperbolic distance between two flowed points."""
-    traj_p = integrate(field, p, t_max, dt)
-    traj_q = integrate(field, q, t_max, dt)
-    base = halfspace.hyp_distance(p.coords, q.coords)
-    worst = 0.0
-    for sp, sq in zip(traj_p, traj_q):
-        worst = max(worst, abs(halfspace.hyp_distance(sp.coords, sq.coords) - base))
-    return worst
 
 
 def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> float:

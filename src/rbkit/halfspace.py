@@ -10,27 +10,26 @@ the cross-check are cached.
 
 Every contraction runs over stored entries only: the metric formula over
 the stored g^kl and the nonzero d_m g_ab, the Ricci tensor over the stored
-Gamma^k_ij (3n - 2 of the n^3), r over the stored g^ij, and L_X g over the
-nonzero g_kj and d_k g_ij of a per-n table.  The d_k g_ij and the d_i X^k
-are read from one cached ``partials`` per polynomial, so the metric's one
+Gamma^k_ij (3n - 2 of the n^3), r over the stored g^ij, L_X g over the
+nonzero g_kj and d_k g_ij of a per-n table, and w = flat(X) over the stored
+g_ij of ``metric(n)``.  Every first derivative (the d_k g_ij, the d_i X^k,
+and the d_k Gamma^k_ij and d_i Gamma^k_kj of the Ricci tensor) is read
+from the one cached ``partials`` of its polynomial, so the metric's one
 shared diagonal entry is differentiated once.  Each sum is exact and
 order-free, so the results are those of the sums over the whole index
 cube, which the test suite keeps as oracles.
 
 Also hosts the parameter record for the soliton field family, the flat
-(index-lowering) map, the Lie derivative of the metric, the soliton residual,
-and the numeric hyperbolic distance.
+(index-lowering) map, the Lie derivative of the metric and the soliton
+residual.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import BoundaryPoint
 from .exterior import KForm, VectorField
 from .ratlaurent import LaurentPoly, SparseMap, _accumulate, _sum_grouped, _sum_products
 
@@ -187,10 +186,13 @@ def christoffel(n: int) -> dict:
 
 
 def flat(field: VectorField) -> KForm:
-    """Index lowering: the dual 1-form w_i = X^i / xn^2."""
-    n = field.n
-    weight = LaurentPoly.monomial(n, (0,) * (n - 1) + (-2,))
-    return KForm(n, 1, {(i,): X * weight for i, X in field.items()})
+    """Index lowering: the dual 1-form w_i = g_ij X^j, over the stored g_ij of ``metric(n)``."""
+    X = field._terms
+    groups = {}
+    for (i, j), gij in _both_orders(metric(field.n)._terms):
+        if j in X:
+            groups.setdefault((i,), []).append((1, X[j], gij))
+    return KForm(field.n, 1, _sum_grouped(groups))
 
 
 @lru_cache(maxsize=None)
@@ -253,10 +255,10 @@ def _ricci(n: int) -> SymTensor2:
     out = _sum_grouped(groups)
     for (k, i, j), p in gam.items():
         if i <= j:
-            _accumulate(out, (i, j), p.deriv(k))
+            _accumulate(out, (i, j), p.partials[k - 1])
     for j, t in trace.items():
         for i in range(1, j + 1):
-            _accumulate(out, (i, j), -t.deriv(i))
+            _accumulate(out, (i, j), -t.partials[i - 1])
     return SymTensor2(n, out)
 
 
@@ -293,13 +295,3 @@ def rb_residual(lie_g: SymTensor2, params: SolitonParams) -> SymTensor2:
     factor = LaurentPoly.const(n, 2 * lam) + LaurentPoly.const(n, 2) * params.rho * r
     return lie_g + 2 * ricci(n) - metric(n) * factor
 
-
-def hyp_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Hyperbolic distance arcosh(1 + |p-q|^2 / (2 p_n q_n))."""
-    if len(p) != len(q):
-        raise ValueError("points of different dimensions")
-    pn, qn = p[-1], q[-1]
-    if pn <= 0 or qn <= 0:
-        raise BoundaryPoint("points must have positive last coordinate")
-    sq = sum((a - b) ** 2 for a, b in zip(p, q))
-    return math.acosh(1.0 + sq / (2.0 * pn * qn))

@@ -41,9 +41,9 @@ integer loops with one ``gcd`` per result.
 
 Derivatives.  ``partials`` is a polynomial's one tuple of first partials
 (d_1 p, ..., d_n p), built through ``deriv`` on first read and kept in the
-``_partials`` slot, which ``==`` and hashing ignore.  Every first
-derivative of ``exterior``, ``halfspace`` and ``solitons`` is read from it
-(only the Ricci tensor, once per n, calls ``deriv`` itself), so a
+``_partials`` slot, which ``==`` and hashing ignore.  It is the only
+caller of ``deriv`` in the package: every first derivative of
+``exterior``, ``halfspace`` and ``solitons`` is read from it, so a
 polynomial shared between fields, forms or tensors is differentiated once,
 and it is the one place that maps a coordinate i to its variable.  A new
 polynomial, ``_like``'s results included, builds its own.

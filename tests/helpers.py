@@ -22,7 +22,10 @@ worked out from its start point at each call, used as the oracle for the
 per-trajectory closed form of ``rbkit.flows``, and that closed form at one
 time (``closed_state``) and the largest gap of the trajectory CSV pass
 (``csv_gap``), the two views of ``write_trajectory_csv`` the flow tests
-measure."""
+measure, and the float hyperbolic distance (``hyp_distance``) with the
+largest drift of that distance along two RK4 trajectories
+(``isometry_check``), which the flow tests use to see that a Killing flow
+is an isometry."""
 
 from __future__ import annotations
 
@@ -326,6 +329,28 @@ def closed_flow_oracle(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:
     out = [x * scale for x in coords]
     out[k - 1] = z.real
     return FlowState(tuple(out), p0.t + t)
+
+
+def hyp_distance(p: Sequence[float], q: Sequence[float]) -> float:
+    """Hyperbolic distance arcosh(1 + |p-q|^2 / (2 p_n q_n))."""
+    if len(p) != len(q):
+        raise ValueError("points of different dimensions")
+    pn, qn = p[-1], q[-1]
+    if pn <= 0 or qn <= 0:
+        raise BoundaryPoint("points must have positive last coordinate")
+    sq = sum((a - b) ** 2 for a, b in zip(p, q))
+    return math.acosh(1.0 + sq / (2.0 * pn * qn))
+
+
+def isometry_check(field: VectorField, p: FlowState, q: FlowState, t_max: float, dt: float) -> float:
+    """Max drift of the hyperbolic distance between two flowed points."""
+    traj_p = integrate(field, p, t_max, dt)
+    traj_q = integrate(field, q, t_max, dt)
+    base = hyp_distance(p.coords, q.coords)
+    worst = 0.0
+    for sp, sq in zip(traj_p, traj_q):
+        worst = max(worst, abs(hyp_distance(sp.coords, sq.coords) - base))
+    return worst
 
 
 def closed_state(spec: FlowSpec, p0: FlowState, t: float) -> FlowState:

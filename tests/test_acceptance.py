@@ -14,6 +14,7 @@ from helpers import (
     csv_gap,
     det_cofactor,
     dual_forms,
+    isometry_check,
     rand_antisymmetric,
     rand_field,
     rand_params,
@@ -31,7 +32,6 @@ from rbkit import (
     ext_d,
     flat,
     generator,
-    isometry_check,
     lie_bracket,
     lie_derivative_form,
     lie_derivative_metric,

@@ -13,12 +13,12 @@ from rbkit.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     MAX_ALGEBRA_N,
-    MAX_FLOW_N,
     MAX_PARAMS_N,
     MAX_TRIALS,
     _emit,
     main,
 )
+from rbkit.flows import MAX_FLOW_N
 
 
 def write_params(tmp_path, name="params.json", **overrides):
@@ -735,7 +735,7 @@ def test_flow_n_cap_checked_before_any_field(tmp_path, capsys, monkeypatch):
         argv = ["flow", "--gen", "G1", "--n", str(n), "--point", "0,1", "--out", str(out_path)]
         code, out, err = run(capsys, argv)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"usage error: --n {n} exceeds the limit of {MAX_FLOW_N}\n"
+        assert err == f"usage error: n = {n} exceeds the limit of {MAX_FLOW_N}\n"
     assert not out_path.exists()
     monkeypatch.undo()
     point = ",".join(["0"] * (MAX_FLOW_N - 1) + ["1"])
@@ -918,13 +918,13 @@ def test_verify_differentiates_each_field_once(monkeypatch):
         for field in fields:
             assert len(field.terms) == n  # every component is nonzero, so each is one object
             on_field = [p for p in calls if any(p is comp for comp in field.terms.values())]
-            # L_X g and the direct L_X w share the field's jacobian: n^2 derivatives, not 2 n^2
+            # L_X g and the direct L_X w share each component's partials: n^2 derivatives, not 2 n^2
             assert len(on_field) == n * n
 
 
 def test_verify_differentiates_each_dual_form_once(monkeypatch):
-    # dw and the direct L_X w both read the 1-form's derivative table, built
-    # once per instance: n^2 derivatives of w, not n(n-1) + n^2
+    # dw and the direct L_X w both read the partials of w's coefficients,
+    # built once per instance: n^2 derivatives of w, not n(n-1) + n^2
     forms, calls = [], []
     flat, deriv = halfspace.flat, LaurentPoly.deriv
 

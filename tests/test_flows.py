@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from helpers import closed_flow_oracle, closed_state, csv_gap, rhs_oracle
-from rbkit import flows
+from helpers import closed_flow_oracle, closed_state, csv_gap, isometry_check, rhs_oracle
+from rbkit import flows, solitons
 from rbkit import (
     BoundaryEscape,
     BoundaryPoint,
@@ -18,7 +18,6 @@ from rbkit import (
     VectorField,
     generator,
     integrate,
-    isometry_check,
     write_trajectory_csv,
 )
 
@@ -49,6 +48,23 @@ def test_flow_spec_validation():
             FlowSpec(kind=kind, n=3)
     with pytest.raises(ValueError):
         FlowSpec(kind="G", n=3)
+
+
+def test_flow_spec_n_cap_checked_before_the_name(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was read above the n limit")
+
+    assert flows.MAX_FLOW_N == 1000
+    monkeypatch.setattr(solitons, "generator", refuse)
+    monkeypatch.setattr(flows, "generator", refuse)
+    assert FlowSpec("T1", flows.MAX_FLOW_N) == ("T1", 1000)
+    # n is checked before the name is parsed, so an unknown name above the cap reports the cap
+    monkeypatch.setattr(flows, "_parse_generator", refuse)
+    for kind in ("T1", "G1", "Q7"):
+        for n in (flows.MAX_FLOW_N + 1, 10**6):
+            with pytest.raises(ValueError) as raised:
+                FlowSpec(kind, n)
+            assert str(raised.value) == f"n = {n} exceeds the limit of 1000"
 
 
 def test_integrate_step_cap(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     christoffel_oracle,
+    hyp_distance,
     lie_derivative_metric_oracle,
     rand_field,
     ricci_oracle,
@@ -21,7 +22,6 @@ from rbkit import (
     build_field,
     christoffel,
     flat,
-    hyp_distance,
     inverse_metric,
     lie_derivative_metric,
     metric,
@@ -252,6 +252,15 @@ def test_flat_last_component_of_three_dim_family():
     x1, x2 = LaurentPoly.var(3, 1), LaurentPoly.var(3, 2)
     inv = LaurentPoly.monomial(3, (0, 0, -1))
     assert omega.coeff((3,)) == (a1 * x1 + a2 * x2 + LaurentPoly.const(3, b)) * inv
+
+
+def test_flat_lowers_with_the_metric_so_needs_n_at_least_2():
+    # flat reads the entries of metric(n), which exists only for n >= 2
+    for field in (VectorField.zero(1), VectorField([LaurentPoly.var(1, 1)])):
+        with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+            flat(field)
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        metric(1)
 
 
 def test_hyp_distance_vertical_geodesic():

@@ -1,5 +1,7 @@
 """Every module of the package uses each name it imports, imports only
 the standard library and its own modules, and holds no ``assert``.
+Two decisions have one owner: ``LaurentPoly.partials`` is the only reader
+of ``deriv``, and ``flows`` imports no ``halfspace``.
 
 ``rbkit/__init__.py`` is left out of the first check: its imports are the
 package's re-exports.  A name counts as used when it is read anywhere in
@@ -82,3 +84,43 @@ def test_module_imports_only_the_standard_library(module):
 def test_module_holds_no_assert_statement(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_deriv_is_read_only_by_partials():
+    # every first derivative of the package goes through the one cached tuple of partials
+    inside, outside = [], []
+    for module in SOURCES:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        owner = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "LaurentPoly":
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and method.name == "partials":
+                        owner.update(map(id, ast.walk(method)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "deriv":
+                (inside if id(node) in owner else outside).append(f"{module}:{node.lineno}")
+    assert len(inside) == 1 and outside == []
+
+
+def imported_module_parts(tree) -> set:
+    """Each dotted part of every module an import statement may load or bind."""
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts.update(name.split("."))
+    return parts
+
+
+def test_flows_imports_no_halfspace():
+    spellings = ("from . import halfspace", "from .halfspace import flat", "import rbkit.halfspace",
+                 "from rbkit import halfspace as h")
+    assert all("halfspace" in imported_module_parts(ast.parse(source)) for source in spellings)
+    tree = ast.parse((PACKAGE / "flows.py").read_text(encoding="utf-8"))
+    assert "halfspace" not in imported_module_parts(tree)

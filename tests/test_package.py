@@ -90,13 +90,12 @@ PUBLIC = {
         "RBKitError",
     ),
     exterior: ("KForm", "VectorField", "ext_d", "interior", "lie_derivative_form", "power_wedge", "wedge"),
-    flows: ("FlowSpec", "FlowState", "integrate", "isometry_check", "write_trajectory_csv"),
+    flows: ("FlowSpec", "FlowState", "integrate", "write_trajectory_csv"),
     halfspace: (
         "SolitonParams",
         "SymTensor2",
         "christoffel",
         "flat",
-        "hyp_distance",
         "inverse_metric",
         "lie_derivative_metric",
         "metric",
