@@ -53,9 +53,7 @@ and ``verify`` those three and halfspace; ``flow`` those three and flows.
 To replace one of those functions (in a test, say), patch it on its layer.
 
 Rational values travel as strings like "3" or "-1/2" so that exact inputs
-never pass through floats.  Checks run serially in one thread: the
-environment variable RBKIT_THREADS, which once capped a thread pool, is
-ignored.
+never pass through floats.
 """
 
 from __future__ import annotations
@@ -420,9 +418,8 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise _UsageError(f"--point: {exc}") from exc
             return cmd_flow(args.gen, args.n, point, args.t_max, args.dt, args.out)
-        if args.command == "algebra":
-            return _emit(cmd_algebra(args.n), args.timings)
-        raise _UsageError(f"unknown command {args.command!r}")
+        # the parser admits no command but the four, so this one is "algebra"
+        return _emit(cmd_algebra(args.n), args.timings)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

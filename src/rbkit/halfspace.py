@@ -8,16 +8,24 @@ None of them depends on the field parameters, so each is computed, and the
 cross-check run, once per dimension n and process; only results that passed
 the cross-check are cached.
 
-Every contraction runs over stored entries only: the metric formula over
-the stored g^kl and the nonzero d_m g_ab, the Ricci tensor over the stored
-Gamma^k_ij (3n - 2 of the n^3), r over the stored g^ij, L_X g over the
-nonzero g_kj and d_k g_ij of a per-n table, and w = flat(X) over the stored
-g_ij of ``metric(n)``.  Every first derivative (the d_k g_ij, the d_i X^k,
-and the d_k Gamma^k_ij and d_i Gamma^k_kj of the Ricci tensor) is read
-from the one cached ``partials`` of its polynomial, so the metric's one
-shared diagonal entry is differentiated once.  Each sum is exact and
-order-free, so the results are those of the sums over the whole index
-cube, which the test suite keeps as oracles.
+The metric is read once per n, into ``_metric_table(n)``: the diagonal
+entries g_ii of ``metric(n)``, their reciprocals g^ii and their nonzero
+first derivatives d_k g_ii.  The table holds a diagonal of monomials only
+and raises NotImplementedError on any other metric.  Every reader of the
+metric goes through it, so ``metric(n)`` is the one place that states the
+metric, and ``_christoffel_closed``, the cross-check's second route, the
+one place that states its geometry on its own.
+
+Every contraction runs over stored entries only: the metric formula is
+three products per nonzero d_m g_aa, the Ricci tensor runs over the stored
+Gamma^k_ij (3n - 2 of the n^3), r = g^ii R_ii, L_X g runs over the
+diagonal and its nonzero derivatives, and w = flat(X) is w_i = g_ii X^i.
+Every first derivative (the d_k g_ii, the d_i X^k, and the d_k Gamma^k_ij
+and d_i Gamma^k_kj of the Ricci tensor) is read from the one cached
+``partials`` of its polynomial, so the metric's one shared diagonal entry
+is differentiated once.  Each sum is exact and order-free, so the results
+are those of the sums over the whole index cube, which the test suite
+keeps as oracles.
 
 Also hosts the parameter record for the soliton field family, the flat
 (index-lowering) map, the Lie derivative of the metric and the soliton
@@ -123,9 +131,28 @@ def metric(n: int) -> SymTensor2:
 
 @lru_cache(maxsize=None)
 def inverse_metric(n: int) -> SymTensor2:
-    """Diagonal inverse metric with entries xn^2, built once per n."""
-    entry = LaurentPoly.monomial(n, (0,) * (n - 1) + (2,))
-    return SymTensor2(n, {(i, i): entry for i in range(1, n + 1)})
+    """Diagonal inverse metric, the reciprocals g^ii of ``_metric_table(n)``, built once per n."""
+    _, ginv, _ = _metric_table(n)
+    return SymTensor2(n, {(i, i): h for i, h in enumerate(ginv, 1)})
+
+
+@lru_cache(maxsize=None)
+def _metric_table(n: int) -> tuple:
+    """(g_ii, g^ii, the nonzero d_k g_ii) of ``metric(n)``, three n-tuples built once per n.
+
+    Entry i of the derivatives is ((k, d_k g_ii), ...), read from the
+    ``partials`` of g_ii.  Every reader of the metric goes through this
+    table, which holds a diagonal of monomials only (the reciprocal of each
+    must be Laurent too): any other metric raises NotImplementedError.
+    """
+    entries = metric(n)._terms
+    g = tuple(entries.get((i, i)) for i in range(1, n + 1))
+    if len(entries) != n or not all(p and len(p.nums) == 1 for p in g):
+        raise NotImplementedError("the metric layer reads only a diagonal metric of monomials")
+    # each g_ii is one term c x^e, so its reciprocal is c^-1 x^-e
+    ginv = tuple(LaurentPoly(n, {tuple(-e for e in exps): 1 / c}) for p in g for exps, c in p.terms.items())
+    dg = tuple(tuple((k, d) for k, d in enumerate(p.partials, 1) if d) for p in g)
+    return g, ginv, dg
 
 
 def _christoffel_closed(n: int) -> dict:
@@ -141,28 +168,17 @@ def _christoffel_closed(n: int) -> dict:
 
 
 def _christoffel_from_metric(n: int) -> dict:
-    """(1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij), over the stored g^kl and nonzero d_m g_ab."""
-    _, _, dg = _metric_table(n)  # dg[(a, b)] = ((m, d_m g_ab), ...), nonzero only
-    half = Fraction(1, 2)
+    """(1/2) g^kk (d_i g_jk + d_j g_ik - d_k g_ij) of the diagonal g: three products per nonzero d_m g_aa."""
+    _, ginv, dg = _metric_table(n)
+    half = [Fraction(1, 2) * h for h in ginv]
     groups = {}
-    for (k, l), h in _both_orders(inverse_metric(n)._terms):
-        h = half * h
-        for (a, b), derivatives in _both_orders(dg):
-            for m, d in derivatives:
-                if b == l:  # d_i g_jl at (i, j) = (m, a), and d_j g_il at (i, j) = (a, m)
-                    groups.setdefault((k, m, a), []).append((1, h, d))
-                    groups.setdefault((k, a, m), []).append((1, h, d))
-                if m == l:  # -d_l g_ij at (i, j) = (a, b)
-                    groups.setdefault((k, a, b), []).append((-1, h, d))
+    for a, derivatives in enumerate(dg, 1):
+        for m, d in derivatives:
+            # d_i g_jk at (k, i, j) = (a, m, a), d_j g_ik at (a, a, m), -d_k g_ij at (m, a, a)
+            groups.setdefault((a, m, a), []).append((1, half[a - 1], d))
+            groups.setdefault((a, a, m), []).append((1, half[a - 1], d))
+            groups.setdefault((m, a, a), []).append((-1, half[m - 1], d))
     return _sum_grouped(groups)
-
-
-def _both_orders(entries: dict):
-    """The stored (i, j) entries of a symmetric tensor, each also as (j, i) when i != j."""
-    for (i, j), value in entries.items():
-        yield (i, j), value
-        if i != j:
-            yield (j, i), value
 
 
 @lru_cache(maxsize=None)
@@ -186,48 +202,30 @@ def christoffel(n: int) -> dict:
 
 
 def flat(field: VectorField) -> KForm:
-    """Index lowering: the dual 1-form w_i = g_ij X^j, over the stored g_ij of ``metric(n)``."""
+    """Index lowering: the dual 1-form w_i = g_ii X^i, over the diagonal of ``_metric_table(n)``."""
     X = field._terms
-    groups = {}
-    for (i, j), gij in _both_orders(metric(field.n)._terms):
-        if j in X:
-            groups.setdefault((i,), []).append((1, X[j], gij))
+    g, _, _ = _metric_table(field.n)
+    groups = {(i,): [(1, X[i], gii)] for i, gii in enumerate(g, 1) if i in X}
     return KForm(field.n, 1, _sum_grouped(groups))
-
-
-@lru_cache(maxsize=None)
-def _metric_table(n: int) -> tuple:
-    """(g, its nonzero entries by column, its nonzero first derivatives), built once per n.
-
-    The columns map j to ((k, g_kj), ...) and the derivatives map each
-    stored (i, j) to ((k, d_k g_ij), ...), both over nonzero entries only.
-    """
-    g = metric(n)
-    columns = {j: [] for j in range(1, n + 1)}
-    for (i, j), p in _both_orders(g._terms):
-        columns[j].append((i, p))
-    dg = {key: tuple((k, d) for k, d in enumerate(p.partials, 1) if d) for key, p in g._terms.items()}
-    return g, columns, dg
 
 
 def lie_derivative_metric(field: VectorField) -> SymTensor2:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k.
 
-    The nonzero metric entries and derivatives come from a per-n cache, the
-    d_i X^k from the components' ``partials``, and each (i, j) entry is one
-    sum of the products whose metric factor is nonzero.
+    The diagonal g_ii and its nonzero d_k g_ii come from ``_metric_table(n)``,
+    the d_i X^k from the components' ``partials``, so (i, j) is one sum of
+    X^k d_k g_ii (at i = j only), g_jj d_i X^j and g_ii d_j X^i.
     """
     n = field.n
-    g, columns, dg = _metric_table(n)
+    g, _, dg = _metric_table(n)
     X = field.components
     dX = [p.partials for p in X]  # dX[k-1][i-1] = d_i X^k
     groups = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            products = groups[(i, j)] = [(1, X[k - 1], d) for k, d in dg.get((i, j), ())]
-            products += [(1, gkj, dX[k - 1][i - 1]) for k, gkj in columns[j]]
-            products += [(1, gik, dX[k - 1][j - 1]) for k, gik in columns[i]]
-    return g._like(_sum_grouped(groups))
+            products = groups[(i, j)] = [(1, X[k - 1], d) for k, d in dg[i - 1]] if i == j else []
+            products += [(1, g[j - 1], dX[j - 1][i - 1]), (1, g[i - 1], dX[i - 1][j - 1])]
+    return SymTensor2(n)._like(_sum_grouped(groups))
 
 
 def ricci(n: int) -> SymTensor2:
@@ -270,9 +268,8 @@ def scalar_curvature(n: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def _scalar_curvature(n: int) -> LaurentPoly:
     ric = ricci(n)
-    # a stored off-diagonal (i, j) stands for g^ij R_ij and g^ji R_ji
-    products = [(1 if i == j else 2, h, ric.get(i, j)) for (i, j), h in inverse_metric(n)._terms.items()]
-    return _sum_products(n, products)
+    _, ginv, _ = _metric_table(n)
+    return _sum_products(n, [(1, h, ric.get(i, i)) for i, h in enumerate(ginv, 1)])
 
 
 def soliton_lambda(n: int, rho) -> Fraction:

@@ -1040,8 +1040,11 @@ def test_help_is_written_for_users(capsys):
 
 
 def test_usage_error_on_unknown_command(capsys):
+    # the parser rejects the command before main dispatches on it
     code, _, err = run(capsys, ["frobnicate"])
     assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+    assert "'frobnicate'" in err
 
 
 def test_emit_flags_failures(capsys):

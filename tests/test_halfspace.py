@@ -22,6 +22,7 @@ from rbkit import (
     build_field,
     christoffel,
     flat,
+    generator,
     inverse_metric,
     lie_derivative_metric,
     metric,
@@ -261,6 +262,82 @@ def test_flat_lowers_with_the_metric_so_needs_n_at_least_2():
             flat(field)
     with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
         metric(1)
+
+
+def test_inverse_metric_needs_n_at_least_2():
+    # the inverse is read from the table of metric(n), which exists only for n >= 2
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        inverse_metric(1)
+
+
+@pytest.fixture
+def patch_metric(monkeypatch):
+    """Replace ``halfspace.metric`` by ``build(original)``, with every metric-derived cache cleared around it."""
+    original = halfspace.metric
+    caches = (
+        original,
+        halfspace._metric_table,
+        inverse_metric,
+        halfspace._christoffel_checked,
+        halfspace._ricci,
+        halfspace._scalar_curvature,
+    )
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    def patch(build):
+        clear()
+        monkeypatch.setattr(halfspace, "metric", build(original))
+
+    yield patch
+    clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_every_reader_follows_a_scaled_metric(n, patch_metric):
+    # g = 4 xn^-2 delta: Gamma and Ric do not change under scaling, g^ij and r
+    # scale by 1/4, and w = flat(X) by 4
+    D = generator("D", n)
+    unscaled_metric, unscaled_flat = metric(n), flat(D)
+    patch_metric(lambda original: lambda m: 4 * original(m))
+    xn2 = LaurentPoly.monomial(n, (0,) * (n - 1) + (2,))
+    assert inverse_metric(n) == SymTensor2(n, {(i, i): Fraction(1, 4) * xn2 for i in range(1, n + 1)})
+    assert christoffel(n) == halfspace._christoffel_closed(n)
+    assert ricci(n) == -(n - 1) * unscaled_metric
+    assert scalar_curvature(n) == LaurentPoly.const(n, Fraction(-n * (n - 1), 4))
+    assert flat(D) == 4 * unscaled_flat
+
+
+def _with_off_diagonal_entry(original):
+    return lambda m: SymTensor2(m, {**original(m).terms, (1, 2): LaurentPoly.const(m, 1)})
+
+
+def _with_binomial_entry(original):
+    def build(m):
+        g = original(m)
+        return SymTensor2(m, {**g.terms, (1, 1): g.get(1, 1) + LaurentPoly.const(m, 1)})
+
+    return build
+
+
+@pytest.mark.parametrize("build", [_with_off_diagonal_entry, _with_binomial_entry])
+@pytest.mark.parametrize(
+    "reader",
+    [
+        inverse_metric,
+        christoffel,
+        scalar_curvature,
+        lambda n: flat(generator("D", n)),
+        lambda n: lie_derivative_metric(generator("D", n)),
+    ],
+    ids=["inverse_metric", "christoffel", "scalar_curvature", "flat", "lie_derivative_metric"],
+)
+def test_no_reader_gets_past_the_diagonal_guard(build, reader, patch_metric):
+    patch_metric(build)
+    with pytest.raises(NotImplementedError, match="diagonal"):
+        reader(3)
 
 
 def test_hyp_distance_vertical_geodesic():
