@@ -24,26 +24,31 @@ arity and stored size.  A closed form with no finite value (the pole of a
 start on the boundary plane, or a dilation beyond the float range) raises
 NonFinite.
 
-Compiled step.  ``integrate`` compiles its field once per call into one
-straight-line Python function for a whole RK4 step (``_compile_step``,
-built as source text and run with ``exec``); the states it computes are
-already checked, so it stores them without validating them again.  The
-float operations of that step and their order are part of the byte
-contract of the trajectory CSV: a component is 0.0 plus its terms in
-``terms`` order, a term is its coefficient times ``x**e`` left to right,
-stage inputs are y + 0.5 * h * k (y + h * k for the last stage), and the
-update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The step leaves
-out only what is the identity bit for bit in IEEE 754: ``x**1`` is
-written as ``x`` (it can neither overflow nor divide by zero, so the same
-errors are raised), and a coefficient 1.0 before a factor is dropped
-(``1.0 * x`` is ``x``).  ``x**2`` stays a ``pow``, whose rounding ``x * x``
-need not share.  Each term is one statement, so a component with
-thousands of terms (the boost G1 in thousands of coordinates) still
-compiles.  After each step one test covers the common case: the last
-coordinate is inside, the sum of the ``|y_j|`` is at most COORD_LIMIT
-(finite and within the limit only when every coordinate is) and t is
-finite.  Only when it fails do the separate checks run, in their order,
-so each escape keeps its type and message.
+Compiled loop.  ``integrate`` checks its arguments, then compiles its
+field once per call into one straight-line Python function for the whole
+fixed-step RK4 loop (``_compile_loop``, built as source text and run with
+``exec``).  The loop keeps the coordinates in locals from step to step and
+appends each state it reaches to the trajectory unchecked, as a FlowState
+built by ``tuple.__new__``: a state is stored only after the loop's one
+escape test passes, which it does only when FlowState's checks would.  The
+float operations of a step and their order are part of the byte contract
+of the trajectory CSV: a component is 0.0 plus its terms in ``terms``
+order, a term is its coefficient times ``x**e`` left to right, stage
+inputs are y + 0.5 * h * k (y + h * k for the last stage), and the update
+is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The loop leaves out only
+what is the identity bit for bit in IEEE 754: ``x**1`` is written as ``x``
+(it can neither overflow nor divide by zero, so the same errors are
+raised), and a coefficient 1.0 before a factor is dropped (``1.0 * x`` is
+``x``).  ``x**2`` stays a ``pow``, whose rounding ``x * x`` need not share.
+Each term is one statement and no expression nests once per coordinate,
+so a component with thousands of terms (the boost G1 in thousands of
+coordinates) still compiles.  The one test after each step covers the
+common case: the last coordinate is inside, the sum of the ``|y_j|`` is at
+most COORD_LIMIT (finite and within the limit only when every coordinate
+is) and t is finite.  When it fails the loop hands the state back, and
+``integrate`` runs the separate checks in their order, so each escape
+keeps its type and message; a state whose only fault was that sum is
+stored, and the loop goes on from it.
 
 Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
 and works out every constant of the start point (r0, -2/(x_k + i r0),
@@ -56,14 +61,17 @@ worked out from scratch at each t, so the two agree bit for bit.
 closed form: it reads the states as any iterable whose first item is the
 start point, checks each coordinate tuple the way ``FlowState`` does
 (finite, last coordinate nonnegative, finite time) and builds the
-FlowState only when a tuple fails, for the exact error it raises.
+FlowState only when a tuple fails, for the exact error it raises.  Its
+row loop is compiled once per call for n coordinates (``_compile_rows``),
+so every value of a row is a local and the row is one f-string of their
+``repr``s, the bytes of ``",".join(map(repr, row))``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 from .errors import BoundaryEscape, BoundaryPoint, NonFinite
@@ -100,17 +108,6 @@ class FlowState(namedtuple("FlowState", "coords t")):
     @classmethod
     def _make(cls, values):
         return cls(*values)
-
-    @classmethod
-    def _trusted(cls, coords: tuple, t: float) -> "FlowState":
-        """A state from values the caller has already checked, stored as is.
-
-        Invariant: coords is a nonempty tuple of finite floats whose last
-        entry is nonnegative, and t is a finite float, so that the state
-        equals ``FlowState(coords, t)``.  ``integrate`` checks exactly this
-        on every state before it stores it; no other path skips the checks.
-        """
-        return tuple.__new__(cls, (coords, t))
 
     @property
     def n(self) -> int:
@@ -192,31 +189,61 @@ def _sum_lines(dest: str, terms: list, var: str) -> list:
     return lines or [f"{dest} = 0.0"]
 
 
-def _compile_step(field: VectorField):
-    """One classical RK4 step ``step(y, h) -> tuple`` as straight-line code.
+def _define(name: str, params: str, body: list, **names):
+    """The function ``def name(params)`` with the lines of body, with only names in scope."""
+    namespace = {"__builtins__": {}, **names}
+    exec(f"def {name}({params}):\n    " + "\n    ".join(body) + "\n", namespace)
+    return namespace[name]
 
-    Stage inputs are y_j + 0.5 * h * k_j (y_j + h * k_j for the last stage)
-    and the update is y_j + (h / 6.0) * (a_j + 2.0 * b_j + 2.0 * c_j + d_j),
-    the same float operations in the same order as one loop over stages;
-    0.5 * h and h / 6.0 are computed once per step.
+
+def _compile_loop(field: VectorField):
+    """The fixed-step RK4 loop of field, ``run(states, hs, watch)``, as straight-line code.
+
+    run takes the coordinates and time of ``states[-1]`` into locals and
+    makes one classical RK4 step for each step size h of hs.  Stage inputs
+    are y_j + 0.5 * h * k_j (y_j + h * k_j for the last stage) and the
+    update is y_j + (h / 6.0) * (a_j + 2.0 * b_j + 2.0 * c_j + d_j), the
+    same float operations in the same order as one loop over stages; 0.5 * h
+    and h / 6.0 are computed once per step.  After each step one test covers
+    the common case: the last coordinate is inside (above BOUNDARY_EPS when
+    watch is true, else nonnegative), the sum of the ``|y_j|`` is at most
+    COORD_LIMIT and t is finite.  Invariant: a state is stored only after
+    that test passes, and the test passes only when ``FlowState(y, t)``
+    would accept the state, so run appends it unchecked, as
+    ``tuple.__new__(FlowState, (y, t))``.  When the test fails, run
+    returns ``(y, t, inside)`` without storing, and hs keeps the steps not
+    yet taken; when hs runs out it returns None.  A float overflow or a
+    division by zero in a step propagates, and the coordinates stored last
+    are those before the step.
     """
     n = field.n
     constants: dict = {}
     components = _terms(field, constants)
     ys = ", ".join(f"y{j}" for j in range(n))
-    lines = ["def step(y, h):", f"{ys}, = y", "half = 0.5 * h", "sixth = h / 6.0"]
+    last = f"y{n - 1}"
+    step = ["half = 0.5 * h", "sixth = h / 6.0"]
     var = "y"
     for stage, scale in (("a", "half"), ("b", "half"), ("c", "h"), ("d", None)):
         for j, terms in enumerate(components):
-            lines += _sum_lines(f"{stage}{j}", terms, var)
+            step += _sum_lines(f"{stage}{j}", terms, var)
         if scale is not None:
-            lines += [f"u{j} = y{j} + {scale} * {stage}{j}" for j in range(n)]
+            step += [f"u{j} = y{j} + {scale} * {stage}{j}" for j in range(n)]
             var = "u"
-    update = ", ".join(f"y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(n))
-    lines.append(f"return ({update},)")
-    namespace = {"__builtins__": {}, **constants}
-    exec("\n    ".join(lines) + "\n", namespace)
-    return namespace["step"]
+    step += [f"y{j} = y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(n)]
+    step += [
+        "t += h",
+        f"y = ({ys},)",
+        f"inside = {last} > BOUNDARY_EPS if watch else {last} >= 0.0",
+        "if not (inside and sum(map(abs, y)) <= COORD_LIMIT and isfinite(t)):",
+        "    return y, t, inside",
+        "append(new(FlowState, (y, t)))",
+    ]
+    body = ["append = states.append", f"({ys},), t = states[-1]", "for h in hs:", *("    " + line for line in step)]
+    return _define(
+        "run", "states, hs, watch", body,
+        sum=sum, map=map, abs=abs, isfinite=math.isfinite, new=tuple.__new__, FlowState=FlowState,
+        BOUNDARY_EPS=BOUNDARY_EPS, COORD_LIMIT=COORD_LIMIT, **constants,
+    )
 
 
 def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
@@ -252,39 +279,36 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         raise ValueError(
             f"(steps + 1) * n = {stored} exceeds the limit of {MAX_STORED_COORDS} stored coordinates"
         )
-    step = _compile_step(field)
+    run = _compile_loop(field)
     states = [p0]
-    append, trusted = states.append, FlowState._trusted
-    y = p0.coords
+    hs = chain(repeat(dt, nsteps), repeat(leftover, steps - nsteps))
     # a start on the boundary plane stays there exactly; only interior
     # trajectories can "escape" through the xn threshold
     watch_boundary = p0.coords[-1] > BOUNDARY_EPS
-    t = p0.t
     isfinite = math.isfinite
-    for i in range(steps):
-        h = dt if i < nsteps else leftover
+    while True:
         try:
-            y = step(y, h)
+            stop = run(states, hs, watch_boundary)
         except OverflowError as exc:
             # float ** raises where * would give inf
-            raise NonFinite(f"float overflow in the RK4 step from t={t}", states) from exc
+            raise NonFinite(f"float overflow in the RK4 step from t={states[-1].t}", states) from exc
         except ZeroDivisionError as exc:
             # 0.0 ** -k: a negative power of xn on the unwatched boundary plane
-            raise NonFinite(f"division by zero in the RK4 step from t={t}", states) from exc
-        t += h
-        # the sum of the |y_j| is finite and within the limit only when every
-        # |y_j| is; when the test fails, the checks below raise the escape
-        inside = y[-1] > BOUNDARY_EPS if watch_boundary else y[-1] >= 0.0
-        if not (inside and sum(map(abs, y)) <= COORD_LIMIT and isfinite(t)):
-            if not all(map(isfinite, y)):
-                raise NonFinite(f"non-finite coordinates at t={t}", states)
-            if not inside or max(map(abs, y)) > COORD_LIMIT:
-                raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
-            if not isfinite(t):
-                # only from a start time near the float limit
-                raise NonFinite(f"non-finite state {y} at t={t}", states)
-        append(trusted(y, t))
-    return states
+            raise NonFinite(f"division by zero in the RK4 step from t={states[-1].t}", states) from exc
+        if stop is None:
+            return states
+        # the one test failed: the sum of the |y_j| is finite and within the
+        # limit only when every |y_j| is, so the checks below raise the
+        # escape unless only that sum passed the limit
+        y, t, inside = stop
+        if not all(map(isfinite, y)):
+            raise NonFinite(f"non-finite coordinates at t={t}", states)
+        if not inside or max(map(abs, y)) > COORD_LIMIT:
+            raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
+        if not isfinite(t):
+            # only from a start time near the float limit
+            raise NonFinite(f"non-finite state {y} at t={t}", states)
+        states.append(tuple.__new__(FlowState, (y, t)))
 
 
 def _reference(spec: FlowSpec, p0: FlowState):
@@ -376,6 +400,53 @@ def _reference(spec: FlowSpec, p0: FlowState):
     return boost
 
 
+def _compile_rows(n: int):
+    """The row loop of the trajectory CSV for n coordinates, as straight-line code.
+
+    ``rows(write, states, reference, t0)`` writes one row per state of
+    states, each a coordinate tuple and a time stamp, and returns the
+    largest err.  It takes the coordinates of a state and of its closed
+    form ``reference(stamp - t0)`` into locals, checks the closed form the
+    way FlowState does (finite, last coordinate nonnegative, finite time)
+    and builds the FlowState only when that fails, for the exact error it
+    raises.  err is the square root of the sum of the ``(y_j - c_j) ** 2``
+    in coordinate order, and ``hypot`` of the differences where that sum
+    passes the float range; each value is written as its ``repr``.
+    """
+    ys = [f"y{j}" for j in range(n)]
+    cs = [f"c{j}" for j in range(n)]
+    diffs = [f"y{j} - c{j}" for j in range(n)]
+    fields = ",".join(f"{{{name}!r}}" for name in ("stamp", *ys, *cs, "gap"))
+    body = [
+        "worst = 0.0",
+        f"for ({', '.join(ys)},), stamp in states:",
+        "    t = stamp - t0",
+        "    try:",
+        "        coords = reference(t)",
+        "    except ArithmeticError as exc:",
+        '        raise NonFinite(f"the closed form has no finite value at t={stamp}") from exc',
+        f"    ({', '.join(cs)},) = coords",
+        f"    if not (all(map(isfinite, coords)) and c{n - 1} >= 0 and isfinite(t0 + t)):",
+        "        FlowState(coords, t0 + t)",
+        "    try:",
+        "        gap = sqrt(sum((" + ", ".join(f"({d}) ** 2" for d in diffs) + ",)))",
+        "    except OverflowError:",
+        "        gap = inf",
+        "    if gap == inf:",
+        f"        gap = hypot({', '.join(diffs)})",
+        f'    write(f"{fields}\\n")',
+        "    if gap > worst:",
+        "        worst = gap",
+        "return worst",
+    ]
+    return _define(
+        "rows", "write, states, reference, t0", body,
+        all=all, map=map, sum=sum, ArithmeticError=ArithmeticError, OverflowError=OverflowError,
+        isfinite=math.isfinite, sqrt=math.sqrt, hypot=math.hypot, inf=math.inf, NonFinite=NonFinite,
+        FlowState=FlowState,
+    )
+
+
 def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> float:
     """Write `t,x1..xn,cx1..cxn,err` rows one by one; return the largest err.
 
@@ -383,39 +454,17 @@ def write_trajectory_csv(path, states: Iterable[FlowState], spec: FlowSpec) -> f
     only the header is written and 0.0 returned.  A closed form with no
     finite value at some state (the pole of a boundary-plane rotation or
     boost, or an overflow) raises NonFinite after the rows before it are
-    written.
+    written.  Near 1e154 a square of a difference, or their sum, passes the
+    float range; err is then ``hypot`` of the differences, which scales
+    instead (only there, so every other err keeps its bytes).
     """
     n = spec.n
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"cx{i}" for i in range(1, n + 1)] + ["err"]
-    row = ",".join(["%r"] * len(header)) + "\n"  # %r is repr: the bytes of ",".join(map(repr, ...))
-    worst = 0.0
-    isfinite = math.isfinite
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         states = iter(states)
         p0 = next(states, None)
         if p0 is None:
-            return worst
+            return 0.0
         reference = _reference(spec, p0)
-        for state in chain((p0,), states):
-            t = state.t - p0.t
-            try:
-                coords = reference(t)
-            except ArithmeticError as exc:
-                # a division by zero at the pole, or a float overflow
-                raise NonFinite(f"the closed form has no finite value at t={state.t}") from exc
-            if not (all(map(isfinite, coords)) and coords[-1] >= 0 and isfinite(p0.t + t)):
-                # the checks of FlowState failed; it raises their exact error
-                FlowState(coords, p0.t + t)
-            try:
-                gap = math.sqrt(sum([(a - b) ** 2 for a, b in zip(state.coords, coords)]))
-            except OverflowError:
-                gap = math.inf
-            if gap == math.inf:
-                # near 1e154 a square, or the sum of the squares, passes the
-                # float limit; hypot scales instead (only here, so every
-                # other gap keeps its bytes)
-                gap = math.hypot(*(a - b for a, b in zip(state.coords, coords)))
-            handle.write(row % (state.t, *state.coords, *coords, gap))
-            worst = max(worst, gap)
-    return worst
+        return _compile_rows(n)(handle.write, chain((p0,), states), reference, p0.t)

@@ -744,6 +744,24 @@ def test_flow_n_cap_checked_before_any_field(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PASS and len(out_path.read_text().splitlines()) == 3
 
 
+def test_flow_boost_at_the_n_cap_runs_two_steps(tmp_path, capsys):
+    # component 1 of the boost G1 has n terms, the widest of any generator,
+    # so this compiles and runs the generated RK4 loop at its largest size.
+    # It compiles because no generated expression nests once per coordinate
+    # or per term: abs(y0) + ... + abs(y2999) alone exhausts the compiler of
+    # Python 3.10 to 3.12.
+    out_path = tmp_path / "o.csv"
+    point = ",".join(["0.001"] * (MAX_FLOW_N - 1) + ["1"])
+    argv = ["flow", "--gen", "G1", "--n", str(MAX_FLOW_N), "--point", point, "--t-max", "0.002", "--dt", "0.001",
+            "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (EXIT_PASS, "")
+    rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.0", "0.001", "0.002"]
+    assert all(len(row) == 2 * MAX_FLOW_N + 2 for row in rows)
+    assert float(out.splitlines()[-1].removeprefix("max_deviation_vs_closed_form: ")) < 1e-12
+
+
 def test_flow_stored_coordinate_cap_exits_64(tmp_path, capsys):
     # each would store more than 10^7 coordinates, up to 10^9 (about 37 GB)
     out_path = tmp_path / "o.csv"

@@ -1,10 +1,11 @@
-"""The compiled RK4 step against the term-by-term interpreter, bit for bit.
+"""The generated RK4 loop against the term-by-term interpreter, bit for bit.
 
-``flows._compile_step`` turns a field into one straight-line Python
-function for a whole RK4 step; the trajectory CSV bytes depend on every
-float it computes.  Random Laurent fields (negative exponents in the last coordinate,
-empty components) at random points, signed zeros, huge and non-finite
-values included, must give the oracle's floats by ``float.hex``, so that
+``flows._compile_loop`` turns a field into one straight-line Python
+function for the whole fixed-step RK4 loop; the trajectory CSV bytes
+depend on every float it computes.  Most tests here run it for one step.
+Random Laurent fields (negative exponents in the last coordinate, empty
+components) at random points, signed zeros, huge and non-finite values
+included, must give the oracle's floats by ``float.hex``, so that
 -0.0 and nan count, and must raise the oracle's exception (OverflowError
 from ``**``, ZeroDivisionError from ``0.0**-e``) on the same inputs.
 """
@@ -19,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rhs_oracle, rk4_step_oracle
-from rbkit import FlowSpec, FlowState, LaurentPoly, VectorField, generator, generator_names, integrate
-from rbkit.flows import _compile_step, _sum_lines, _terms
+from rbkit import FlowSpec, FlowState, LaurentPoly, VectorField, flows, generator, generator_names, integrate
+from rbkit.flows import _compile_loop, _sum_lines, _terms
 
 
 @st.composite
@@ -44,6 +45,22 @@ COORD = st.one_of(
 STEP = st.one_of(st.sampled_from([1e-3, -0.5, 0.0, 1e150]), st.floats(-2.0, 2.0), st.floats())
 
 
+def one_step(field):
+    """``step(y, h)``: the coordinates the generated loop of field reaches in one step of h.
+
+    The loop stores the state when its one escape test passes and returns
+    it when the test fails; either way the step's coordinates come back.
+    """
+    run = _compile_loop(field)
+
+    def step(y, h):
+        states = [(tuple(y), 0.0)]
+        stop = run(states, [h], True)
+        return states[-1][0] if stop is None else stop[0]
+
+    return step
+
+
 def outcome(fn, *args):
     """The floats fn returns, as hex strings, or the type of the error it raises."""
     try:
@@ -56,22 +73,22 @@ def outcome(fn, *args):
 @given(field=laurent_fields(), data=st.data(), h=STEP)
 def test_compiled_step_matches_the_oracle(field, data, h):
     y = tuple(data.draw(st.lists(COORD, min_size=field.n, max_size=field.n)))
-    assert outcome(_compile_step(field), y, h) == outcome(rk4_step_oracle, rhs_oracle(field), y, h)
+    assert outcome(one_step(field), y, h) == outcome(rk4_step_oracle, rhs_oracle(field), y, h)
 
 
 def test_overflow_and_zero_division_are_reached():
     # the second stage of the boost squares x1 of about 1e165
     boost, y = generator("G1", 2), (1e8, 1.0)
-    assert outcome(_compile_step(boost), y, 1e150) is OverflowError
+    assert outcome(one_step(boost), y, 1e150) is OverflowError
     assert outcome(rk4_step_oracle, rhs_oracle(boost), y, 1e150) is OverflowError
     inverse = VectorField([LaurentPoly.zero(2), LaurentPoly.monomial(2, (0, -2))])
     for y in ((1.0, 0.0), (1.0, -0.0)):
-        assert outcome(_compile_step(inverse), y, 0.5) is ZeroDivisionError
+        assert outcome(one_step(inverse), y, 0.5) is ZeroDivisionError
         assert outcome(rk4_step_oracle, rhs_oracle(inverse), y, 0.5) is ZeroDivisionError
     # each component of the zero field is +0.0, so a step back adds -0.0 to each coordinate
     zero, y = VectorField.zero(3), (-0.0, -2.0, 0.0)
     expected = ["-0x0.0p+0", "-0x1.0000000000000p+1", "0x0.0p+0"]
-    assert outcome(_compile_step(zero), y, -1.0) == outcome(rk4_step_oracle, rhs_oracle(zero), y, -1.0) == expected
+    assert outcome(one_step(zero), y, -1.0) == outcome(rk4_step_oracle, rhs_oracle(zero), y, -1.0) == expected
 
 
 def _bits(x: float) -> bytes:
@@ -96,7 +113,7 @@ def test_compiled_generator_steps_match_the_oracle_with_the_elisions():
             field = generator(name, n)
             source = [line for terms in _terms(field, {}) for line in _sum_lines("a", terms, "y")]
             assert any(re.search(r"y\d+(?![\d*])", line) for line in source) == (name[0] != "T"), name
-            step, rhs = _compile_step(field), rhs_oracle(field)
+            step, rhs = one_step(field), rhs_oracle(field)
             points = itertools.islice(itertools.product(grid, repeat=n), 0, None, 1 + 5**n // 400)
             for y in points:
                 for h in (1e-3, -0.5):
@@ -111,7 +128,27 @@ def test_step_of_a_component_with_thousands_of_terms():
     wide = LaurentPoly(2, {(e, 0): Fraction(1, e + 1) for e in range(5000)})
     field = VectorField([wide, LaurentPoly.zero(2)])
     y = (0.75, 1.0)
-    assert outcome(_compile_step(field), y, 1e-3) == outcome(rk4_step_oracle, rhs_oracle(field), y, 1e-3)
+    assert outcome(one_step(field), y, 1e-3) == outcome(rk4_step_oracle, rhs_oracle(field), y, 1e-3)
+
+
+def test_steps_whose_coordinate_sum_passes_the_limit_continue():
+    # a rotation of the (x1, x2) plane at radius 7.5e8: |x1| + |x2| + x3
+    # passes COORD_LIMIT after the first and third steps, while every
+    # coordinate stays within it.  The loop's one test then fails,
+    # integrate's separate checks pass, and the run goes on from the state
+    # integrate stored.
+    x1, x2 = LaurentPoly.monomial(3, (1, 0, 0)), LaurentPoly.monomial(3, (0, 1, 0))
+    field = VectorField([-x2, x1, LaurentPoly.zero(3)])
+    p0 = FlowState((7.5e8, 0.0, 1.0))
+    states = integrate(field, p0, 2.25, 0.75)
+    assert [state.t for state in states] == [0.0, 0.75, 1.5, 2.25]
+    rhs, y = rhs_oracle(field), list(p0.coords)
+    for state in states[1:]:
+        y = rk4_step_oracle(rhs, y, 0.75)
+        assert [v.hex() for v in state.coords] == [v.hex() for v in y]
+        assert max(map(abs, y)) <= flows.COORD_LIMIT
+    past_limit = [sum(map(abs, state.coords)) > flows.COORD_LIMIT for state in states[1:]]
+    assert past_limit == [True, False, True]
 
 
 def test_integrate_states_equal_validated_states():

@@ -81,14 +81,14 @@ def test_integrate_step_cap(monkeypatch):
 
 def test_integrate_stored_coordinate_cap(monkeypatch):
     def refuse(field):
-        raise AssertionError("a step was compiled above the stored-coordinate limit")
+        raise AssertionError("an RK4 loop was compiled above the stored-coordinate limit")
 
     assert flows.MAX_STORED_COORDS == 10**7
     field, p0 = generator("T1", 2), FlowState((0.0, 1.0))
     monkeypatch.setattr(flows, "MAX_STORED_COORDS", 22)
     assert len(integrate(field, p0, 1.0, 0.1)) == 11  # 11 states of 2 coordinates, at the limit
     # (steps + 1) * n is checked before any step is compiled or run
-    monkeypatch.setattr(flows, "_compile_step", refuse)
+    monkeypatch.setattr(flows, "_compile_loop", refuse)
     for t_max in (1.1, 1.05):  # 11 steps; 10 steps and a leftover one
         with pytest.raises(ValueError) as raised:
             integrate(field, p0, t_max, 0.1)

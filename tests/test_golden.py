@@ -14,17 +14,18 @@ fixed points (the origin under ``D`` and ``G``) and the axis-bound boost
 forms.  Escapes and usage errors are pinned too: exit 64 leaves stdout
 empty and writes no CSV.
 
-To re-record after an intended output change, run this file as a script
-(``PYTHONPATH=src python tests/test_golden.py``) and paste the printed
-table over ``GOLDEN``.
+As a script the file needs only the standard library, so the pins can be
+checked under any installed Python, with or without pytest:
+``PYTHONPATH=src python tests/test_golden.py --check`` runs every case,
+prints each one that differs from ``GOLDEN`` and exits 1 if any does.  To
+re-record after an intended output change, run it without ``--check`` and
+paste the printed table over ``GOLDEN``.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-
-import pytest
 
 from rbkit.cli import main
 
@@ -155,19 +156,34 @@ def run_case(name: str, workdir) -> tuple:
     return code, _sha(out.getvalue().encode()), csv
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path):
-    assert run_case(name, tmp_path) == GOLDEN[name]
+if __name__ != "__main__":
+    import pytest
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_golden_output(name, tmp_path):
+        assert run_case(name, tmp_path) == GOLDEN[name]
 
 
 if __name__ == "__main__":
+    import argparse
     import pathlib
+    import platform
+    import sys
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Print the GOLDEN table, or check every case against it.")
+    parser.add_argument("--check", action="store_true", help="compare every case with GOLDEN; exit 1 on a difference")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        print("GOLDEN = {")
-        for name in sorted(CASES):
-            code, out, csv = run_case(name, pathlib.Path(tmp))
-            csv = f'"{csv}"' if csv else None
-            print(f'    "{name}": ({code}, "{out}", {csv}),')
-        print("}")
+        results = {name: run_case(name, pathlib.Path(tmp)) for name in sorted(CASES)}
+    if args.check:
+        differ = [name for name, result in results.items() if result != GOLDEN[name]]
+        for name in differ:
+            print(f"{name}: got {results[name]}, pinned {GOLDEN[name]}")
+        print(f"Python {platform.python_version()}: {len(results) - len(differ)} of {len(results)} pins match")
+        sys.exit(1 if differ else 0)
+    print("GOLDEN = {")
+    for name, (code, out, csv) in results.items():
+        csv = f'"{csv}"' if csv else None
+        print(f'    "{name}": ({code}, "{out}", {csv}),')
+    print("}")

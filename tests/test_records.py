@@ -5,8 +5,9 @@ construction, the error types and messages, immutability, and the
 field-wise ``==`` and ``hash`` it had as a frozen dataclass (whose hash was
 the hash of the tuple of its fields).  ``_make`` and ``_replace`` of a
 checked record go through its checks, so the only unchecked path is the
-documented ``FlowState._trusted``.  Importing ``rbkit.cli`` loads neither
-``dataclasses`` nor ``inspect``.
+RK4 loop of ``integrate``, which stores a state only after its checks
+pass.  Importing ``rbkit.cli`` loads neither ``dataclasses`` nor
+``inspect``.
 """
 
 import os
@@ -30,6 +31,7 @@ from rbkit import (
     SolitonParams,
     contact_report,
     generator,
+    integrate,
 )
 
 PARAMS = {"n": 3, "a": ("1", "-2"), "b": "1/2", "c": (3, 1), "rho": "1/3"}
@@ -176,12 +178,23 @@ def test_make_and_replace_coerce_like_the_constructor():
 
 
 def test_trusted_state_equals_checked_state():
-    for coords, t in (((1.0, 2.0), 0.0), ((0.0, -0.0, 0.0), 3.5), ((-1e300, 1e-300), -2.0)):
-        trusted = FlowState._trusted(coords, t)
-        assert type(trusted) is FlowState
-        assert trusted == FlowState(coords, t) and hash(trusted) == hash(FlowState(coords, t))
-    # _trusted stores its values as given, without checking them
-    assert FlowState._trusted((1.0, -1.0), 0.0).coords == (1.0, -1.0)
+    # integrate stores its states without FlowState's checks: those of the
+    # generated loop, and one it checks itself when only the sum of the
+    # |x_j| passed COORD_LIMIT (the T1 run from (6e8, 6e8))
+    runs = (
+        (generator("T1", 2), FlowState((1.0, 2.0)), 0.3, 0.1),
+        (generator("D", 3), FlowState((0.0, -0.0, 0.0), 3.5), 0.2, 0.1),
+        (generator("G1", 2), FlowState((-1e-300, 1e-300), -2.0), 0.5, 0.25),
+        (generator("T1", 2), FlowState((6e8, 6e8)), 2.0, 1.0),
+    )
+    for field, p0, t_max, dt in runs:
+        states = integrate(field, p0, t_max, dt)
+        assert len(states) > 1
+        for trusted in states[1:]:
+            checked = FlowState(trusted.coords, trusted.t)
+            assert type(trusted) is FlowState and type(trusted.coords) is tuple and type(trusted.t) is float
+            assert all(type(x) is float for x in trusted.coords)
+            assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
 
 
 def test_record_equals_plain_tuple_of_its_values():
