@@ -37,12 +37,14 @@ class FlowEscape(RBKitError):
     """A numeric flow stopped before its horizon.
 
     Carries the valid prefix of the trajectory in ``trajectory`` (the last
-    element is the last valid state); it is empty when no trajectory ran.
+    element is the last valid state), the sequence it is given and not a
+    copy, so an escape of a long run costs no second list; it is empty when
+    no trajectory ran.
     """
 
     def __init__(self, message, trajectory=()):
         super().__init__(message)
-        self.trajectory = list(trajectory)
+        self.trajectory = trajectory
 
 
 class NonFinite(FlowEscape):

@@ -27,28 +27,28 @@ NonFinite.
 Compiled loop.  ``integrate`` checks its arguments, then compiles its
 field once per call into one straight-line Python function for the whole
 fixed-step RK4 loop (``_compile_loop``, built as source text and run with
-``exec``).  The loop keeps the coordinates in locals from step to step and
-appends each state it reaches to the trajectory unchecked, as a FlowState
-built by ``tuple.__new__``: a state is stored only after the loop's one
-escape test passes, which it does only when FlowState's checks would.  The
-float operations of a step and their order are part of the byte contract
-of the trajectory CSV: a component is 0.0 plus its terms in ``terms``
-order, a term is its coefficient times ``x**e`` left to right, stage
-inputs are y + 0.5 * h * k (y + h * k for the last stage), and the update
-is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The loop leaves out only
+``exec``) and runs it in one call.  The loop keeps the coordinates in
+locals from step to step and appends each state it reaches to the
+trajectory unchecked, as a FlowState built by ``tuple.__new__``: a state is
+stored only after the loop's one test passes, and that test is exact, so
+it passes just when FlowState's checks would and the state has not
+escaped.  The float operations of a step and their order are part of the
+byte contract of the trajectory CSV: a component is 0.0 plus its terms in
+``terms`` order, a term is its coefficient times ``x**e`` left to right,
+stage inputs are y + 0.5 * h * k (y + h * k for the last stage), and the
+update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The loop leaves out only
 what is the identity bit for bit in IEEE 754: ``x**1`` is written as ``x``
 (it can neither overflow nor divide by zero, so the same errors are
 raised), and a coefficient 1.0 before a factor is dropped (``1.0 * x`` is
 ``x``).  ``x**2`` stays a ``pow``, whose rounding ``x * x`` need not share.
 Each term is one statement and no expression nests once per coordinate,
 so a component with thousands of terms (the boost G1 in thousands of
-coordinates) still compiles.  The one test after each step covers the
-common case: the last coordinate is inside, the sum of the ``|y_j|`` is at
-most COORD_LIMIT (finite and within the limit only when every coordinate
-is) and t is finite.  When it fails the loop hands the state back, and
-``integrate`` runs the separate checks in their order, so each escape
-keeps its type and message; a state whose only fault was that sum is
-stored, and the loop goes on from it.
+coordinates) still compiles.  The test after each step is one flat ``and``
+chain: the last coordinate is inside, ``-COORD_LIMIT <= y_j <= COORD_LIMIT``
+for every j (a chained comparison is false for nan and +-inf, so this also
+asks for finite coordinates) and t is finite.  When it fails the loop calls
+``_escape``, which runs the separate checks in their order and raises, so
+each escape keeps its type and message.
 
 Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
 and works out every constant of the start point (r0, -2/(x_k + i r0),
@@ -196,6 +196,23 @@ def _define(name: str, params: str, body: list, **names):
     return namespace[name]
 
 
+def _escape(states: list, y: tuple, t: float, watch: bool):
+    """Raise the escape of the state (y, t) that the RK4 loop refused to store.
+
+    The checks run in their order, so each escape keeps its type and
+    message: a non-finite coordinate first, then a last coordinate that is
+    not inside (above BOUNDARY_EPS when watch is true, else nonnegative) or
+    some ``|y_j|`` past COORD_LIMIT, and only then a non-finite time, which
+    is all that is left of the loop's test.  Each escape carries states.
+    """
+    if not all(map(math.isfinite, y)):
+        raise NonFinite(f"non-finite coordinates at t={t}", states)
+    if not (y[-1] > BOUNDARY_EPS if watch else y[-1] >= 0.0) or max(map(abs, y)) > COORD_LIMIT:
+        raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
+    # only from a start time near the float limit
+    raise NonFinite(f"non-finite state {y} at t={t}", states)
+
+
 def _compile_loop(field: VectorField):
     """The fixed-step RK4 loop of field, ``run(states, hs, watch)``, as straight-line code.
 
@@ -204,23 +221,28 @@ def _compile_loop(field: VectorField):
     are y_j + 0.5 * h * k_j (y_j + h * k_j for the last stage) and the
     update is y_j + (h / 6.0) * (a_j + 2.0 * b_j + 2.0 * c_j + d_j), the
     same float operations in the same order as one loop over stages; 0.5 * h
-    and h / 6.0 are computed once per step.  After each step one test covers
-    the common case: the last coordinate is inside (above BOUNDARY_EPS when
-    watch is true, else nonnegative), the sum of the ``|y_j|`` is at most
-    COORD_LIMIT and t is finite.  Invariant: a state is stored only after
-    that test passes, and the test passes only when ``FlowState(y, t)``
-    would accept the state, so run appends it unchecked, as
-    ``tuple.__new__(FlowState, (y, t))``.  When the test fails, run
-    returns ``(y, t, inside)`` without storing, and hs keeps the steps not
-    yet taken; when hs runs out it returns None.  A float overflow or a
-    division by zero in a step propagates, and the coordinates stored last
-    are those before the step.
+    and h / 6.0 are computed once per step.  After each step one flat
+    ``and`` chain tests the state: the last coordinate is inside (above
+    BOUNDARY_EPS when watch is true, else nonnegative), each coordinate
+    satisfies ``-COORD_LIMIT <= y_j <= COORD_LIMIT`` (false for nan and
+    +-inf) and t is finite.  Invariant: the chain holds exactly when the
+    state may be stored, that is when ``FlowState(y, t)`` would accept it
+    and it has not escaped, so run appends it unchecked, as
+    ``tuple.__new__(FlowState, (y, t))``, and otherwise calls ``_escape``
+    (read here, when the loop is compiled), which raises.  run returns
+    None when hs runs out.  A float overflow or a division by zero in a
+    step propagates, and the coordinates stored last are those before the
+    step.
     """
     n = field.n
     constants: dict = {}
     components = _terms(field, constants)
-    ys = ", ".join(f"y{j}" for j in range(n))
-    last = f"y{n - 1}"
+    y = "(" + ", ".join(f"y{j}" for j in range(n)) + ",)"
+    # one flat chain, which does not nest once per coordinate; the limits are
+    # float literals, so no name is loaded or negated per coordinate
+    inside = f"(y{n - 1} > {BOUNDARY_EPS!r} if watch else y{n - 1} >= 0.0)"
+    bounded = (f"{-COORD_LIMIT!r} <= y{j} <= {COORD_LIMIT!r}" for j in range(n))
+    test = " and ".join([inside, *bounded, "isfinite(t)"])
     step = ["half = 0.5 * h", "sixth = h / 6.0"]
     var = "y"
     for stage, scale in (("a", "half"), ("b", "half"), ("c", "h"), ("d", None)):
@@ -232,17 +254,14 @@ def _compile_loop(field: VectorField):
     step += [f"y{j} = y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(n)]
     step += [
         "t += h",
-        f"y = ({ys},)",
-        f"inside = {last} > BOUNDARY_EPS if watch else {last} >= 0.0",
-        "if not (inside and sum(map(abs, y)) <= COORD_LIMIT and isfinite(t)):",
-        "    return y, t, inside",
-        "append(new(FlowState, (y, t)))",
+        f"if not ({test}):",
+        f"    escape(states, {y}, t, watch)",
+        f"append(new(FlowState, ({y}, t)))",
     ]
-    body = ["append = states.append", f"({ys},), t = states[-1]", "for h in hs:", *("    " + line for line in step)]
+    body = ["append = states.append", f"{y}, t = states[-1]", "for h in hs:", *("    " + line for line in step)]
     return _define(
         "run", "states, hs, watch", body,
-        sum=sum, map=map, abs=abs, isfinite=math.isfinite, new=tuple.__new__, FlowState=FlowState,
-        BOUNDARY_EPS=BOUNDARY_EPS, COORD_LIMIT=COORD_LIMIT, **constants,
+        escape=_escape, isfinite=math.isfinite, new=tuple.__new__, FlowState=FlowState, **constants,
     )
 
 
@@ -257,7 +276,8 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     positive and finite, a negative t_max, a step count t_max / dt that is
     not finite or exceeds MAX_STEPS, a field whose dimension differs from
     the arity of p0, or more than MAX_STORED_COORDS stored coordinates
-    (steps + 1) * n raises ValueError before any step runs.
+    (steps + 1) * n raises ValueError before any step runs.  The steps
+    themselves run in one call of the compiled loop (``_compile_loop``).
     """
     if dt <= 0 or dt == math.inf:
         raise ValueError("dt must be positive and finite")
@@ -281,34 +301,18 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
         )
     run = _compile_loop(field)
     states = [p0]
-    hs = chain(repeat(dt, nsteps), repeat(leftover, steps - nsteps))
     # a start on the boundary plane stays there exactly; only interior
     # trajectories can "escape" through the xn threshold
     watch_boundary = p0.coords[-1] > BOUNDARY_EPS
-    isfinite = math.isfinite
-    while True:
-        try:
-            stop = run(states, hs, watch_boundary)
-        except OverflowError as exc:
-            # float ** raises where * would give inf
-            raise NonFinite(f"float overflow in the RK4 step from t={states[-1].t}", states) from exc
-        except ZeroDivisionError as exc:
-            # 0.0 ** -k: a negative power of xn on the unwatched boundary plane
-            raise NonFinite(f"division by zero in the RK4 step from t={states[-1].t}", states) from exc
-        if stop is None:
-            return states
-        # the one test failed: the sum of the |y_j| is finite and within the
-        # limit only when every |y_j| is, so the checks below raise the
-        # escape unless only that sum passed the limit
-        y, t, inside = stop
-        if not all(map(isfinite, y)):
-            raise NonFinite(f"non-finite coordinates at t={t}", states)
-        if not inside or max(map(abs, y)) > COORD_LIMIT:
-            raise BoundaryEscape(f"trajectory left the safe region at t={t}", states)
-        if not isfinite(t):
-            # only from a start time near the float limit
-            raise NonFinite(f"non-finite state {y} at t={t}", states)
-        states.append(tuple.__new__(FlowState, (y, t)))
+    try:
+        run(states, chain(repeat(dt, nsteps), repeat(leftover, steps - nsteps)), watch_boundary)
+    except OverflowError as exc:
+        # float ** raises where * would give inf
+        raise NonFinite(f"float overflow in the RK4 step from t={states[-1].t}", states) from exc
+    except ZeroDivisionError as exc:
+        # 0.0 ** -k: a negative power of xn on the unwatched boundary plane
+        raise NonFinite(f"division by zero in the RK4 step from t={states[-1].t}", states) from exc
+    return states
 
 
 def _reference(spec: FlowSpec, p0: FlowState):

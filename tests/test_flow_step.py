@@ -15,6 +15,7 @@ import math
 import re
 import struct
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,15 +49,17 @@ STEP = st.one_of(st.sampled_from([1e-3, -0.5, 0.0, 1e150]), st.floats(-2.0, 2.0)
 def one_step(field):
     """``step(y, h)``: the coordinates the generated loop of field reaches in one step of h.
 
-    The loop stores the state when its one escape test passes and returns
-    it when the test fails; either way the step's coordinates come back.
+    The loop is compiled with ``flows._escape``, which it calls when its
+    escape test fails, patched to a no-op, so every step it takes is
+    stored, escapes included, and its coordinates come back.
     """
-    run = _compile_loop(field)
+    with mock.patch.object(flows, "_escape", lambda *args: None):
+        run = _compile_loop(field)
 
     def step(y, h):
         states = [(tuple(y), 0.0)]
-        stop = run(states, [h], True)
-        return states[-1][0] if stop is None else stop[0]
+        run(states, [h], True)
+        return states[-1][0]
 
     return step
 
@@ -134,9 +137,8 @@ def test_step_of_a_component_with_thousands_of_terms():
 def test_steps_whose_coordinate_sum_passes_the_limit_continue():
     # a rotation of the (x1, x2) plane at radius 7.5e8: |x1| + |x2| + x3
     # passes COORD_LIMIT after the first and third steps, while every
-    # coordinate stays within it.  The loop's one test then fails,
-    # integrate's separate checks pass, and the run goes on from the state
-    # integrate stored.
+    # coordinate stays within it.  The loop tests each coordinate against
+    # the limit, not their sum, so it stores those states and the run goes on.
     x1, x2 = LaurentPoly.monomial(3, (1, 0, 0)), LaurentPoly.monomial(3, (0, 1, 0))
     field = VectorField([-x2, x1, LaurentPoly.zero(3)])
     p0 = FlowState((7.5e8, 0.0, 1.0))

@@ -10,6 +10,7 @@ from rbkit import flows, solitons
 from rbkit import (
     BoundaryEscape,
     BoundaryPoint,
+    FlowEscape,
     FlowSpec,
     FlowState,
     IndexOutOfRange,
@@ -439,6 +440,34 @@ def test_time_overflow_raises_non_finite():
     p0 = FlowState((0.0, 0.0), 1.7976931348623157e308)
     with pytest.raises(NonFinite, match="at t=inf"):
         integrate(generator("D", 2), p0, 3e295, 1e295)
+
+
+# a state the one step reaches that fails several checks raises the first
+# escape in their order: non-finite coordinates, then the safe region, then
+# a non-finite time
+_TOP = 1.7976931348623157e308
+_DECAY = VectorField([LaurentPoly.var(2, 1), -1 * LaurentPoly.var(2, 2)])
+
+
+@pytest.mark.parametrize(
+    "field,p0,t_max,dt,error,message",
+    [
+        # x1 sums past the float maximum to inf while x2 falls to 7.5e-10, below BOUNDARY_EPS
+        (_DECAY, FlowState((1.7e308, 2e-9)), 1.0, 1.0, NonFinite, "non-finite coordinates at t=1.0"),
+        # x1 passes COORD_LIMIT and t overflows in the same step
+        (generator("T1", 2), FlowState((0.0, 1.0), _TOP), 3e295, 1e295, BoundaryEscape,
+         "trajectory left the safe region at t=inf"),
+        # finite coordinates inside the limits, t alone overflows
+        (VectorField.zero(2), FlowState((0.5, 1.0), _TOP), 3e295, 1e295, NonFinite,
+         "non-finite state (0.5, 1.0) at t=inf"),
+    ],
+    ids=["non_finite_and_below_eps", "past_limit_and_time_overflow", "time_overflow_alone"],
+)
+def test_a_state_failing_several_checks_raises_the_first_escape(field, p0, t_max, dt, error, message):
+    with pytest.raises(FlowEscape) as exc:
+        integrate(field, p0, t_max, dt)
+    assert type(exc.value) is error and str(exc.value) == message
+    assert exc.value.trajectory == [p0]
 
 
 @pytest.mark.parametrize("t_max,dt,steps", [(1.6e-13, 1e-13, 2), (3.5e-13, 1e-13, 4), (1e-20, 0.1, 1)])

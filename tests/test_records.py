@@ -178,9 +178,10 @@ def test_make_and_replace_coerce_like_the_constructor():
 
 
 def test_trusted_state_equals_checked_state():
-    # integrate stores its states without FlowState's checks: those of the
-    # generated loop, and one it checks itself when only the sum of the
-    # |x_j| passed COORD_LIMIT (the T1 run from (6e8, 6e8))
+    # integrate stores its states without FlowState's checks, each one after
+    # the generated loop's exact test passes; that test bounds each |x_j| by
+    # COORD_LIMIT, so the T1 run from (6e8, 6e8), whose sum of the |x_j|
+    # passes the limit, stores its states too
     runs = (
         (generator("T1", 2), FlowState((1.0, 2.0)), 0.3, 0.1),
         (generator("D", 3), FlowState((0.0, -0.0, 0.0), 3.5), 0.2, 0.1),
