@@ -17,8 +17,11 @@ exit 64: the generator name and n by ``FlowSpec``, the start point (finite,
 last coordinate nonnegative) by ``FlowState``, and ``dt``, ``t_max``, the
 step count (at most ``flows.MAX_STEPS``), the arity and the stored
 coordinates (steps + 1) * n (at most ``flows.MAX_STORED_COORDS``) by
-``integrate``, before any step runs.  An unwritable ``--out`` also exits
-64.  Values of ``--point``, ``--dt`` and ``--t-max`` may start with "-".
+``flows._step_sizes``, the check ``integrate`` runs first.  Only then is
+``--out`` opened for writing, so a usage error leaves a stale file there
+as it was.  An ``--out`` that cannot be opened exits 64 before any field
+is built, and one whose rows cannot be written exits 64 too.  Values of
+``--point``, ``--dt`` and ``--t-max`` may start with "-".
 A start at the origin, a zero of D, of every boost and of the plane
 rotation, stays fixed, at any horizon.  A state at which the closed form
 has no finite value (its pole, or a dilation x e^t beyond the float range)
@@ -248,16 +251,19 @@ def cmd_contact(params: halfspace.SolitonParams):
 
 
 def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) -> int:
-    # the start is checked here, not in the try below: a non-finite start
-    # is a usage error, a non-finite step is an escape
+    # every usage error comes before --out is opened, so a stale file is kept
+    # on one; the start is checked here, not in the try below: a non-finite
+    # start is a usage error, a non-finite step is an escape
     try:
         spec, p0 = flows.FlowSpec(kind=gen, n=n), flows.FlowState(tuple(point))
+        flows._step_sizes(spec.n, p0, t_max, dt)
+        open(out_path, "w", encoding="utf-8").close()
+    except OSError as exc:
+        raise _UsageError(f"--out: {exc}") from exc
     except (ValueError, RBKitError) as exc:
         raise _UsageError(str(exc)) from exc
     try:
         states, escape = flows.integrate(spec.field(), p0, t_max, dt), None
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     except FlowEscape as exc:
         states, escape = exc.trajectory, exc
     try:

@@ -33,7 +33,11 @@ IndexTuple = tuple  # strictly increasing tuple[int, ...] with entries in 1..n
 
 
 class VectorField(SparseMap):
-    """n contravariant components, each a LaurentPoly in x1..xn, stored by 1-based index."""
+    """n contravariant components, each a LaurentPoly in x1..xn, stored by 1-based index.
+
+    n is the number of components; ``_check`` rejects any component that is
+    not a LaurentPoly in n coordinates.
+    """
 
     __slots__ = ("_terms",)
 
@@ -41,14 +45,9 @@ class VectorField(SparseMap):
         components = tuple(components)
         if not components:
             raise ValueError("a vector field needs at least one component")
-        n = components[0].n
-        if len(components) != n:
-            raise ValueError("need exactly n components, each a polynomial in n coordinates")
-        super().__init__(n, dict(enumerate(components, 1)))
+        super().__init__(len(components), dict(enumerate(components, 1)))
 
     def _check(self, i, poly) -> tuple:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"component index {i} outside 1..{self.n}")
         if not isinstance(poly, LaurentPoly) or poly.n != self.n:
             raise ValueError("need exactly n components, each a polynomial in n coordinates")
         return i, poly

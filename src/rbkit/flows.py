@@ -19,24 +19,26 @@ convention a run used is part of its report.
 
 Each input is checked once, by its owner: ``FlowSpec`` the generator name
 and n (at most MAX_FLOW_N, checked first, so no field is built above it),
-``FlowState`` the start point, ``integrate`` the step, horizon, step count,
-arity and stored size.  A closed form with no finite value (the pole of a
-start on the boundary plane, or a dilation beyond the float range) raises
-NonFinite.
+``FlowState`` the start point, ``_step_sizes`` the step, horizon, step
+count, arity and stored size, for ``integrate`` and for the ``flow``
+command, which calls it before it opens the CSV.  A closed form with no
+finite value (the pole of a start on the boundary plane, or a dilation
+beyond the float range) raises NonFinite.
 
-Compiled loop.  ``integrate`` checks its arguments, then compiles its
-field once per call into one straight-line Python function for the whole
-fixed-step RK4 loop (``_compile_loop``, built as source text and run with
-``exec``) and runs it in one call.  The loop keeps the coordinates in
-locals from step to step and appends each state it reaches to the
-trajectory unchecked, as a FlowState built by ``tuple.__new__``: a state is
-stored only after the loop's one test passes, and that test is exact, so
-it passes just when FlowState's checks would and the state has not
-escaped.  The float operations of a step and their order are part of the
-byte contract of the trajectory CSV: a component is 0.0 plus its terms in
-``terms`` order, a term is its coefficient times ``x**e`` left to right,
-stage inputs are y + 0.5 * h * k (y + h * k for the last stage), and the
-update is y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The loop leaves out only
+Compiled loop.  ``integrate`` checks its arguments (``_step_sizes``),
+then compiles its field once per call into one straight-line Python
+function for the whole fixed-step RK4 loop (``_compile_loop``, built as
+source text and run with ``exec``) and runs it in one call.  The loop
+keeps the coordinates in locals from step to step and appends each state
+it reaches to the trajectory unchecked, as a FlowState built by
+``tuple.__new__``: a state is stored only after the loop's one test
+passes, and that test is exact, so it passes just when FlowState's checks
+would and the state has not escaped.  The float operations of a step and
+their order are part of the byte contract of the trajectory CSV: a
+component is 0.0 plus its terms in ``terms`` order, a term is its
+coefficient times ``x**e`` left to right, stage inputs are y + 0.5 * h * k
+(y + h * k for the last stage), and the update is
+y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d).  The loop leaves out only
 what is the identity bit for bit in IEEE 754: ``x**1`` is written as ``x``
 (it can neither overflow nor divide by zero, so the same errors are
 raised), and a coefficient 1.0 before a factor is dropped (``1.0 * x`` is
@@ -52,11 +54,12 @@ each escape keeps its type and message.
 
 Closed-form reference.  ``_reference(spec, p0)`` reads the generator name
 and works out every constant of the start point (r0, -2/(x_k + i r0),
--1/z0 and whether it is finite, the fixed points, the axis-bound
-branch, and the power-of-two scale of a boost whose radius passes the
-float range) once per trajectory, and returns ``t -> coords``.  The float
-operations that depend on t, and their order, are those of a closed form
-worked out from scratch at each t, so the two agree bit for bit.
+-1/z0 and whether it is finite, the fixed origin, tested once for every
+kind but T, the axis-bound branch, and the power-of-two scale of a boost
+whose radius passes the float range) once per trajectory, and returns
+``t -> coords``.  The float operations that depend on t, and their order,
+are those of a closed form worked out from scratch at each t, so the two
+agree bit for bit.
 ``write_trajectory_csv`` is the one pass that puts a trajectory beside its
 closed form: it reads the states as any iterable whose first item is the
 start point, checks each coordinate tuple the way ``FlowState`` does
@@ -265,19 +268,15 @@ def _compile_loop(field: VectorField):
     )
 
 
-def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
-    """Fixed-step RK4 trajectory from p0; raises BoundaryEscape/NonFinite.
+def _step_sizes(n: int, p0: FlowState, t_max: float, dt: float):
+    """The step sizes of an RK4 run of an n-dimensional field from p0 to t_max.
 
-    Either escape carries the valid prefix of the trajectory, at least p0; a
-    float overflow or a division by zero inside a step (a negative power of
-    xn at xn = 0) is reported as NonFinite.  A horizon that is not a whole
-    number of steps, to within 1e-12 * t_max, ends with one shorter step,
-    landing on t_max.  A dt that is not
-    positive and finite, a negative t_max, a step count t_max / dt that is
-    not finite or exceeds MAX_STEPS, a field whose dimension differs from
-    the arity of p0, or more than MAX_STORED_COORDS stored coordinates
-    (steps + 1) * n raises ValueError before any step runs.  The steps
-    themselves run in one call of the compiled loop (``_compile_loop``).
+    A horizon that is not a whole number of steps, to within 1e-12 * t_max,
+    ends with one shorter step, landing on t_max.  Raises ValueError, in
+    this order, for a dt that is not positive and finite, a negative t_max,
+    a step count t_max / dt that is not finite or exceeds MAX_STEPS, an n
+    that differs from the arity of p0, or more than MAX_STORED_COORDS
+    stored coordinates (steps + 1) * n.
     """
     if dt <= 0 or dt == math.inf:
         raise ValueError("dt must be positive and finite")
@@ -287,25 +286,39 @@ def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> lis
     # also catches a nan dt or t_max and an infinite t_max
     if not ratio <= MAX_STEPS:
         raise ValueError(f"t_max / dt = {ratio!r} exceeds the limit of {MAX_STEPS} steps")
-    if field.n != p0.n:
-        raise ValueError(f"field dimension {field.n} differs from state arity {p0.n}")
+    if n != p0.n:
+        raise ValueError(f"field dimension {n} differs from state arity {p0.n}")
     nsteps = steps = round(ratio)
     if abs(nsteps * dt - t_max) > 1e-12 * t_max:
         nsteps = int(ratio)
         steps = nsteps + 1  # the last step, t_max - nsteps * dt, is then positive
     leftover = t_max - nsteps * dt
-    stored = (steps + 1) * p0.n
+    stored = (steps + 1) * n
     if stored > MAX_STORED_COORDS:
         raise ValueError(
             f"(steps + 1) * n = {stored} exceeds the limit of {MAX_STORED_COORDS} stored coordinates"
         )
+    return chain(repeat(dt, nsteps), repeat(leftover, steps - nsteps))
+
+
+def integrate(field: VectorField, p0: FlowState, t_max: float, dt: float) -> list:
+    """Fixed-step RK4 trajectory from p0; raises BoundaryEscape/NonFinite.
+
+    Either escape carries the valid prefix of the trajectory, at least p0; a
+    float overflow or a division by zero inside a step (a negative power of
+    xn at xn = 0) is reported as NonFinite.  The arguments are checked
+    first, by ``_step_sizes``, which raises ValueError before any step
+    runs.  The steps themselves run in one call of the compiled loop
+    (``_compile_loop``).
+    """
+    hs = _step_sizes(field.n, p0, t_max, dt)
     run = _compile_loop(field)
     states = [p0]
     # a start on the boundary plane stays there exactly; only interior
     # trajectories can "escape" through the xn threshold
     watch_boundary = p0.coords[-1] > BOUNDARY_EPS
     try:
-        run(states, chain(repeat(dt, nsteps), repeat(leftover, steps - nsteps)), watch_boundary)
+        run(states, hs, watch_boundary)
     except OverflowError as exc:
         # float ** raises where * would give inf
         raise NonFinite(f"float overflow in the RK4 step from t={states[-1].t}", states) from exc
@@ -328,10 +341,12 @@ def _reference(spec: FlowSpec, p0: FlowState):
     if n != spec.n:
         raise ValueError(f"state arity {n} differs from spec dimension {spec.n}")
     kind, k = _parse_generator(spec.kind, spec.n)
+    if kind != "T" and not any(coords):
+        # the origin is a zero of D, of every boost and of G: the flow stays
+        # there at any t, where D's e^(t/3) overflows past t = 2129 and G's
+        # -1/z0 divides by zero
+        return lambda t: coords
     if kind == "D":
-        if not any(coords):
-            # the origin is a zero of the field; e^t would overflow for t > 709
-            return lambda t: coords
 
         def dilation(t):
             try:
@@ -353,9 +368,6 @@ def _reference(spec: FlowSpec, p0: FlowState):
         return lambda t: (*head, xk + t, *tail)
     if kind == "G" and not k:
         z0 = complex(coords[0], coords[1])
-        if z0 == 0:
-            # the origin is a zero of the field: the flow stays there
-            return lambda t: coords
         e_f = -1.0 / z0
         # within about 1e-308 of the origin -1/z0 overflows; the same flow
         # z0 / (1 - t z0) does not, and a finite -1/z0 keeps its float operations
@@ -384,10 +396,12 @@ def _reference(spec: FlowSpec, p0: FlowState):
         scaled = _reference(spec, FlowState(tuple(x / s for x in coords)))
         return lambda t: tuple(s * x for x in scaled(s * t))
     if r0 == 0.0:
-        # axis-bound Riccati solution; unreachable from the open
-        # half-space, where r0 >= xn > 0
+        # axis-bound Riccati solution; from the open half-space, where
+        # r0 >= xn > 0, only when the squares underflow
         if xk == 0.0:
-            # the origin is a zero of the field: the flow stays there
+            # a transverse radius that underflows to 0, as from (0, 1e-200,
+            # 1e-200) under G1: the field is below the float range there, and
+            # 2.0 / xk would divide by zero
             return lambda t: coords
         pole = 2.0 / xk
         zeros_head, zeros_tail = (0.0,) * (k - 1), (0.0,) * (n - k)

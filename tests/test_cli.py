@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import time
 
 import pytest
@@ -840,6 +841,47 @@ def test_flow_unwritable_out(tmp_path, capsys):
             assert code == EXIT_USAGE and out == "", argv
             assert err.startswith("usage error: --out:"), err
     assert not (tmp_path / "missing").exists()
+
+
+def test_flow_unwritable_out_is_reported_before_any_field_is_built(tmp_path, capsys, monkeypatch):
+    # the longest horizon MAX_STEPS admits; building the field or the RK4 loop fails the test
+    def boom(*args):
+        raise AssertionError("built a field or loop for an unwritable --out")
+
+    monkeypatch.setattr(flows, "generator", boom)
+    monkeypatch.setattr(flows, "_compile_loop", boom)
+    out_path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(OSError) as info:
+        open(out_path, "w")
+    argv = ["flow", "--gen", "G2", "--n", "5", "--point", "1,0.5,0.2,0.1,1.5",
+            "--t-max", "1000", "--dt", "0.001", "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: --out: {info.value}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_flow_out_that_fails_while_written(capsys):
+    # the open succeeds and the rows fail: still a usage error, before any line of stdout
+    argv = ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--out", "/dev/full"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: --out: [Errno 28]"), err
+
+
+def test_flow_bad_dt_keeps_a_stale_out_file(tmp_path, capsys):
+    out_path = tmp_path / "t.csv"
+    out_path.write_bytes(b"stale,bytes\n")
+    argv = ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--dt", "0", "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: dt must be positive and finite\n")
+    assert out_path.read_bytes() == b"stale,bytes\n"
+
+
+def test_flow_bad_dt_is_reported_before_an_unwritable_out(tmp_path, capsys):
+    argv = ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--dt", "0",
+            "--out", str(tmp_path / "missing" / "t.csv")]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: dt must be positive and finite\n")
 
 
 def test_flow_negative_option_values(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exterior algebra: wedge, derivative, contraction, Lie derivative."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,42 @@ def test_wedge_self_annihilates():
 
 def test_wedge_anticommutes_on_basis():
     assert wedge(dx(3, 2), dx(3, 1)) == -dx(3, 1, 2)
+
+
+_FIELD_SHAPE = "need exactly n components, each a polynomial in n coordinates"
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ([], "a vector field needs at least one component"),
+        ([LaurentPoly.var(3, 1), LaurentPoly.var(3, 2)], _FIELD_SHAPE),  # fewer than the arity
+        ([LaurentPoly.var(2, 1), LaurentPoly.var(3, 1)], _FIELD_SHAPE),  # a component of another arity
+    ],
+)
+def test_vector_field_shape_errors(components, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VectorField(components)
+
+
+def test_vector_field_components_must_be_polynomials():
+    # n is the number of components, so a non-polynomial fails the one shape check
+    with pytest.raises(ValueError, match=re.escape(_FIELD_SHAPE)):
+        VectorField([1, 2])
+
+
+def test_form_and_field_shape_mismatches():
+    field, form = VectorField.zero(2), dx(3, 1)
+    for operation in (
+        lambda: interior(field, form),
+        lambda: lie_derivative_form(field, form, ext_d(form)),
+    ):
+        with pytest.raises(DimensionMismatch, match="field in dimension 2, form in 3"):
+            operation()
+    with pytest.raises(ValueError, match="negative grade -1"):
+        KForm(3, -1)
+    with pytest.raises(ValueError, match="wedge power needs m >= 1"):
+        power_wedge(dx(3, 1), 0)
 
 
 def test_wedge_dimension_mismatch():
@@ -364,8 +401,13 @@ def test_kform_rejects_bad_index_tuples():
         KForm(3, 2, {(0, 1): LaurentPoly.const(3, 1)})
     with pytest.raises(ValueError):
         KForm(3, 1, {(4,): LaurentPoly.const(3, 1)})
+    with pytest.raises(ValueError, match=re.escape("index tuple (1,) has length 1, expected grade 2")):
+        KForm(3, 2, {(1,): LaurentPoly.const(3, 1)})
 
 
 def test_kform_text_uses_wedge_keys():
     omega = KForm(3, 2, {(1, 3): LaurentPoly.const(3, 2)})
     assert omega.text() == "(2)*dx1^dx3"
+    assert repr(omega) == "KForm(3, grade=2, '(2)*dx1^dx3')"
+    assert KForm(3, 1).text() == "0"
+    assert repr(VectorField([LaurentPoly.var(2, 1), LaurentPoly.zero(2)])) == "VectorField(x1, 0)"

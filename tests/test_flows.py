@@ -259,6 +259,8 @@ def _closed_form_cases(rng):
     cases += [(FlowSpec("G", 2), (2.0, 0.0)), (FlowSpec("G", 2), (-2.0, -0.0))]
     cases += [(FlowSpec("G1", 2), (4.0, 0.0)), (FlowSpec("G2", 3), (0.0, -4.0, 0.0))]
     cases += [(FlowSpec("G1", 3), (0.5, 0.0, -0.0)), (FlowSpec("G1", 3), (0.0, 0.0, 0.0))]
+    # r0 == 0 off the origin: the squares of 1e-200 underflow, and 2 / xk has no value
+    cases += [(FlowSpec("G1", 3), (0.0, 1e-200, 1e-200))]
     # boosts whose transverse radius passes the float limit even under hypot
     cases += [(FlowSpec("G1", 3), (1.0, 1.7e308, 1.7e308)), (FlowSpec("G2", 4), (-1e308, 0.5, -1.7e308, 1e308))]
     # the translation reaching the float limit, the dilation overflowing

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,19 @@ def test_coordinate_is_the_validated_monomial():
 def test_construction_drops_zero_coefficients():
     p = P(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert p.terms == {(0, 1): Fraction(2)}
+
+
+def test_shape_errors():
+    with pytest.raises(ValueError, match="need at least one coordinate, got n=0"):
+        LaurentPoly(0)
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (1, 0, 0) has arity 3, expected 2")):
+        P(2, {(1, 0, 0): 1})
+    x = LaurentPoly.var(2, 1)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=re.escape(f"coordinate index {i} outside 1..2")):
+            x.deriv(i)
+    with pytest.raises(ValueError, match="point has arity 1, expected 2"):
+        x.evaluate((1,))
 
 
 def test_negative_exponent_rejected_outside_last_coordinate():
@@ -206,6 +220,8 @@ def test_canonical_text_form():
     assert LaurentPoly.zero(2).text() == "0"
     assert LaurentPoly.const(2, -3).text() == "-3"
     assert (2 * LaurentPoly.var(2, 1)).text() == "2*x1"
+    assert str(p) == p.text()
+    assert repr(p) == "LaurentPoly(3, '1/2*x1^2 - 1/2*x2^2 + x1*x3^-2')"
 
 
 def test_text_is_deterministic_under_term_insertion_order():
@@ -236,6 +252,12 @@ def test_numbers_are_not_promoted_to_polynomials():
             operation()
     assert 2 * p == LaurentPoly(2, {(1, 0): 2})
     assert p * Fraction(1, 2) == LaurentPoly(2, {(1, 0): Fraction(1, 2)})
+    # == and - hand a non-map back to Python, which then compares unequal or raises
+    for value in (p, VectorField.zero(2)):
+        assert value.__eq__(1) is NotImplemented and value != 1
+        assert value.__sub__(1) is NotImplemented
+        with pytest.raises(TypeError):
+            value - 1
 
 
 def test_parse_rational():
@@ -454,3 +476,4 @@ def test_form_and_tensor_terms_are_checked():
             build()
     assert KForm(2, 2, {(1, 2): one}).text() == "(1)*dx1^dx2"
     assert SymTensor2(2, {(1, 2): one}).text() == "[1,2] 1"
+    assert SymTensor2(2).text() == "0"

@@ -271,6 +271,13 @@ def test_closure_plane_already_closed():
     assert not span.cap_exceeded
 
 
+def test_closure_seed_errors():
+    with pytest.raises(ValueError, match="need at least one seed field"):
+        algebra_closure([])
+    with pytest.raises(DimensionMismatch, match="seed fields in mixed dimensions"):
+        algebra_closure([generator("T1", 3), generator("T1", 4)])
+
+
 def test_closure_single_translation():
     span = algebra_closure([generator("T1", 4)])
     assert len(span.basis) == 1 and already_closed(span)
@@ -451,6 +458,9 @@ def test_contact_matrix_is_its_rows():
 def test_contact_matrix_needs_odd_dimension():
     with pytest.raises(OddSize):
         contact_matrix(SolitonParams(n=4, a=(1, 0, 0), b=0, c=(0, 1, 0)))
+    omega, domega = dual_forms(SolitonParams(n=4, a=(1, 0, 0), b=0, c=(0, 1, 0)))
+    with pytest.raises(OddSize, match="top form needs odd ambient dimension, got n=4"):
+        contact_top_form(omega, domega)
 
 
 def test_pfaffian_two_by_two():
