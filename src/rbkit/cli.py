@@ -7,7 +7,19 @@ records and picks the exit code.  Identical inputs (including the random
 seed) produce byte-identical output: ``_emit`` writes the ``timing`` field
 as null unless ``--timings`` is passed.  Exit codes: 0 all checks pass,
 1 some check failed, 2 a trajectory escaped at runtime, 64 usage or parse
-error.
+error, 74 a write to stdout or of the ``--out`` rows failed (one
+``io error:`` line on stderr, in either buffering mode of stdout).
+
+``main(argv)`` runs one command on the list ``argv`` and returns its exit
+code: the in-process API.  ``main()``, which the ``rbkit`` script and
+``python -m rbkit.cli`` call, runs it on ``sys.argv[1:]`` and then ends the
+process itself: it runs the ``atexit`` callbacks, flushes stdout and
+stderr and calls ``os._exit``, which skips the interpreter's teardown of
+every module and object.  It returns the code instead, for a normal exit,
+under a trace or profile function or a ``sys.monitoring`` tool (coverage,
+cProfile, pdb), under ``python -i``, or when a callback or the flush
+raises.  rbkit starts no thread, and every file it opens is closed by the
+time a command returns.
 
 ``flow`` streams its trajectory CSV row by row, comparing each state with the
 closed form in the same pass; the largest gap is the printed deviation, and
@@ -20,7 +32,7 @@ coordinates (steps + 1) * n (at most ``flows.MAX_STORED_COORDS``) by
 ``flows._step_sizes``, the check ``integrate`` runs first.  Only then is
 ``--out`` opened for writing, so a usage error leaves a stale file there
 as it was.  An ``--out`` that cannot be opened exits 64 before any field
-is built, and one whose rows cannot be written exits 64 too.  Values of
+is built; one whose rows cannot be written exits 74.  Values of
 ``--point``, ``--dt`` and ``--t-max`` may start with "-".
 A start at the origin, a zero of D, of every boost and of the plane
 rotation, stays fixed, at any horizon.  A state at which the closed form
@@ -62,7 +74,10 @@ never pass through floats.
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import json
+import os
 import random
 import sys
 import time
@@ -75,6 +90,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ESCAPE = 2
 EXIT_USAGE = 64
+EXIT_IOERR = 74  # sysexits.h EX_IOERR
 MAX_TRIALS = 10**4  # a time budget: one n = 15 instance takes about 0.09 s, so about 15 minutes
 MAX_ALGEBRA_N = 9  # the closure brackets every pair of its n(n+1)/2 basis fields
 MAX_PARAMS_N = 15  # contact's top form w ^ (dw)^m: about 0.08 s at n = 15, 0.5 s at n = 21
@@ -82,6 +98,10 @@ MAX_PARAMS_N = 15  # contact's top form w ^ (dw)^m: about 0.08 s at n = 15, 0.5 
 
 class _UsageError(Exception):
     pass
+
+
+class _WriteError(Exception):
+    """A write that failed at run time, not a fault of the command line."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,7 +289,7 @@ def cmd_flow(gen: str, n: int, point, t_max: float, dt: float, out_path: str) ->
     try:
         worst = flows.write_trajectory_csv(out_path, states, spec)
     except OSError as exc:
-        raise _UsageError(f"--out: {exc}") from exc
+        raise _WriteError(f"--out: {exc}") from exc
     except NonFinite as exc:
         # the closed form reached its pole; the CSV stops there.  An overflow
         # in the steps is still the escape reported.
@@ -362,7 +382,8 @@ def _build_parser() -> _Parser:
         f"  {EXIT_PASS:<3} every check passed\n"
         f"  {EXIT_FAIL:<3} some check failed\n"
         f"  {EXIT_ESCAPE:<3} a flow trajectory escaped at runtime\n"
-        f"  {EXIT_USAGE:<3} usage or parse error",
+        f"  {EXIT_USAGE:<3} usage or parse error\n"
+        f"  {EXIT_IOERR:<3} output could not be written (stdout or the --out file)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -405,33 +426,80 @@ def _join_signed_values(argv) -> list:
     return out
 
 
-def main(argv=None) -> int:
+def _run(args) -> int:
+    if args.command == "verify":
+        if args.trials < 0:
+            raise _UsageError("--trials must be nonnegative")
+        if args.trials > MAX_TRIALS:
+            raise _UsageError(f"--trials {args.trials} exceeds the limit of {MAX_TRIALS}")
+        params = load_params(args.params)
+        return _emit(cmd_verify(params, args.trials, args.seed), args.timings)
+    if args.command == "contact":
+        return _emit(cmd_contact(load_params(args.params)), args.timings)
+    if args.command == "flow":
+        try:
+            point = [float(x) for x in args.point.split(",")]
+        except ValueError as exc:
+            raise _UsageError(f"--point: {exc}") from exc
+        return cmd_flow(args.gen, args.n, point, args.t_max, args.dt, args.out)
+    # the parser admits no command but the four, so this one is "algebra"
+    return _emit(cmd_algebra(args.n), args.timings)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
-        if args.command == "verify":
-            if args.trials < 0:
-                raise _UsageError("--trials must be nonnegative")
-            if args.trials > MAX_TRIALS:
-                raise _UsageError(f"--trials {args.trials} exceeds the limit of {MAX_TRIALS}")
-            params = load_params(args.params)
-            return _emit(cmd_verify(params, args.trials, args.seed), args.timings)
-        if args.command == "contact":
-            return _emit(cmd_contact(load_params(args.params)), args.timings)
-        if args.command == "flow":
-            try:
-                point = [float(x) for x in args.point.split(",")]
-            except ValueError as exc:
-                raise _UsageError(f"--point: {exc}") from exc
-            return cmd_flow(args.gen, args.n, point, args.t_max, args.dt, args.out)
-        # the parser admits no command but the four, so this one is "algebra"
-        return _emit(cmd_algebra(args.n), args.timings)
+        code = _run(parser.parse_args(_join_signed_values(argv)))
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _WriteError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IOERR
+    except OSError as exc:
+        # the parameter file and --out turn their own OSErrors into the
+        # errors above, so one that reaches here is a write to stdout.  The
+        # bytes it could not write stay buffered: point its descriptor at
+        # os.devnull, so that the flush at exit does not fail on them again.
+        print(f"io error: stdout: {exc}", file=sys.stderr)
+        with open(os.devnull, "wb") as devnull, contextlib.suppress(OSError):  # OSError: no descriptor
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_IOERR
+
+
+def main(argv=None) -> int:
+    """Run one command; return its exit code, or end the process with it.
+
+    ``main(argv)`` runs the command on the list ``argv`` and returns the
+    code.  ``main()`` runs it on ``sys.argv[1:]``, then runs the ``atexit``
+    callbacks, flushes stdout and stderr and ends the process with
+    ``os._exit(code)``, without the interpreter's teardown.  It returns the
+    code instead under a trace or profile function or a ``sys.monitoring``
+    tool (cProfile from Python 3.12 is one), under ``python -i``, or when a
+    callback or the flush raises.  An exception from the command, argparse's
+    ``--help`` exit included, propagates from both.
+    """
+    if argv is not None:
+        return _main(argv)
+    code = _main(sys.argv[1:])
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later; tool ids are 0..5
+    if (
+        sys.gettrace() or sys.getprofile() or sys.flags.inspect
+        or (monitoring and any(map(monitoring.get_tool, range(6))))
+    ):
+        return code
+    try:
+        atexit._run_exitfuncs()  # they run once: the call clears them
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a flush that fails, or no stdout at all: the normal exit reports it
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Command-line interface: records, exit codes, determinism, files."""
 
+import io
 import json
 import math
 import os
+import sys
 import time
 
 import pytest
@@ -11,6 +13,7 @@ from rbkit import LaurentPoly, cli, exterior, flows, halfspace, ratlaurent, soli
 from rbkit.cli import (
     EXIT_ESCAPE,
     EXIT_FAIL,
+    EXIT_IOERR,
     EXIT_PASS,
     EXIT_USAGE,
     MAX_ALGEBRA_N,
@@ -861,11 +864,28 @@ def test_flow_unwritable_out_is_reported_before_any_field_is_built(tmp_path, cap
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_flow_out_that_fails_while_written(capsys):
-    # the open succeeds and the rows fail: still a usage error, before any line of stdout
+    # the open succeeds and the rows fail: an I/O error, not a usage error,
+    # reported in one line before any line of stdout
     argv = ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--out", "/dev/full"]
     code, out, err = run(capsys, argv)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith("usage error: --out: [Errno 28]"), err
+    assert (code, out) == (EXIT_IOERR, "")
+    assert err.startswith("io error: --out: [Errno 28]") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_stdout_that_fails_is_an_io_error(method, monkeypatch, capsys):
+    # a write fails in the write itself when stdout is unbuffered and at the
+    # flush when it is buffered; a stream with no descriptor is left as it is
+    class Full(io.StringIO):
+        pass
+
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    setattr(Full, method, fail)
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["algebra", "--n", "2"]) == EXIT_IOERR
+    assert capsys.readouterr().err == "io error: stdout: [Errno 28] No space left on device\n"
 
 
 def test_flow_bad_dt_keeps_a_stale_out_file(tmp_path, capsys):
@@ -1094,7 +1114,8 @@ def test_help_is_written_for_users(capsys):
     out = capsys.readouterr().out
     for command in ("verify", "contact", "flow", "algebra"):
         assert f"    {command} " in out
-    for code, meaning in ((0, "every check passed"), (1, "some check failed"), (2, "escaped"), (64, "usage")):
+    for code, meaning in ((0, "every check passed"), (1, "some check failed"), (2, "escaped"), (64, "usage"),
+                          (74, "could not be written")):
         assert any(line.split()[:1] == [str(code)] and meaning in line for line in out.splitlines())
     assert "``" not in out and "_emit" not in out
 

@@ -11,8 +11,9 @@ dilation ``D`` is pinned too; its closed form takes ``math.exp``, so its
 digest assumes the platform's ``exp`` rounds as glibc's does.  The
 fixed points (the origin under ``D`` and ``G``) and the axis-bound boost
 (a ``G1`` start with r0 = 0) pin the degenerate branches of the closed
-forms.  Escapes and usage errors are pinned too: exit 64 leaves stdout
-empty and writes no CSV.
+forms.  Escapes, usage errors and a failed write are pinned too: exit 64
+leaves stdout empty and writes no CSV, and so does exit 74, a full device
+as ``--out`` (a case skipped where ``/dev/full`` is missing).
 
 As a script the file needs only the standard library, so the pins can be
 checked under any installed Python, with or without pytest:
@@ -26,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 
 from rbkit.cli import main
 
@@ -100,7 +102,11 @@ CASES = {
                        "--t-max", "1e300", "--dt", "1e-300", "--out", "{csv}"],
     "usage_contact_even": ["contact", "--params", "{n4}"],
     "usage_trials_cap": ["verify", "--params", "{n3}", "--trials", "10001"],
+    # exit 74: the rows fail on a full device; empty stdout
+    "io_error_out": ["flow", "--gen", "T1", "--n", "2", "--point", "0,1", "--out", "/dev/full"],
 }
+# the cases that need a device some platforms lack
+RUNNABLE = sorted(name for name, argv in CASES.items() if "/dev/full" not in argv or os.path.exists("/dev/full"))
 
 # name: (exit code, sha256 of stdout, sha256 of the CSV or None)
 GOLDEN = {
@@ -124,6 +130,7 @@ GOLDEN = {
     "flow_G2_long": (0, "e77fc99fa02595135268ea360b7c750b43aea532a09b75be55cf87372a72946a", "1992448bd9cab1c39736dcd7c7c9f00096ccb3f637e2b5095b0a955a41e99c13"),
     "flow_G_origin": (0, "affc973ecc3129402fae4efd5de21b26c85f7944f42467a292b04b1061f91e3d", "2fcc4d88460754e33c0f4a1f53fce2f0ed0282ba5585b31f76166640b1d160e3"),
     "flow_T1": (0, "08dbee142f9469cfd2dd24381727f94a1c8c845c4c43f2b5580334f6298661a0", "a9566ded2e028e678b1d5045bc8abee6f4f5f084066edd21cd256cd76260b260"),
+    "io_error_out": (74, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "usage_arity": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "usage_bad_gen": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "usage_below_boundary": (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
@@ -159,7 +166,7 @@ def run_case(name: str, workdir) -> tuple:
 if __name__ != "__main__":
     import pytest
 
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", RUNNABLE)
     def test_golden_output(name, tmp_path):
         assert run_case(name, tmp_path) == GOLDEN[name]
 
@@ -175,7 +182,7 @@ if __name__ == "__main__":
     parser.add_argument("--check", action="store_true", help="compare every case with GOLDEN; exit 1 on a difference")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        results = {name: run_case(name, pathlib.Path(tmp)) for name in sorted(CASES)}
+        results = {name: run_case(name, pathlib.Path(tmp)) for name in RUNNABLE}
     if args.check:
         differ = [name for name, result in results.items() if result != GOLDEN[name]]
         for name in differ:
