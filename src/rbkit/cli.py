@@ -7,8 +7,9 @@ records and picks the exit code.  Identical inputs (including the random
 seed) produce byte-identical output: ``_emit`` writes the ``timing`` field
 as null unless ``--timings`` is passed.  Exit codes: 0 all checks pass,
 1 some check failed, 2 a trajectory escaped at runtime, 64 usage or parse
-error, 74 a write to stdout or of the ``--out`` rows failed (one
-``io error:`` line on stderr, in either buffering mode of stdout).
+error, 74 a write to stdout (the ``--help`` text too) or of the ``--out``
+rows failed (one ``io error:`` line on stderr, in either buffering mode of
+stdout).
 
 ``main(argv)`` runs one command on the list ``argv`` and returns its exit
 code: the in-process API.  ``main()``, which the ``rbkit`` script and
@@ -18,8 +19,10 @@ stderr and calls ``os._exit``, which skips the interpreter's teardown of
 every module and object.  It returns the code instead, for a normal exit,
 under a trace or profile function or a ``sys.monitoring`` tool (coverage,
 cProfile, pdb), under ``python -i``, or when a callback or the flush
-raises.  rbkit starts no thread, and every file it opens is closed by the
-time a command returns.
+raises.  argparse's ``SystemExit(0)`` after a ``--help`` that was written
+propagates from both; a help that cannot be written exits 74.  rbkit
+starts no thread, and every file it opens is closed by the time a command
+returns.
 
 ``flow`` streams its trajectory CSV row by row, comparing each state with the
 closed form in the same pass; the largest gap is the printed deviation, and
@@ -107,6 +110,10 @@ class _WriteError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        # argparse's own print drops an OSError; this write lets one reach _main
+        (file or sys.stdout).write(self.format_help())
 
 
 def load_params(path: str) -> halfspace.SolitonParams:
@@ -310,19 +317,15 @@ def cmd_algebra(n: int):
     if not 2 <= n <= MAX_ALGEBRA_N:
         raise _UsageError(f"algebra command supports 2 <= n <= {MAX_ALGEBRA_N}, got {n}")
     start = time.perf_counter()
-    names, seeds = solitons.generator_names(n), solitons.generators(n)
+    seeds = solitons.generators(n)
     span = solitons.algebra_closure(seeds)
     dimension = len(span.basis)
-    basis_names = list(names) + [f"B{i}" for i in range(len(names) + 1, dimension + 1)]
-    brackets = {pair: field for pair, field, _ in span.brackets}
+    names = [*solitons.generator_names(n), *(f"B{k}" for k in range(len(seeds) + 1, dimension + 1))]
+    # the closure records the seed pairs first, in the table's (j, i < j) order
     table = "; ".join(
-        f"[{names[i]},{names[j]}] = {brackets[i, j].text()}"
-        for j in range(len(seeds))
-        for i in range(j)
+        f"[{names[i]},{names[j]}] = {field.text()}" for (i, j), field, _ in span.brackets if j < len(seeds)
     )
-    added = "; ".join(
-        f"[{basis_names[i]},{basis_names[j]}] = {field.text()}" for (i, j), field in span.added
-    )
+    added = "; ".join(f"[{names[i]},{names[j]}] = {field.text()}" for (i, j), field in span.added)
     already_closed = not span.added and not span.cap_exceeded
     closure_witness = (
         f"dimension = {dimension}; seed_dimension = {span.seed_dimension}; "
@@ -341,7 +344,7 @@ def cmd_algebra(n: int):
     if not span.cap_exceeded:
         constants = solitons.structure_constants(span)
         text = "; ".join(
-            f"c[{basis_names[i - 1]},{basis_names[j - 1]},{basis_names[k - 1]}] = {v}"
+            f"c[{names[i - 1]},{names[j - 1]},{names[k - 1]}] = {v}"
             for (i, j, k), v in sorted(constants.items())
             if i < j
         )
@@ -449,9 +452,10 @@ def _run(args) -> int:
 def _main(argv) -> int:
     parser = _build_parser()
     try:
-        code = _run(parser.parse_args(_join_signed_values(argv)))
-        sys.stdout.flush()
-        return code
+        try:
+            return _run(parser.parse_args(_join_signed_values(argv)))
+        finally:  # also after --help, whose SystemExit a failed flush replaces
+            sys.stdout.flush()
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -481,8 +485,9 @@ def main(argv=None) -> int:
     ``os._exit(code)``, without the interpreter's teardown.  It returns the
     code instead under a trace or profile function or a ``sys.monitoring``
     tool (cProfile from Python 3.12 is one), under ``python -i``, or when a
-    callback or the flush raises.  An exception from the command, argparse's
-    ``--help`` exit included, propagates from both.
+    callback or the flush raises.  An exception from the command propagates
+    from both, and so does argparse's ``--help`` exit after a help that was
+    written; a help that cannot be written returns 74 like any command.
     """
     if argv is not None:
         return _main(argv)

@@ -77,9 +77,8 @@ class KForm(SparseMap):
     def __init__(self, n: int, grade: int, terms=None):
         if grade < 0:
             raise ValueError(f"negative grade {grade}")
-        self.n = n
-        self.grade = grade
-        self._terms = self._validated(terms)
+        self.grade = grade  # before the terms: _check reads it
+        super().__init__(n, terms)
 
     def _check(self, idx, poly) -> tuple:
         if not isinstance(idx, tuple):

@@ -135,8 +135,9 @@ class _SpanTracker:
     """Echelonized span with bookkeeping of combinations over inserted fields."""
 
     def __init__(self):
-        self.rows = []  # (pivot slot, sparse row, combination over inserted fields)
-        self.size = 0  # number of independent fields inserted
+        # one (pivot slot, sparse row, combination over inserted fields) per
+        # independent field inserted, so len(rows) numbers the next one
+        self.rows = []
 
     def insert(self, field: VectorField):
         """None after adjoining a field outside the span, else the field's coordinates.
@@ -166,10 +167,9 @@ class _SpanTracker:
         inv = 1 / vec[pivot]
         row = {slot: value * inv for slot, value in vec.items()}
         rcomb = {idx: -value * inv for idx, value in comb.items()}
-        rcomb[self.size] = inv
+        rcomb[len(self.rows)] = inv
         self.rows.append((pivot, row, rcomb))
         self.rows.sort(key=lambda r: r[0])
-        self.size += 1
         return None
 
 
@@ -179,7 +179,9 @@ class AlgebraSpan(namedtuple("AlgebraSpan", "basis brackets seed_dimension added
     ``brackets`` holds one ``((i, j), field, coords)`` record per bracket
     the closure computed, for 0-based basis indices i < j: ``coords`` is the
     sparse tuple of ``(k, c)`` with ``field = sum c e_k``, or None for the
-    bracket that escaped when the closure stopped at its cap.  The basis
+    bracket that escaped when the closure stopped at its cap.  The records
+    run in the order the pairs were bracketed: by j, then by i, so the
+    pairs of the first ``seed_dimension`` fields come first.  The basis
     starts with the ``seed_dimension`` independent seeds; ``added`` holds
     ``((i, j), field)`` per adjoined bracket, and ``cap_exceeded`` says that
     the closure stopped at ``cap``.  The dimension is ``len(basis)``.

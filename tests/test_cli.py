@@ -19,6 +19,7 @@ from rbkit.cli import (
     MAX_ALGEBRA_N,
     MAX_PARAMS_N,
     MAX_TRIALS,
+    _build_parser,
     _emit,
     main,
 )
@@ -875,7 +876,8 @@ def test_flow_out_that_fails_while_written(capsys):
 @pytest.mark.parametrize("method", ["write", "flush"])
 def test_stdout_that_fails_is_an_io_error(method, monkeypatch, capsys):
     # a write fails in the write itself when stdout is unbuffered and at the
-    # flush when it is buffered; a stream with no descriptor is left as it is
+    # flush when it is buffered; a stream with no descriptor is left as it is.
+    # A help that cannot be written ends so too, not in argparse's SystemExit.
     class Full(io.StringIO):
         pass
 
@@ -884,8 +886,9 @@ def test_stdout_that_fails_is_an_io_error(method, monkeypatch, capsys):
 
     setattr(Full, method, fail)
     monkeypatch.setattr(sys, "stdout", Full())
-    assert main(["algebra", "--n", "2"]) == EXIT_IOERR
-    assert capsys.readouterr().err == "io error: stdout: [Errno 28] No space left on device\n"
+    for argv in (["algebra", "--n", "2"], ["--help"]):
+        assert main(argv) == EXIT_IOERR
+        assert capsys.readouterr().err == "io error: stdout: [Errno 28] No space left on device\n"
 
 
 def test_flow_bad_dt_keeps_a_stale_out_file(tmp_path, capsys):
@@ -1112,6 +1115,7 @@ def test_help_is_written_for_users(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
+    assert out == _build_parser().format_help()
     for command in ("verify", "contact", "flow", "algebra"):
         assert f"    {command} " in out
     for code, meaning in ((0, "every check passed"), (1, "some check failed"), (2, "escaped"), (64, "usage"),

@@ -86,12 +86,14 @@ def test_a_trace_function_or_inspect_mode_gets_the_code_back(flag, tmp_path):
 @pytest.mark.parametrize("entry", [SCRIPT, IN_PROCESS], ids=["script", "in_process"])
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_stdout_on_a_full_device_exits_74(entry, unbuffered, tmp_path):
-    # buffered, the write fails at the flush; unbuffered, in the write itself
-    with open("/dev/full", "wb") as full:
-        done = run_python(["-c", entry, "algebra", "--n", "3"], tmp_path, stdout=full, unbuffered=unbuffered)
-    assert done.returncode == 74, done.stderr
-    assert done.stderr.startswith(b"io error: stdout: [Errno 28]"), done.stderr
-    assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
+    # buffered, the write fails at the flush; unbuffered, in the write itself.
+    # A help that cannot be written ends so too, not in argparse's exit 0.
+    for argv in (["algebra", "--n", "3"], ["--help"], ["flow", "--help"]):
+        with open("/dev/full", "wb") as full:
+            done = run_python(["-c", entry, *argv], tmp_path, stdout=full, unbuffered=unbuffered)
+        assert done.returncode == 74, (argv, done.stderr)
+        assert done.stderr.startswith(b"io error: stdout: [Errno 28]"), (argv, done.stderr)
+        assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr, (argv, done.stderr)
 
 
 def test_stdout_to_a_closed_pipe_exits_74(tmp_path):

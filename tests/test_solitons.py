@@ -218,7 +218,7 @@ def test_span_tracker_insert_returns_coordinates():
     assert tracker.insert(T + 3 * D) == {0: 1, 1: 3}
     assert tracker.insert(generator("G", 2)) is None
     assert tracker.insert(zero) == {}
-    assert tracker.size == 3
+    assert len(tracker.rows) == 3
 
 
 def test_span_tracker_matches_gauss_jordan_oracle():
@@ -240,7 +240,7 @@ def test_span_tracker_matches_gauss_jordan_oracle():
         kept = []  # the fields insert adjoined, numbered as in its coordinates
         for member in basis:
             seen["dependent" if _insert_checked(tracker, kept, member) else "independent"] += 1
-        assert tracker.size == span_oracle(VectorField.zero(n), basis)[0]
+        assert len(tracker.rows) == span_oracle(VectorField.zero(n), basis)[0]
         for field in (rand_field(rng, n, **shape), combination, VectorField.zero(n)):
             seen["in_span" if _insert_checked(tracker, kept, field) else "outside"] += 1
     assert min(seen.values()) > 0, seen
@@ -349,6 +349,11 @@ def test_closure_records_each_bracket_with_its_coordinates():
         dim = len(basis)
         assert [pair for pair, _, _ in span.brackets] == [
             (i, j) for j in range(dim) for i in range(j)
+        ]
+        # the seed pairs lead, in the order of the table `rbkit algebra` prints
+        s = span.seed_dimension
+        assert [pair for pair, _, _ in span.brackets[: s * (s - 1) // 2]] == [
+            (i, j) for j in range(s) for i in range(j)
         ]
         expected = {}
         for (i, j), field, coords in span.brackets:
